@@ -55,7 +55,6 @@ class ParityInstance:
 class ParityResult:
     nu: int
     kept: frozenset[int]  # indices into pairs
-    certificate_rank: int
     used_fallback: bool = False
 
 
@@ -160,7 +159,7 @@ def reference_parity_max(p: ParityInstance) -> ParityResult:
         if len(kept) > best_nu:
             best_nu = len(kept)
             best_kept = kept
-    return ParityResult(best_nu, frozenset(best_kept), certificate_rank=2 * best_nu)
+    return ParityResult(best_nu, frozenset(best_kept))
 
 
 def brute_parity_max(p: ParityInstance) -> int:
@@ -255,7 +254,7 @@ def algebraic_parity_max(p: ParityInstance, seed: int = 0) -> ParityResult | Non
     """
     npairs = len(p.pairs)
     if npairs == 0:
-        return ParityResult(0, frozenset(), certificate_rank=0)
+        return ParityResult(0, frozenset())
     field = _next_prime(max(2 * npairs * npairs * 64, 101))
     rng = random.Random(seed)
     for _ in range(_RESAMPLES):
@@ -268,7 +267,7 @@ def algebraic_parity_max(p: ParityInstance, seed: int = 0) -> ParityResult | Non
             if _rank_estimate(p, probe, field, rng, _RESAMPLES) // 2 == nu:
                 active = probe
         if len(active) == nu and _forest_union(p, active):
-            return ParityResult(nu, frozenset(active), certificate_rank=2 * nu)
+            return ParityResult(nu, frozenset(active))
     return None
 
 
@@ -283,13 +282,11 @@ def matroid_parity_max(p: ParityInstance, seed: int = 0) -> ParityResult:
     if len(p.pairs) <= PARITY_XCHECK_MAX_PAIRS:
         ref = reference_parity_max(p)
         if alg is None or alg.nu != ref.nu:
-            return ParityResult(
-                ref.nu, ref.kept, ref.certificate_rank, used_fallback=True
-            )
+            return ParityResult(ref.nu, ref.kept, used_fallback=True)
         return alg
     if alg is None:
         ref = reference_parity_max(p)
-        return ParityResult(ref.nu, ref.kept, ref.certificate_rank, used_fallback=True)
+        return ParityResult(ref.nu, ref.kept, used_fallback=True)
     return alg
 
 

@@ -123,7 +123,8 @@ def branch_to_w(inst: DisInstance, v: int) -> DisInstance:
     out = inst.clone()
     out.w.add(v)
     out.r.discard(v)
-    assert out.graph.is_forest(out.w), "protected vertex closed a W-cycle"
+    if not out.graph.is_forest(out.w):
+        raise InternalSolverError("protected vertex closed a W-cycle")
     return out
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: solve, oracle, gen, verify, bench. Exit codes are shared by
 all of them: 0 answer yes or operation fine, 1 answer no or verification
-failed, 2 malformed input, 3 internal invariant violation.
+failed, 2 malformed input, 3 internal error: a failed self-check or any
+other unexpected exception, so a crash never reads as a "no".
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .branching import BranchNode, solve_disjoint
@@ -303,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalSolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

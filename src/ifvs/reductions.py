@@ -2,7 +2,9 @@
 
 Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
-smallest pair), so a fixpoint run is reproducible. Rules never grow the
+smallest pair), so a fixpoint run is reproducible. The rules mutate the one
+working copy that reduce_to_fixpoint owns; apply_rule runs a single rule on
+a clone for callers that need the input kept. Rules never grow the
 measure when observed fixpoint to fixpoint; rule 6 may raise it transiently
 because moving an isolated restricted vertex into W adds a W-component
 before later rules cash in the offset.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import DisInstance, Kind, classification, measure
+from .instance import DisInstance, InternalSolverError, Kind, classification, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -41,7 +43,6 @@ class ReductionOutcome:
     instance: DisInstance | None
     rule_id: int
     forced: frozenset[int] = frozenset()
-    touched: frozenset[int] = frozenset()
     pivot: int | None = None
     mu_before: int | None = None
     mu_after: int | None = None
@@ -52,7 +53,6 @@ class FixpointResult:
     instance: DisInstance | None  # None means the instance was rejected
     forced: set[int]
     events: list[ReductionEvent] = field(default_factory=list)
-    rejected_by: int | None = None
 
     @property
     def rejected(self) -> bool:
@@ -80,29 +80,22 @@ def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
 
 
 # -- individual rules ------------------------------------------------------
+# A rule returns None and leaves inst untouched when it does not apply. When
+# it fires it reduces inst in place, or rejects without touching it. Only
+# rule 3 reads mu, the measure of inst as passed in.
+
+Fired = tuple[str, int | None, frozenset[int]]  # (status, pivot, forced)
 
 
-def _find_rule1(inst: DisInstance) -> int | None:
+def _rule1(inst: DisInstance, mu: int) -> Fired | None:
     for v in sorted(inst.graph.vertices):
         if inst.graph.deg(v) <= 1:
-            return v
+            inst.delete_vertex(v)
+            return "reduced", v, frozenset()
     return None
 
 
-def _apply_rule1(inst: DisInstance) -> ReductionOutcome | None:
-    v = _find_rule1(inst)
-    if v is None:
-        return None
-    mu0 = measure(inst).mu
-    out = inst.clone()
-    out.delete_vertex(v)
-    return ReductionOutcome(
-        "reduced", out, 1, touched=frozenset({v}), pivot=v,
-        mu_before=mu0, mu_after=measure(out).mu,
-    )
-
-
-def _find_rule2(inst: DisInstance) -> tuple[int, int] | None:
+def _rule2(inst: DisInstance, mu: int) -> Fired | None:
     g = inst.graph
     classes = classification(inst)
     best = None
@@ -117,18 +110,10 @@ def _find_rule2(inst: DisInstance) -> tuple[int, int] | None:
             pair = (u, v)
             if best is None or pair < best:
                 best = pair
-    return best
-
-
-def _apply_rule2(inst: DisInstance) -> ReductionOutcome | None:
-    pair = _find_rule2(inst)
-    if pair is None:
+    if best is None:
         return None
-    u, v = pair
-    mu0 = measure(inst).mu
-    out = inst.clone()
-    g = out.graph
-    in_r = (u in out.r, v in out.r)
+    u, v = best
+    in_r = (u in inst.r, v in inst.r)
     if in_r == (False, True):
         drop, keep = v, u
     elif in_r == (True, False):
@@ -139,96 +124,73 @@ def _apply_rule2(inst: DisInstance) -> ReductionOutcome | None:
     # the dropped vertex has exactly two edge occurrences: one to its partner,
     # one to some other vertex (a double edge inside F would be an F-cycle)
     other = next(x for x in g.neighbors(drop) if x != keep)
-    out.delete_vertex(drop)
+    inst.delete_vertex(drop)
     g.add_edge(keep, other)
-    if other not in out.w and g.multiplicity(keep, other) >= 2:
-        raise AssertionError("bypass created a parallel edge inside F")
-    return ReductionOutcome(
-        "reduced", out, 2, touched=frozenset({u, v, other}), pivot=drop,
-        mu_before=mu0, mu_after=measure(out).mu,
-    )
+    if other not in inst.w and g.multiplicity(keep, other) >= 2:
+        raise InternalSolverError("bypass created a parallel edge inside F")
+    return "reduced", drop, frozenset()
 
 
-def _apply_rule3(inst: DisInstance) -> ReductionOutcome | None:
-    mu0 = measure(inst).mu
-    if inst.k < 0 or mu0 < 0:
-        return ReductionOutcome("reject", None, 3, mu_before=mu0, mu_after=mu0)
+def _rule3(inst: DisInstance, mu: int) -> Fired | None:
+    if inst.k < 0 or mu < 0:
+        return "reject", None, frozenset()
     return None
 
 
-def _apply_rule4(inst: DisInstance) -> ReductionOutcome | None:
+def _rule4(inst: DisInstance, mu: int) -> Fired | None:
     comp_of = _w_component_ids(inst)
     for v in sorted(inst.r):
         if _double_link(inst, v, comp_of):
-            mu0 = measure(inst).mu
-            return ReductionOutcome(
-                "reject", None, 4, pivot=v, mu_before=mu0, mu_after=mu0,
-            )
+            return "reject", v, frozenset()
     return None
 
 
-def _apply_rule5(inst: DisInstance) -> ReductionOutcome | None:
+def _rule5(inst: DisInstance, mu: int) -> Fired | None:
     comp_of = _w_component_ids(inst)
     for v in sorted(inst.f_free):
-        if not _double_link(inst, v, comp_of):
-            continue
-        mu0 = measure(inst).mu
-        out = inst.clone()
-        forced_neighbors = out.graph.neighbors(v) & out.f
-        out.delete_vertex(v)
-        out.r |= forced_neighbors
-        out.k -= 1
-        return ReductionOutcome(
-            "reduced", out, 5, forced=frozenset({v}),
-            touched=frozenset({v}) | frozenset(forced_neighbors), pivot=v,
-            mu_before=mu0, mu_after=measure(out).mu,
-        )
+        if _double_link(inst, v, comp_of):
+            forced_neighbors = inst.graph.neighbors(v) & inst.f
+            inst.delete_vertex(v)
+            inst.r |= forced_neighbors
+            inst.k -= 1
+            return "reduced", v, frozenset({v})
     return None
 
 
-def _apply_rule6(inst: DisInstance) -> ReductionOutcome | None:
+def _rule6(inst: DisInstance, mu: int) -> Fired | None:
     classes = classification(inst)
     for v in sorted(inst.r):
         c = classes[v]
         if c.gdeg >= 1 or c.tdeg >= 1:
-            mu0 = measure(inst).mu
-            out = inst.clone()
-            out.r.discard(v)
-            out.w.add(v)
+            inst.r.discard(v)
+            inst.w.add(v)
             # rule 4 fires first on a double link, so the move merges
             # distinct W-components and cannot close a cycle inside W
-            assert out.graph.is_forest(out.w), "promotion closed a W-cycle"
-            return ReductionOutcome(
-                "reduced", out, 6, touched=frozenset({v}), pivot=v,
-                mu_before=mu0, mu_after=measure(out).mu,
-            )
+            if not inst.graph.is_forest(inst.w):
+                raise InternalSolverError("promotion closed a W-cycle")
+            return "reduced", v, frozenset()
     return None
 
 
-def _apply_rule7(inst: DisInstance) -> ReductionOutcome | None:
+def _rule7(inst: DisInstance, mu: int) -> Fired | None:
     g = inst.graph
     blocked = inst.w | inst.r
     for v in sorted(inst.f_free):
         nbrs = g.neighbors(v) - blocked
         if nbrs and all(g.deg(u) == 2 for u in nbrs):
-            mu0 = measure(inst).mu
-            out = inst.clone()
-            out.r |= nbrs
-            return ReductionOutcome(
-                "reduced", out, 7, touched=frozenset({v}) | frozenset(nbrs),
-                pivot=v, mu_before=mu0, mu_after=measure(out).mu,
-            )
+            inst.r |= nbrs
+            return "reduced", v, frozenset()
     return None
 
 
 _RULES = {
-    1: _apply_rule1,
-    2: _apply_rule2,
-    3: _apply_rule3,
-    4: _apply_rule4,
-    5: _apply_rule5,
-    6: _apply_rule6,
-    7: _apply_rule7,
+    1: _rule1,
+    2: _rule2,
+    3: _rule3,
+    4: _rule4,
+    5: _rule5,
+    6: _rule6,
+    7: _rule7,
 }
 
 
@@ -241,36 +203,43 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
     """
     if rule_id not in _RULES:
         raise ValueError(f"unknown rule id {rule_id}")
-    out = _RULES[rule_id](inst)
-    if out is None:
+    out = inst.clone()
+    mu0 = measure(out).mu
+    fired = _RULES[rule_id](out, mu0)
+    if fired is None:
         return ReductionOutcome("unchanged", inst, rule_id)
-    return out
+    status, pivot, forced = fired
+    if status == "reject":
+        return ReductionOutcome(status, None, rule_id, forced, pivot, mu0, mu0)
+    return ReductionOutcome(status, out, rule_id, forced, pivot, mu0, measure(out).mu)
 
 
 def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
     """Apply the lowest-numbered applicable rule until none fires.
 
-    Returns the reduced instance, the vertices forced into the solution by
-    rule 5, and the ordered event trace. On a rejection the trace still
-    carries everything up to and including the rejecting event.
+    Works on one clone of inst, which is never mutated. Returns the reduced
+    instance, the vertices forced into the solution by rule 5, and the
+    ordered event trace. On a rejection the trace still carries everything
+    up to and including the rejecting event. The measure is taken once on
+    entry and once after each firing; that one value is the event's
+    mu_after, the next event's mu_before and rule 3's input.
     """
-    cur = inst
+    cur = inst.clone()
     forced: set[int] = set()
     events: list[ReductionEvent] = []
+    mu = measure(cur).mu
     while True:
-        fired = False
         for rule_id in RULE_IDS:
-            out = _RULES[rule_id](cur)
-            if out is None:
-                continue
-            events.append(
-                ReductionEvent(rule_id, out.pivot, out.mu_before, out.mu_after)
-            )
-            if out.status == "reject":
-                return FixpointResult(None, forced, events, rejected_by=rule_id)
-            forced |= out.forced
-            cur = out.instance
-            fired = True
-            break
-        if not fired:
+            fired = _RULES[rule_id](cur, mu)
+            if fired is not None:
+                break
+        else:
             return FixpointResult(cur, forced, events)
+        status, pivot, rule_forced = fired
+        if status == "reject":
+            events.append(ReductionEvent(rule_id, pivot, mu, mu))
+            return FixpointResult(None, forced, events)
+        mu_after = measure(cur).mu
+        events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
+        forced |= rule_forced
+        mu = mu_after

@@ -95,6 +95,16 @@ def test_internal_failure_maps_to_exit_three(c5_file, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_unexpected_exception_maps_to_exit_three(c5_file, monkeypatch, capsys):
+    def boom(*a, **kw):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("ifvs.cli.solve_ifvs", boom)
+    rc = main(["solve", "--input", c5_file, "--k", "1"])
+    assert rc == 3
+    assert "internal error: RecursionError" in capsys.readouterr().err
+
+
 def test_solve_dis_file_and_budget_override(tmp_path, capsys):
     inst, _site = gadget_tent_branch()
     p = tmp_path / "tent.dis"

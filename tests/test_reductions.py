@@ -167,11 +167,20 @@ def test_rules_preserve_the_exact_minimum(rule):
 def test_fixpoint_orders_events_lowest_rule_first():
     for seed in range(40):
         inst = random_dis_instance(seed)
+        before = inst.clone()
         red = reduce_to_fixpoint(inst)
+        # the fixpoint reduces a copy of its own and leaves inst as it was
+        assert inst.graph.edge_items() == before.graph.edge_items(), seed
+        assert (inst.graph.vertices, inst.w, inst.r, inst.k) == (
+            before.graph.vertices, before.w, before.r, before.k,
+        ), seed
         replay = inst
         for ev in red.events:
             assert lowest_applicable_rule(replay) == ev.rule, seed
             out = apply_rule(replay, ev.rule)
+            assert (out.pivot, out.mu_before, out.mu_after) == (
+                ev.pivot, ev.mu_before, ev.mu_after,
+            ), seed
             if out.status == "reject":
                 assert red.rejected
                 break
