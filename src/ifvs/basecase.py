@@ -223,8 +223,9 @@ def _pair_matrix(p: ParityInstance, i: int, field: int, rng: random.Random) -> n
     n = p.num_ground
     u = np.zeros(n, dtype=np.int64)
     v = np.zeros(n, dtype=np.int64)
-    u[a1], u[b1] = 1, field - 1
-    v[a2], v[b2] = 1, field - 1
+    # signed incidence keeps every product below field, so int64 never wraps
+    u[a1], u[b1] = 1, -1
+    v[a2], v[b2] = 1, -1
     x = rng.randrange(1, field)
     return x * (np.outer(u, v) - np.outer(v, u)) % field
 
@@ -238,7 +239,8 @@ def _rank_estimate(p: ParityInstance, active: list[int], field: int,
         for i in active:
             y = (y + _pair_matrix(p, i, field, rng)) % field
         r = _rank_mod_p(y, field)
-        assert r % 2 == 0, "skew matrix rank must be even"
+        if r % 2:
+            raise InternalSolverError(f"skew matrix rank {r} is odd")
         best = max(best, r)
     return best
 
@@ -251,11 +253,15 @@ def algebraic_parity_max(p: ParityInstance, seed: int = 0) -> ParityResult | Non
     reference solver. Field size grows quadratically with the pair count to
     keep the failure probability per rank evaluation below 2**-6 per the
     Schwartz-Zippel bound, and every rank is the best of several resamples.
+    Also returns None when the field is too large for exact int64 row
+    reduction, which multiplies two residues (field**2 >= 2**63).
     """
     npairs = len(p.pairs)
     if npairs == 0:
         return ParityResult(0, frozenset())
     field = _next_prime(max(2 * npairs * npairs * 64, 101))
+    if field * field >= 1 << 63:
+        return None
     rng = random.Random(seed)
     for _ in range(_RESAMPLES):
         nu = _rank_estimate(p, list(range(npairs)), field, rng, _RESAMPLES) // 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basecase import solve_base
-from .instance import DisInstance, InternalSolverError, Kind, classification, measure
+from .instance import DisInstance, InternalSolverError, Kind, classification
 from .reductions import ReductionEvent, reduce_to_fixpoint
 
 CASE_A = "A"
@@ -154,14 +154,14 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
                 "reject", reductions=red.events, answer="no",
             )
         cur = red.instance
-        mu = measure(cur).mu
+        mu = red.measure.mu
         if root_budget[0] is None:
             root_budget[0] = mu
         elif depth > root_budget[0] + 1:
             raise InternalSolverError(
                 f"depth {depth} exceeds root measure budget {root_budget[0]}"
             )
-        classes = classification(cur)
+        classes = red.measure.classes
         pivot = select_pivot(cur, classes)
         if pivot is None:
             for v, c in classes.items():

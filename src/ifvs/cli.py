@@ -132,7 +132,6 @@ def _cmd_solve(args) -> int:
         args.k,
         minimize=args.minimize,
         fvs_override=override,
-        threads=args.threads,
         keep_traces=bool(args.trace),
     )
     if args.trace:
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--minimize", action="store_true")
     solve.add_argument("--trace", default=None, help="write branch tree as JSON lines")
     solve.add_argument("--fvs", default=None, help="file with an external feedback vertex set")
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(fn=_cmd_solve)
 

@@ -8,7 +8,7 @@ only has to break the cycles that cross between them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .multigraph import MultiGraph
@@ -41,10 +41,19 @@ class VertexClass:
 
 @dataclass(frozen=True)
 class Measure:
+    """mu = k + rho - eta - tau, with the analysis it was computed from.
+
+    classes is the classification of F and comp_of maps each W-vertex to its
+    W-component index. Both describe the instance as measured; they take no
+    part in equality, so a Measure compares by its four counts alone.
+    """
+
     k: int
     rho: int
     eta: int
     tau: int
+    classes: dict[int, VertexClass] = field(default_factory=dict, compare=False, repr=False)
+    comp_of: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def mu(self) -> int:
@@ -176,8 +185,9 @@ def measure(inst: DisInstance) -> Measure:
     classes = classification(inst)
     eta = sum(1 for c in classes.values() if c.kind is Kind.NICE)
     tau = sum(1 for c in classes.values() if c.kind is Kind.TENT)
-    rho = len(inst.graph.components(inst.w))
-    return Measure(inst.k, rho, eta, tau)
+    comps = inst.graph.components(inst.w)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    return Measure(inst.k, len(comps), eta, tau, classes, comp_of)
 
 
 def check_solution(g: MultiGraph, s: set[int], k: int) -> bool:

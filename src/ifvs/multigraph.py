@@ -158,42 +158,5 @@ class MultiGraph:
                 parent[ru] = rv
         return True
 
-    def contract(self, parts: list[set[int]]) -> tuple[MultiGraph, dict[int, int]]:
-        """Contract each part to a single node, keeping cross multiplicities.
-
-        Each part must be a nonempty connected set of vertices, pairwise
-        disjoint from the other parts. Edges with both ends inside one part
-        disappear (no self loops are created). The contracted node carries the
-        smallest id of its part. Returns the new graph and the full
-        original-vertex to node mapping.
-        """
-        mapping: dict[int, int] = {}
-        for part in parts:
-            if not part:
-                raise ValueError("empty part")
-            if not part <= set(self._adj):
-                raise ValueError("part contains unknown vertices")
-            if len(self.components(part)) != 1:
-                raise ValueError(f"part {sorted(part)} is not connected")
-            rep = min(part)
-            for v in part:
-                if v in mapping:
-                    raise ValueError(f"vertex {v} appears in two parts")
-                mapping[v] = rep
-        for v in self._adj:
-            mapping.setdefault(v, v)
-
-        out = MultiGraph()
-        for v in self._adj:
-            out.add_vertex(mapping[v])
-        contracted = {v for part in parts for v in part}
-        for u, v, m in self.edge_items():
-            mu, mv = mapping[u], mapping[v]
-            if mu == mv and (u != v or u in contracted):
-                continue
-            out.add_edge(mu, mv, m)
-        out._next_id = max(out._next_id, self._next_id)
-        return out, mapping
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiGraph(n={len(self._adj)}, m={self.num_edges})"

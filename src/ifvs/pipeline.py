@@ -10,7 +10,6 @@ and a full scan settles minimization.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -71,12 +70,14 @@ def solve_ifvs(
     answer is the same either way because every solution is found under the
     guess that matches its overlap with Z. With minimize=True all guesses
     are scanned and the smallest solution wins, ties broken by sorted vertex
-    order, so results do not depend on the thread count. The final solution
-    is re-verified against the untouched input; a failure there is a bug and
-    raises InternalSolverError.
+    order. The final solution is re-verified against the untouched input; a
+    failure there is a bug and raises InternalSolverError.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
+    # threads stays a keyword only because perfbench/run.py passes threads=1
+    if threads != 1:
+        raise ValueError("guesses run on one thread; threads must be 1")
     pristine = g
     g = g.copy()
     stats: dict[str, object] = {
@@ -169,16 +170,9 @@ def solve_ifvs(
             best = sol
         return not minimize  # decision mode stops at the first hit
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_guess, zp) for zp in guesses]
-            for fut in futures:
-                if consume(fut.result()):
-                    break
-    else:
-        for zp in guesses:
-            if consume(run_guess(zp)):
-                break
+    for zp in guesses:
+        if consume(run_guess(zp)):
+            break
 
     result = SolveResult(
         "yes" if best is not None else "no", best, k, stats, records

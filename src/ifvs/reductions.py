@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import DisInstance, InternalSolverError, Kind, classification, measure
+from .instance import DisInstance, InternalSolverError, Kind, Measure, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -53,18 +53,11 @@ class FixpointResult:
     instance: DisInstance | None  # None means the instance was rejected
     forced: set[int]
     events: list[ReductionEvent] = field(default_factory=list)
+    measure: Measure | None = None  # of instance; None when rejected
 
     @property
     def rejected(self) -> bool:
         return self.instance is None
-
-
-def _w_component_ids(inst: DisInstance) -> dict[int, int]:
-    comp_of = {}
-    for i, comp in enumerate(inst.graph.components(inst.w)):
-        for v in comp:
-            comp_of[v] = i
-    return comp_of
 
 
 def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
@@ -81,13 +74,15 @@ def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
 
 # -- individual rules ------------------------------------------------------
 # A rule returns None and leaves inst untouched when it does not apply. When
-# it fires it reduces inst in place, or rejects without touching it. Only
-# rule 3 reads mu, the measure of inst as passed in.
+# it fires it reduces inst in place, or rejects without touching it. m is the
+# measure of inst as passed in; because a rule that does not fire changes
+# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu, rules
+# 2 and 6 read m.classes, rules 4 and 5 read m.comp_of.
 
 Fired = tuple[str, int | None, frozenset[int]]  # (status, pivot, forced)
 
 
-def _rule1(inst: DisInstance, mu: int) -> Fired | None:
+def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.graph.vertices):
         if inst.graph.deg(v) <= 1:
             inst.delete_vertex(v)
@@ -95,9 +90,9 @@ def _rule1(inst: DisInstance, mu: int) -> Fired | None:
     return None
 
 
-def _rule2(inst: DisInstance, mu: int) -> Fired | None:
+def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
     g = inst.graph
-    classes = classification(inst)
+    classes = m.classes
     best = None
     for u in inst.f:
         if g.deg(u) != 2 or classes[u].kind is Kind.NICE:
@@ -131,24 +126,22 @@ def _rule2(inst: DisInstance, mu: int) -> Fired | None:
     return "reduced", drop, frozenset()
 
 
-def _rule3(inst: DisInstance, mu: int) -> Fired | None:
-    if inst.k < 0 or mu < 0:
+def _rule3(inst: DisInstance, m: Measure) -> Fired | None:
+    if inst.k < 0 or m.mu < 0:
         return "reject", None, frozenset()
     return None
 
 
-def _rule4(inst: DisInstance, mu: int) -> Fired | None:
-    comp_of = _w_component_ids(inst)
+def _rule4(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.r):
-        if _double_link(inst, v, comp_of):
+        if _double_link(inst, v, m.comp_of):
             return "reject", v, frozenset()
     return None
 
 
-def _rule5(inst: DisInstance, mu: int) -> Fired | None:
-    comp_of = _w_component_ids(inst)
+def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.f_free):
-        if _double_link(inst, v, comp_of):
+        if _double_link(inst, v, m.comp_of):
             forced_neighbors = inst.graph.neighbors(v) & inst.f
             inst.delete_vertex(v)
             inst.r |= forced_neighbors
@@ -157,10 +150,9 @@ def _rule5(inst: DisInstance, mu: int) -> Fired | None:
     return None
 
 
-def _rule6(inst: DisInstance, mu: int) -> Fired | None:
-    classes = classification(inst)
+def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.r):
-        c = classes[v]
+        c = m.classes[v]
         if c.gdeg >= 1 or c.tdeg >= 1:
             inst.r.discard(v)
             inst.w.add(v)
@@ -172,7 +164,7 @@ def _rule6(inst: DisInstance, mu: int) -> Fired | None:
     return None
 
 
-def _rule7(inst: DisInstance, mu: int) -> Fired | None:
+def _rule7(inst: DisInstance, m: Measure) -> Fired | None:
     g = inst.graph
     blocked = inst.w | inst.r
     for v in sorted(inst.f_free):
@@ -204,14 +196,14 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
     if rule_id not in _RULES:
         raise ValueError(f"unknown rule id {rule_id}")
     out = inst.clone()
-    mu0 = measure(out).mu
-    fired = _RULES[rule_id](out, mu0)
+    m0 = measure(out)
+    fired = _RULES[rule_id](out, m0)
     if fired is None:
         return ReductionOutcome("unchanged", inst, rule_id)
     status, pivot, forced = fired
     if status == "reject":
-        return ReductionOutcome(status, None, rule_id, forced, pivot, mu0, mu0)
-    return ReductionOutcome(status, out, rule_id, forced, pivot, mu0, measure(out).mu)
+        return ReductionOutcome(status, None, rule_id, forced, pivot, m0.mu, m0.mu)
+    return ReductionOutcome(status, out, rule_id, forced, pivot, m0.mu, measure(out).mu)
 
 
 def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
@@ -219,27 +211,28 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
 
     Works on one clone of inst, which is never mutated. Returns the reduced
     instance, the vertices forced into the solution by rule 5, and the
-    ordered event trace. On a rejection the trace still carries everything
-    up to and including the rejecting event. The measure is taken once on
-    entry and once after each firing; that one value is the event's
-    mu_after, the next event's mu_before and rule 3's input.
+    ordered event trace, plus the reduced instance's measure. On a rejection
+    the trace still carries everything up to and including the rejecting
+    event. The measure is taken once on entry and once after each firing;
+    that one value is the event's mu_after, the next event's mu_before and
+    what every rule of the next step reads.
     """
     cur = inst.clone()
     forced: set[int] = set()
     events: list[ReductionEvent] = []
-    mu = measure(cur).mu
+    m = measure(cur)
     while True:
         for rule_id in RULE_IDS:
-            fired = _RULES[rule_id](cur, mu)
+            fired = _RULES[rule_id](cur, m)
             if fired is not None:
                 break
         else:
-            return FixpointResult(cur, forced, events)
+            return FixpointResult(cur, forced, events, m)
         status, pivot, rule_forced = fired
         if status == "reject":
-            events.append(ReductionEvent(rule_id, pivot, mu, mu))
+            events.append(ReductionEvent(rule_id, pivot, m.mu, m.mu))
             return FixpointResult(None, forced, events)
-        mu_after = measure(cur).mu
-        events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
+        m_after = measure(cur)
+        events.append(ReductionEvent(rule_id, pivot, m.mu, m_after.mu))
         forced |= rule_forced
-        mu = mu_after
+        m = m_after

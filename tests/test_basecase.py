@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from ifvs import basecase
 from ifvs.basecase import (
+    ParityInstance,
+    ParityPair,
     algebraic_parity_max,
     brute_parity_max,
     build_parity,
@@ -10,6 +14,7 @@ from ifvs.basecase import (
     solve_base,
     _forest_union,
     _next_prime,
+    _pair_matrix,
 )
 from ifvs.generators import base_case_instance
 from ifvs.instance import DisInstance, InternalSolverError
@@ -107,6 +112,26 @@ def test_matroid_parity_never_lies_even_when_algebra_gives_up(monkeypatch):
         assert res.used_fallback
         assert res.nu == brute_parity_max(p)
         assert _forest_union(p, res.kept)
+
+
+def test_oversized_field_falls_back_to_the_reference(monkeypatch):
+    # the field chosen for about 6000 pairs: its products overflow int64
+    monkeypatch.setattr(basecase, "_next_prime", lambda n: 4608000071)
+    for seed in range(10):
+        p = build_parity(base_case_instance(seed))
+        res = matroid_parity_max(p)
+        assert res.used_fallback, seed
+        assert res.nu == brute_parity_max(p), seed
+
+
+def test_pair_matrix_is_exact_at_large_fields():
+    p = ParityInstance(4, [ParityPair(0, ((0, 1), (2, 3)), serial=False)])
+    field = 2048000011  # below the int64 row reduction cap
+    m = _pair_matrix(p, 0, field, random.Random(7))
+    x = random.Random(7).randrange(1, field)
+    u, v = [1, field - 1, 0, 0], [0, 0, 1, field - 1]
+    want = [[x * (u[i] * v[j] - v[i] * u[j]) % field for j in range(4)] for i in range(4)]
+    assert m.tolist() == want
 
 
 def test_solve_base_matches_oracle_and_respects_budget():

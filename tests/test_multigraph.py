@@ -96,39 +96,6 @@ def test_is_forest_detects_cycles_loops_and_parallels():
     assert not h.is_forest({0})
 
 
-def test_contract_aggregates_cross_multiplicities():
-    g = MultiGraph(range(4))
-    g.add_edge(0, 2)
-    g.add_edge(1, 2)
-    g.add_edge(0, 1)
-    g.add_edge(2, 3)
-    out, mapping = g.contract([{0, 1}])
-    assert mapping[0] == mapping[1] == 0
-    assert out.multiplicity(0, 2) == 2
-    assert out.multiplicity(0, 1) == 0
-    assert out.multiplicity(2, 3) == 1
-
-
-def test_contract_drops_internal_loops_keeps_external():
-    g = MultiGraph(range(3))
-    g.add_edge(0, 1)
-    g.add_edge(0, 0)
-    g.add_edge(2, 2)
-    out, _ = g.contract([{0, 1}])
-    assert out.multiplicity(0, 0) == 0
-    assert out.multiplicity(2, 2) == 1
-
-
-def test_contract_rejects_disconnected_or_overlapping_parts():
-    g = path(4)
-    with pytest.raises(ValueError):
-        g.contract([{0, 2}])
-    with pytest.raises(ValueError):
-        g.contract([{0, 1}, {1, 2}])
-    with pytest.raises(ValueError):
-        g.contract([set()])
-
-
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
 def test_num_edges_matches_occurrence_count(pairs):
     g = MultiGraph(range(10))

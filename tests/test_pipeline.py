@@ -97,13 +97,12 @@ def test_fvs_override_is_honoured_and_clamped():
     assert res2.status == "yes" and 1 in res2.solution
 
 
-def test_threads_do_not_change_the_answer():
-    for seed in (1, 5, 11):
-        g = random_multigraph(9, 16, seed=seed)
-        lone = solve_ifvs(g, 9, minimize=True, threads=1)
-        pool = solve_ifvs(g, 9, minimize=True, threads=4)
-        assert lone.status == pool.status
-        assert lone.solution == pool.solution
+def test_threads_other_than_one_are_rejected():
+    g = random_multigraph(9, 16, seed=1)
+    assert solve_ifvs(g, 9, minimize=True, threads=1).status == "no"
+    for threads in (0, 2, 4):
+        with pytest.raises(ValueError):
+            solve_ifvs(g, 9, minimize=True, threads=threads)
 
 
 def test_subdivide_triangle_gives_six_cycle():

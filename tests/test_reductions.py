@@ -207,7 +207,13 @@ def test_fixpoint_never_raises_the_measure(seed):
     mu_raw = measure(inst).mu
     red = reduce_to_fixpoint(inst)
     if not red.rejected:
-        assert measure(red.instance).mu <= mu_raw
+        out = red.instance
+        assert measure(out).mu <= mu_raw
+        # the fixpoint's own measure is the one every reader of the step used
+        assert red.measure == measure(out)
+        assert red.measure.classes == classification(out)
+        comps = out.graph.components(out.w)
+        assert red.measure.comp_of == {v: i for i, c in enumerate(comps) for v in c}
 
 
 @given(st.integers(0, 10**6))
