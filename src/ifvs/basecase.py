@@ -14,14 +14,13 @@ kept exactly when the union of their pair edges is acyclic, so the largest
 keepable set is a maximum matroid parity in the graphic matroid, and the
 minimum deletion set has size (eta + tau) - nu.
 
-Two independent solvers compute nu. The reference solver branches over tent
-pairs and finishes nice pairs greedily, which is exact because a nice pair
-behaves like one matroid element. The default solver is the randomized
-algebraic one: build Y = sum_i x_i (u_i v_i^T - v_i u_i^T) over a prime
-field from the incidence vectors of each pair with random weights x_i, read
-nu off as rank(Y) / 2, and recover a witness by pair deletion rank probes.
-Random rank can only undershoot, so the result is verified and the solver
-falls back to the reference on any disagreement.
+Each leaf runs one solver. The exact reference solver branches over tent
+pairs and finishes nice pairs greedily, so it answers wherever the tents are
+few. Larger leaves go to the polynomial randomized algebraic solver: build
+Y = sum_i x_i (u_i v_i^T - v_i u_i^T) over a prime field from the incidence
+vectors of each pair with random weights x_i, read nu off as rank(Y) / 2,
+and recover a witness by pair deletion rank probes. Random rank can only
+undershoot, so the witness is verified; if none verifies, the reference runs.
 """
 from __future__ import annotations
 
@@ -30,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DisInstance, InternalSolverError, Kind, classification
+from .instance import DisInstance, InternalSolverError, Kind, Measure, measure
 
-PARITY_XCHECK_MAX_PAIRS = 20
+REFERENCE_MAX_PAIRS = 20
+REFERENCE_MAX_TENTS = 13
 _RESAMPLES = 3
 
 
@@ -58,25 +58,21 @@ class ParityResult:
     used_fallback: bool = False
 
 
-def build_parity(inst: DisInstance) -> ParityInstance:
-    """Encode a base-case instance as graphic matroid parity pairs."""
+def build_parity(inst: DisInstance, m: Measure | None = None) -> ParityInstance:
+    """Encode a base-case instance with measure m as matroid parity pairs."""
     if inst.r:
         raise InternalSolverError("base case encoding with nonempty R")
-    comps = inst.graph.components(inst.w)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    next_node = len(comps)
+    if m is None:
+        m = measure(inst)
+    next_node = m.rho
     pairs = []
-    classes = classification(inst)
     for v in sorted(inst.f):
-        c = classes[v]
+        c = m.classes[v]
         targets = []
         for u in sorted(inst.graph.neighbors(v)):
             if u not in inst.w:
                 raise InternalSolverError(f"base case vertex {v} has F-neighbor {u}")
-            targets.extend([comp_of[u]] * inst.graph.multiplicity(v, u))
+            targets.extend([m.comp_of[u]] * inst.graph.multiplicity(v, u))
         if len(set(targets)) != len(targets):
             raise InternalSolverError(
                 f"base case vertex {v} double-links a W-component"
@@ -116,13 +112,14 @@ class _UnionFind:
         return True
 
 
-def _forest_union(p: ParityInstance, kept: list[int] | frozenset[int]) -> bool:
+def _forest_union(p: ParityInstance, kept: list[int] | frozenset[int]) -> _UnionFind | None:
+    """Union-find over the kept pairs' edges, None when they close a cycle."""
     uf = _UnionFind(p.num_ground)
     for i in kept:
         for a, b in p.pairs[i].edges:
             if not uf.union(a, b):
-                return False
-    return True
+                return None
+    return uf
 
 
 def reference_parity_max(p: ParityInstance) -> ParityResult:
@@ -137,21 +134,14 @@ def reference_parity_max(p: ParityInstance) -> ParityResult:
     serial_idx = [i for i, pr in enumerate(p.pairs) if pr.serial]
     best_nu = -1
     best_kept: list[int] = []
-    for mask in range(1 << len(tent_idx)):
-        chosen = [tent_idx[j] for j in range(len(tent_idx)) if mask >> j & 1]
-        uf = _UnionFind(p.num_ground)
-        ok = True
-        for i in chosen:
-            for a, b in p.pairs[i].edges:
-                if not uf.union(a, b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    # highest indices first: the algebraic witness recovery drops the lowest
+    # ones first, so both routes lean to the same witness
+    for mask in range((1 << len(tent_idx)) - 1, -1, -1):
+        kept = [tent_idx[j] for j in range(len(tent_idx)) if mask >> j & 1]
+        uf = _forest_union(p, kept)
+        if uf is None:
             continue
-        kept = list(chosen)
-        for i in serial_idx:
+        for i in reversed(serial_idx):
             (a, _), (_, b) = p.pairs[i].edges
             if uf.find(a) != uf.find(b):
                 uf.union(a, b)
@@ -278,28 +268,27 @@ def algebraic_parity_max(p: ParityInstance, seed: int = 0) -> ParityResult | Non
 
 
 def matroid_parity_max(p: ParityInstance, seed: int = 0) -> ParityResult:
-    """Maximum keepable pair set, never wrong.
+    """Maximum keepable pair set, never wrong; one route per instance.
 
-    The algebraic path runs first. Whenever the instance is small enough the
-    reference solver cross-checks it; any disagreement or recovery failure
-    is resolved in favor of the reference answer and flagged on the result.
+    The exact reference route answers alone while it is affordable: at most
+    REFERENCE_MAX_PAIRS pairs, or at most REFERENCE_MAX_TENTS tents. Above
+    both caps the algebraic route answers, and the reference route steps in
+    only when it gives up, which the result flags as a fallback.
     """
+    tents = sum(1 for pr in p.pairs if not pr.serial)
+    if len(p.pairs) <= REFERENCE_MAX_PAIRS or tents <= REFERENCE_MAX_TENTS:
+        return reference_parity_max(p)
     alg = algebraic_parity_max(p, seed=seed)
-    if len(p.pairs) <= PARITY_XCHECK_MAX_PAIRS:
-        ref = reference_parity_max(p)
-        if alg is None or alg.nu != ref.nu:
-            return ParityResult(ref.nu, ref.kept, used_fallback=True)
+    if alg is not None:
         return alg
-    if alg is None:
-        ref = reference_parity_max(p)
-        return ParityResult(ref.nu, ref.kept, used_fallback=True)
-    return alg
+    ref = reference_parity_max(p)
+    return ParityResult(ref.nu, ref.kept, used_fallback=True)
 
 
-def solve_base(inst: DisInstance, seed: int = 0) -> set[int] | None:
+def solve_base(inst: DisInstance, m: Measure | None = None) -> set[int] | None:
     """Minimum deletion set of a base-case instance, None when over budget."""
-    parity = build_parity(inst)
-    res = matroid_parity_max(parity, seed=seed)
+    parity = build_parity(inst, m)
+    res = matroid_parity_max(parity)
     kept_origins = {parity.pairs[i].origin for i in res.kept}
     x = set(inst.f) - kept_origins
     if len(x) != len(parity.pairs) - res.nu:

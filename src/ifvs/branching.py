@@ -169,7 +169,7 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
                     raise InternalSolverError(
                         f"base case reached with non-settled vertex {v} ({c.kind})"
                     )
-            base = solve_base(cur)
+            base = solve_base(cur, red.measure)
             node = BranchNode(
                 "base", mu=mu, reductions=red.events,
                 answer="yes" if base is not None else "no",

@@ -113,6 +113,8 @@ def _cmd_solve(args) -> int:
     if _is_dis_file(text):
         inst = parse_dis_instance(text)
         if args.k is not None:
+            if args.k < 0:
+                raise ParseError("budget must be nonnegative")
             inst = DisInstance(inst.graph, inst.w, inst.r, args.k)
         res = solve_disjoint(inst)
         status = "yes" if res.solution is not None else "no"

@@ -107,6 +107,8 @@ def parse_dis_instance(text: str) -> DisInstance:
                 k = int(tok[1])
             except ValueError:
                 raise ParseError("budget must be an integer", line_no)
+            if k < 0:
+                raise ParseError("budget must be nonnegative", line_no)
         else:
             raise ParseError(f"unexpected line type {tok[0]!r}", line_no)
     if k is None:

@@ -257,6 +257,8 @@ def test_criterion_07_parity_routes_agree(monkeypatch, capsys):
         if not _forest_union(p, mp.kept):
             bad.append(("kept-not-forest", seed))
     with monkeypatch.context() as mp_ctx:
+        mp_ctx.setattr(basecase_mod, "REFERENCE_MAX_PAIRS", -1)
+        mp_ctx.setattr(basecase_mod, "REFERENCE_MAX_TENTS", -1)
         mp_ctx.setattr(basecase_mod, "algebraic_parity_max", lambda p, seed=0: None)
         for seed in range(50):
             p = build_parity(base_case_instance(seed, max_pairs=12))

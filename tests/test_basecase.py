@@ -104,7 +104,13 @@ def test_algebraic_equals_reference_and_verifies():
         assert len(alg.kept) == alg.nu
 
 
+def _force_algebraic_route(monkeypatch):
+    monkeypatch.setattr(basecase, "REFERENCE_MAX_PAIRS", -1)
+    monkeypatch.setattr(basecase, "REFERENCE_MAX_TENTS", -1)
+
+
 def test_matroid_parity_never_lies_even_when_algebra_gives_up(monkeypatch):
+    _force_algebraic_route(monkeypatch)
     monkeypatch.setattr(basecase, "algebraic_parity_max", lambda p, seed=0: None)
     for seed in range(25):
         p = build_parity(base_case_instance(seed))
@@ -116,12 +122,49 @@ def test_matroid_parity_never_lies_even_when_algebra_gives_up(monkeypatch):
 
 def test_oversized_field_falls_back_to_the_reference(monkeypatch):
     # the field chosen for about 6000 pairs: its products overflow int64
+    _force_algebraic_route(monkeypatch)
     monkeypatch.setattr(basecase, "_next_prime", lambda n: 4608000071)
     for seed in range(10):
         p = build_parity(base_case_instance(seed))
         res = matroid_parity_max(p)
         assert res.used_fallback, seed
         assert res.nu == brute_parity_max(p), seed
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this parity route must not run")
+
+
+def test_small_instances_run_the_reference_route_alone(monkeypatch):
+    monkeypatch.setattr(basecase, "algebraic_parity_max", _refuse)
+    for seed in range(40):
+        p = build_parity(base_case_instance(seed, max_pairs=12))
+        res = matroid_parity_max(p)
+        assert not res.used_fallback, seed
+        assert res.nu == brute_parity_max(p), seed
+        assert _forest_union(p, res.kept) and len(res.kept) == res.nu
+
+
+def test_large_tent_heavy_instances_run_the_algebraic_route_alone(monkeypatch):
+    # 14 tents and 7 nice pairs: past both reference caps, yet 2**14 tent
+    # masks keep the reference answer cheap enough to compare against
+    rng = random.Random(3)
+    pairs = []
+    for i in range(14):
+        c1, c2, c3 = sorted(rng.sample(range(16), 3))
+        pairs.append(ParityPair(i, ((c1, c2), (c2, c3)), serial=False))
+    for i in range(14, 21):
+        c1, c2 = sorted(rng.sample(range(16), 2))
+        pairs.append(ParityPair(i, ((c1, 2 + i), (2 + i, c2)), serial=True))
+    p = ParityInstance(23, pairs)
+    assert len(p.pairs) > basecase.REFERENCE_MAX_PAIRS
+    assert sum(not q.serial for q in p.pairs) > basecase.REFERENCE_MAX_TENTS
+    want = reference_parity_max(p).nu
+    monkeypatch.setattr(basecase, "reference_parity_max", _refuse)
+    res = matroid_parity_max(p)
+    assert not res.used_fallback
+    assert res.nu == want
+    assert _forest_union(p, res.kept) and len(res.kept) == res.nu
 
 
 def test_pair_matrix_is_exact_at_large_fields():

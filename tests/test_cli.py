@@ -112,6 +112,7 @@ def test_solve_dis_file_and_budget_override(tmp_path, capsys):
     assert main(["solve", "--input", str(p)]) == 0
     capsys.readouterr()
     assert main(["solve", "--input", str(p), "--k", "0"]) == 1
+    assert main(["solve", "--input", str(p), "--k", "-1"]) == 2
 
 
 def test_solve_trace_file_is_json_lines(c5_file, tmp_path, capsys):

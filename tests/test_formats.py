@@ -72,6 +72,7 @@ def test_parse_dis_instance_roundtrip_fields():
         ("p disifvs 2 1\ne 1 2\nW 1\n", "missing budget"),
         ("p disifvs 2 1\ne 1 2\nk 1\nk 2\n", "duplicate budget"),
         ("p disifvs 2 1\ne 1 2\nk x\n", "budget must be an integer"),
+        ("p disifvs 2 1\ne 1 2\nk -1\n", "nonnegative"),
         ("p disifvs 2 1\ne 1 2\nW 5\nk 1\n", "out of range"),
         ("p disifvs 2 1\ne 1 2\nW\nk 1\n", "expected 'W v'"),
         ("p disifvs 2 1\ne 1 2\nQ 1\nk 1\n", "unexpected line type"),
