@@ -105,26 +105,16 @@ def select_pivot(inst: DisInstance, classes=None) -> PivotChoice | None:
 
 
 def branch_delete(inst: DisInstance, v: int) -> DisInstance:
-    """Child where v joins the solution.
-
-    The budget drops by one and every free neighbor of v becomes restricted,
-    which keeps later deletions independent from v.
-    """
+    """Child where v joins the solution and its neighbors in F are restricted."""
     out = inst.clone()
-    nbrs = out.graph.neighbors(v) & out.f
-    out.delete_vertex(v)
-    out.r |= nbrs
-    out.k -= 1
+    out.take(v)
     return out
 
 
 def branch_to_w(inst: DisInstance, v: int) -> DisInstance:
     """Child where v is protected forever by joining W."""
     out = inst.clone()
-    out.w.add(v)
-    out.r.discard(v)
-    if not out.graph.is_forest(out.w):
-        raise InternalSolverError("protected vertex closed a W-cycle")
+    out.protect(v)
     return out
 
 

@@ -118,7 +118,7 @@ def _cmd_solve(args) -> int:
             inst = DisInstance(inst.graph, inst.w, inst.r, args.k)
         res = solve_disjoint(inst)
         status = "yes" if res.solution is not None else "no"
-        stats = {"branch_nodes": res.stats.branch_nodes, "max_mu": res.stats.mu0}
+        stats = {"branch_nodes": res.stats.nodes, "max_mu": res.stats.mu0}
         if args.trace:
             _write_trace(args.trace, [res.trace])
         _print_result(status, res.solution, stats, args.json)

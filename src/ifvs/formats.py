@@ -167,15 +167,15 @@ def parse_solution(text: str, n: int) -> set[int]:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
         raw = data.get("solution")
-        if raw is None:
-            raise ParseError("JSON object has no 'solution' list")
+        if not isinstance(raw, list) or any(type(v) is not int for v in raw):
+            raise ParseError("JSON object has no 'solution' list of integers")
     else:
         raw = stripped.split()
     out = set()
     for item in raw:
         try:
             v = int(item)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ParseError(f"bad vertex {item!r}")
         if not (1 <= v <= n):
             raise ParseError(f"vertex {v} out of range 1..{n}")

@@ -61,7 +61,12 @@ class Measure:
 
 
 class DisInstance:
-    """Mutable disjoint-solve state. The engine clones before branching."""
+    """Mutable disjoint-solve state. The engine clones before branching.
+
+    A vertex leaves F in one of two ways, take (into the solution) or
+    protect (into W); every rule, branch child and compression guess uses
+    these two.
+    """
 
     __slots__ = ("graph", "w", "r", "k")
 
@@ -102,6 +107,23 @@ class DisInstance:
         self.graph.remove_vertex(v)
         self.w.discard(v)
         self.r.discard(v)
+
+    def take(self, v: int) -> None:
+        """Put v into the solution: delete it and pay one unit of budget.
+
+        Its neighbors outside W become restricted, so the solution stays
+        independent. The caller makes sure v itself is not restricted.
+        """
+        self.r |= self.graph.neighbors(v) - self.w
+        self.delete_vertex(v)
+        self.k -= 1
+
+    def protect(self, v: int) -> None:
+        """Put v into W for good; a cycle inside W is a solver bug."""
+        self.r.discard(v)
+        self.w.add(v)
+        if not self.graph.is_forest(self.w):
+            raise InternalSolverError(f"protecting {v} closed a W-cycle")
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

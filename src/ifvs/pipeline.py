@@ -1,17 +1,18 @@
 """Top level solver: compression over an FVS into disjoint subproblems.
 
-Any solution must contain every loop vertex, so loops are stripped first and
-their neighbors become off-limits for the rest of the solution. An exact FVS
-Z of the remaining graph is computed, and for every guess Z' of the solution
-part inside Z the residual disjoint instance keeps W = Z minus Z'
-undeletable and restricts the neighborhood of Z'. The disjoint engine
+Any solution must contain every loop vertex, so the loop vertices are taken
+into the solution first, which restricts their neighbors. An exact FVS Z of
+the remaining graph is computed, and every guess Z' of the solution part
+inside Z is built from that root instance by taking Z' and protecting
+Z minus Z' into the undeletable forest W. A guess is skipped when Z minus Z'
+holds a cycle or Z' would take a restricted vertex. The disjoint engine
 answers each guess exactly, so the first feasible guess settles the decision
 and a full scan settles minimization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .branching import DisjointResult, fib, solve_disjoint
 from .fvs import min_fvs
@@ -47,13 +48,43 @@ class SolveResult:
         return self.solution is not None
 
 
-def _loop_vertices(g: MultiGraph) -> set[int]:
-    return {v for v in g.vertices if g.multiplicity(v, v) > 0}
+def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
+    """Solve statistics; skipped guesses carry no nodes, leaves or mu0."""
+    return {
+        "fvs_size": fvs_size,
+        "guesses_tried": sum(rec.status != "skipped" for rec in records),
+        "branch_nodes": sum(rec.nodes for rec in records),
+        "max_mu": max((rec.mu0 for rec in records if rec.mu0 is not None), default=None),
+        "base_leaves_max": max((rec.base_leaves for rec in records), default=0),
+        "bound_base": BOUND_BASE,
+    }
 
 
-def _independent(g: MultiGraph, vs: tuple[int, ...]) -> bool:
-    s = set(vs)
-    return all(not (g.neighbors(v) & s) for v in vs)
+def _run_guess(
+    root: DisInstance, z: set[int], z_prime: tuple[int, ...], keep_trace: bool
+) -> GuessRecord:
+    """Take Z' into the solution, protect Z minus Z' and solve the rest."""
+    w = z.difference(z_prime)
+    if not root.graph.is_forest(w):
+        return GuessRecord(z_prime, "skipped")
+    inst = root.clone()
+    for v in z_prime:
+        if v in inst.r:  # Z' meets a loop vertex's neighborhood or is not independent
+            return GuessRecord(z_prime, "skipped")
+        inst.take(v)
+    for v in sorted(w):
+        inst.protect(v)
+    res: DisjointResult = solve_disjoint(inst)
+    return GuessRecord(
+        z_prime,
+        "yes" if res.feasible else "no",
+        mu0=res.stats.mu0,
+        nodes=res.stats.nodes,
+        base_leaves=res.stats.base_leaves,
+        reject_leaves=res.stats.reject_leaves,
+        trace=res.trace if keep_trace else None,
+        solution=res.solution,
+    )
 
 
 def solve_ifvs(
@@ -78,108 +109,47 @@ def solve_ifvs(
     # threads stays a keyword only because perfbench/run.py passes threads=1
     if threads != 1:
         raise ValueError("guesses run on one thread; threads must be 1")
-    pristine = g
-    g = g.copy()
-    stats: dict[str, object] = {
-        "fvs_size": None,
-        "guesses_tried": 0,
-        "branch_nodes": 0,
-        "max_mu": None,
-        "base_leaves_max": 0,
-        "bound_base": BOUND_BASE,
-    }
-
-    forced = _loop_vertices(g)
-    if len(forced) > k:
-        return SolveResult("no", None, k, stats)
-    for v in forced:
-        if g.neighbors(v) & forced:
-            return SolveResult("no", None, k, stats)
-    forbidden = set()
-    for v in forced:
-        forbidden |= g.neighbors(v)
-    for v in forced:
-        g.remove_vertex(v)
-    budget = k - len(forced)
+    root = DisInstance(g.copy(), set(), set(), k, validate=False)
+    h = root.graph
+    forced = {v for v in h.vertices if h.multiplicity(v, v) > 0}
+    for v in sorted(forced):
+        if v in root.r or root.k == 0:
+            # two loop vertices are adjacent, or there are more than k
+            return SolveResult("no", None, k, _stats(None, []))
+        root.take(v)
 
     if fvs_override is not None:
         # loop vertices are already gone, so their removal can only have
         # shrunk the cycle structure and the clamped set is still an FVS
-        z = set(fvs_override) & g.vertices
-        if not g.is_forest(g.vertices - z):
+        z = set(fvs_override) & h.vertices
+        if not h.is_forest(h.vertices - z):
             raise ValueError("supplied vertex set is not an FVS of the loop-free graph")
     else:
-        z = min_fvs(g)
-        if len(z) > budget:
+        z = min_fvs(h)
+        if len(z) > root.k:
             # any independent solution is also an FVS, so the minimum FVS
             # size is a lower bound; an oversized override proves nothing
-            stats["fvs_size"] = len(z)
-            return SolveResult("no", None, k, stats)
-    stats["fvs_size"] = len(z)
+            return SolveResult("no", None, k, _stats(len(z), []))
 
     z_sorted = sorted(z)
-    guesses: list[tuple[int, ...]] = []
-    for size in range(0, min(budget, len(z)) + 1):
-        guesses.extend(combinations(z_sorted, size))
-
-    def run_guess(z_prime: tuple[int, ...]) -> GuessRecord:
-        zp = set(z_prime)
-        if zp & forbidden or not _independent(g, z_prime):
-            return GuessRecord(z_prime, "skipped")
-        w = z - zp
-        if not g.is_forest(w):
-            return GuessRecord(z_prime, "skipped")
-        h = g.copy()
-        for v in z_prime:
-            h.remove_vertex(v)
-        r = set()
-        for v in z_prime:
-            r |= g.neighbors(v)
-        r = (r | forbidden) & (h.vertices - w)
-        inst = DisInstance(h, w, r, budget - len(z_prime), validate=False)
-        res: DisjointResult = solve_disjoint(inst)
-        return GuessRecord(
-            z_prime,
-            "yes" if res.feasible else "no",
-            mu0=res.stats.mu0,
-            nodes=res.stats.nodes,
-            base_leaves=res.stats.base_leaves,
-            reject_leaves=res.stats.reject_leaves,
-            trace=res.trace if keep_traces else None,
-            solution=res.solution,
-        )
-
+    sizes = range(min(root.k, len(z)) + 1)
     best: set[int] | None = None
     records: list[GuessRecord] = []
-
-    def consume(rec: GuessRecord) -> bool:
-        nonlocal best
+    for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
+        rec = _run_guess(root, z, z_prime, keep_traces)
         records.append(rec)
-        if rec.status == "skipped":
-            return False
-        stats["guesses_tried"] = int(stats["guesses_tried"]) + 1
-        stats["branch_nodes"] = int(stats["branch_nodes"]) + rec.nodes
-        if rec.mu0 is not None:
-            prev = stats["max_mu"]
-            stats["max_mu"] = rec.mu0 if prev is None else max(int(prev), rec.mu0)
-        stats["base_leaves_max"] = max(int(stats["base_leaves_max"]), rec.base_leaves)
         if rec.status != "yes":
-            return False
-        sol = forced | set(rec.z_prime) | rec.solution
+            continue
+        sol = forced | set(z_prime) | rec.solution
         if best is None or (len(sol), sorted(sol)) < (len(best), sorted(best)):
             best = sol
-        return not minimize  # decision mode stops at the first hit
+        if not minimize:
+            break  # decision mode stops at the first hit
 
-    for zp in guesses:
-        if consume(run_guess(zp)):
-            break
-
-    result = SolveResult(
-        "yes" if best is not None else "no", best, k, stats, records
-    )
-    if best is not None and not check_solution(pristine, best, k):
+    if best is not None and not check_solution(g, best, k):
         raise InternalSolverError("final candidate failed verification")
-    return result
+    status = "yes" if best is not None else "no"
+    return SolveResult(status, best, k, _stats(len(z), records), records)
 
 
 def leaf_bound(mu0: int) -> int:

@@ -142,10 +142,7 @@ def _rule4(inst: DisInstance, m: Measure) -> Fired | None:
 def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.f_free):
         if _double_link(inst, v, m.comp_of):
-            forced_neighbors = inst.graph.neighbors(v) & inst.f
-            inst.delete_vertex(v)
-            inst.r |= forced_neighbors
-            inst.k -= 1
+            inst.take(v)
             return "reduced", v, frozenset({v})
     return None
 
@@ -154,12 +151,9 @@ def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.r):
         c = m.classes[v]
         if c.gdeg >= 1 or c.tdeg >= 1:
-            inst.r.discard(v)
-            inst.w.add(v)
             # rule 4 fires first on a double link, so the move merges
             # distinct W-components and cannot close a cycle inside W
-            if not inst.graph.is_forest(inst.w):
-                raise InternalSolverError("promotion closed a W-cycle")
+            inst.protect(v)
             return "reduced", v, frozenset()
     return None
 

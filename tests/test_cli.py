@@ -113,6 +113,10 @@ def test_solve_dis_file_and_budget_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--input", str(p), "--k", "0"]) == 1
     assert main(["solve", "--input", str(p), "--k", "-1"]) == 2
+    capsys.readouterr()
+    # branch_nodes counts every engine node, as it does on graph input
+    assert main(["solve", "--input", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["branch_nodes"] == 3
 
 
 def test_solve_trace_file_is_json_lines(c5_file, tmp_path, capsys):

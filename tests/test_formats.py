@@ -150,6 +150,12 @@ def test_parse_solution_json():
         ("x", "bad vertex"),
         ('{"status": "yes"}', "no 'solution'"),
         ("{not json", "bad JSON"),
+        ('{"solution": [1.7]}', "no 'solution' list of integers"),
+        ('{"solution": [true]}', "no 'solution' list of integers"),
+        ('{"solution": ["1"]}', "no 'solution' list of integers"),
+        ('{"solution": {"1": 2}}', "no 'solution' list of integers"),
+        ('{"solution": "12"}', "no 'solution' list of integers"),
+        ('{"solution": 5}', "no 'solution' list of integers"),
     ],
 )
 def test_parse_solution_errors(text, fragment):

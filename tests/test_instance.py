@@ -3,6 +3,7 @@ import pytest
 from ifvs.instance import (
     DisInstance,
     InstanceError,
+    InternalSolverError,
     Kind,
     Measure,
     check_solution,
@@ -65,6 +66,23 @@ def test_delete_vertex_discards_membership():
     inst.delete_vertex(0)
     assert inst.w == set() and inst.r == set()
     assert inst.graph.vertices == {2, 3}
+
+
+def test_take_restricts_f_neighbors_but_not_w_neighbors_and_pays_one():
+    inst = DisInstance(path(4), {0}, set(), 2)
+    inst.take(1)
+    assert 1 not in inst.graph
+    assert inst.w == {0} and inst.r == {2}
+    assert inst.k == 1
+
+
+def test_protect_clears_r_and_raises_on_a_w_cycle():
+    inst = DisInstance(path(3), {0}, {1}, 1)
+    inst.protect(1)
+    assert inst.w == {0, 1} and inst.r == set()
+    tri = DisInstance(cycle(3), {0, 1}, set(), 1)
+    with pytest.raises(InternalSolverError, match="W-cycle"):
+        tri.protect(2)
 
 
 def test_measure_formula():

@@ -97,6 +97,19 @@ def test_fvs_override_is_honoured_and_clamped():
     assert res2.status == "yes" and 1 in res2.solution
 
 
+def test_guesses_that_cannot_be_built_are_skipped():
+    # loop vertex 0 hangs off the triangle 1-2-3, and Z is pinned to it
+    g = MultiGraph(range(4))
+    for u, v in ((0, 0), (0, 1), (1, 2), (2, 3), (3, 1)):
+        g.add_edge(u, v)
+    res = solve_ifvs(g, 3, minimize=True, fvs_override={1, 2, 3})
+    status = {rec.z_prime: rec.status for rec in res.guesses}
+    assert status[(1,)] == "skipped"  # 1 neighbors the loop vertex
+    assert status[(2, 3)] == "skipped"  # 2 and 3 are adjacent
+    assert status[()] == "skipped"  # Z minus Z' is the triangle
+    assert status[(2,)] == "yes" and res.solution == {0, 2}
+
+
 def test_threads_other_than_one_are_rejected():
     g = random_multigraph(9, 16, seed=1)
     assert solve_ifvs(g, 9, minimize=True, threads=1).status == "no"
