@@ -1,10 +1,11 @@
 """Populate a directory with solvable instance files for the bench command.
 
 Every file carries a ``c k`` budget comment, so ``ifvs bench --suite DIR``
-needs no extra flags. Three families are produced: small random multigraphs
-with the budget set to the brute-force optimum (or declared infeasible ones
-kept at n), planted YES instances, and subdivided graphs whose optimum
-equals the plain feedback vertex number of the base graph.
+needs no extra flags, and every file answers "yes" at its budget. Three
+families are produced: small random multigraphs with the budget set to the
+brute-force optimum (seeds whose graph has no independent FVS at all are
+skipped), planted YES instances, and subdivided graphs whose optimum equals
+the plain feedback vertex number of the base graph.
 
 Usage:
     python scripts/make_suite.py --out suite --random 10 --planted 5 --subdivided 5
@@ -17,6 +18,21 @@ from ifvs.formats import emit_graph
 from ifvs.generators import planted_ifvs, random_multigraph
 from ifvs.oracle import brute_min_fvs, oracle_min_ifvs
 from ifvs.pipeline import subdivide_once
+
+# about a third of the random graphs at m = 2n have an independent FVS;
+# give up when this many seeds in a row have none
+SEED_TRIES = 50
+
+
+def solvable_random(n: int, seed: int):
+    """(seed, graph, optimum) for the first seed from seed on whose random
+    graph has an independent FVS, or None after SEED_TRIES seeds."""
+    for s in range(seed, seed + SEED_TRIES):
+        g = random_multigraph(n, 2 * n, seed=s)
+        best = oracle_min_ifvs(g)
+        if best is not None:
+            return s, g, len(best)
+    return None
 
 
 def main(argv=None) -> int:
@@ -35,14 +51,21 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = 0
 
-    for i in range(args.random):
-        seed = args.seed + i
-        g = random_multigraph(args.n, 2 * args.n, seed=seed)
-        best = oracle_min_ifvs(g)
-        k = len(g) if best is None else len(best)
+    seed = args.seed
+    for _ in range(args.random):
+        found = solvable_random(args.n, seed)
+        if found is None:
+            print(
+                f"no random graph with an independent FVS among seeds"
+                f" {seed}..{seed + SEED_TRIES - 1}",
+                file=sys.stderr,
+            )
+            return 1
+        seed, g, k = found
         path = out / f"random-{seed:04d}.gr"
         path.write_text(emit_graph(g, [f"seed {seed}", f"k {k}"]))
         written += 1
+        seed += 1
 
     for i in range(args.planted):
         seed = args.seed + i

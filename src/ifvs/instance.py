@@ -8,6 +8,7 @@ only has to break the cycles that cross between them.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,9 +67,14 @@ class DisInstance:
     A vertex leaves F in one of two ways, take (into the solution) or
     protect (into W); every rule, branch child and compression guess uses
     these two.
+
+    touched collects, since the instance was last measured, every vertex
+    whose facts a move changed: its edges, its W-degree, its R-membership
+    or its place in F. So deleting or protecting a vertex marks it and its
+    neighbors. measure reads the set to reclassify only around them.
     """
 
-    __slots__ = ("graph", "w", "r", "k")
+    __slots__ = ("graph", "w", "r", "k", "touched")
 
     def __init__(
         self,
@@ -82,6 +88,7 @@ class DisInstance:
         self.w = set(w)
         self.r = set(r)
         self.k = k
+        self.touched: set[int] = set()
         if validate:
             problems = validate_instance(self)
             if problems:
@@ -93,6 +100,7 @@ class DisInstance:
         inst.w = set(self.w)
         inst.r = set(self.r)
         inst.k = self.k
+        inst.touched = set()
         return inst
 
     @property
@@ -104,6 +112,8 @@ class DisInstance:
         return self.graph.vertices - self.w - self.r
 
     def delete_vertex(self, v: int) -> None:
+        self.touched |= self.graph.neighbors(v)
+        self.touched.add(v)
         self.graph.remove_vertex(v)
         self.w.discard(v)
         self.r.discard(v)
@@ -114,14 +124,21 @@ class DisInstance:
         Its neighbors outside W become restricted, so the solution stays
         independent. The caller makes sure v itself is not restricted.
         """
-        self.r |= self.graph.neighbors(v) - self.w
+        self.restrict(self.graph.neighbors(v) - self.w)
         self.delete_vertex(v)
         self.k -= 1
+
+    def restrict(self, vs: set[int]) -> None:
+        """Keep the vertices vs out of the solution."""
+        self.r |= vs
+        self.touched |= vs
 
     def protect(self, v: int) -> None:
         """Put v into W for good; a cycle inside W is a solver bug."""
         self.r.discard(v)
         self.w.add(v)
+        self.touched |= self.graph.neighbors(v)
+        self.touched.add(v)
         if not self.graph.is_forest(self.w):
             raise InternalSolverError(f"protecting {v} closed a W-cycle")
 
@@ -149,35 +166,45 @@ def validate_instance(inst: DisInstance) -> list[str]:
     return problems
 
 
-def classification(inst: DisInstance) -> dict[int, VertexClass]:
-    """Classify every vertex of F.
+def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClass]:
+    """Classes of the F-vertices in targets.
 
-    Kinds are mutually exclusive. Vertices in R are always plain since the
-    four special kinds require membership in F minus R; their degree fields
-    are still filled in because the reduction triggers need them.
+    A class reads the vertex's own degrees, whether its F-neighbors are
+    potentially nice or potentially tents, and for the latter whether their
+    own F-neighbors are potentially nice. The degrees and F-neighbors of a
+    vertex are looked up once, and only for the vertices those tests reach,
+    so all of F costs one pass over the edges and a few targets cost their
+    two-hop F-neighbourhood.
     """
-    g = inst.graph
-    f = inst.f
-    r = inst.r
-    w = inst.w
+    g, w, r = inst.graph, inst.w, inst.r
+    facts: dict[int, tuple[int, int, set[int]]] = {}  # deg, deg_w, F-neighbors
 
-    deg = {v: g.deg(v) for v in f}
-    deg_w = {v: g.deg_x(v, w) for v in f}
-    f_nbrs = {v: g.neighbors(v) & f for v in f}
+    def learn(vs: Iterable[int]) -> None:
+        for v in vs:
+            if v not in facts:
+                facts[v] = (g.deg(v), g.deg_x(v, w), g.neighbors(v) - w)
 
-    p_nice = {v for v in f if v not in r and deg[v] == 2 and deg_w[v] == 1}
-    ndeg = {v: len(f_nbrs[v] & p_nice) for v in f}
-    gdeg = {v: ndeg[v] + deg_w[v] for v in f}
-    p_tent = {v for v in f if v not in r and gdeg[v] == 2 and deg[v] == 3}
-    tdeg = {v: len(f_nbrs[v] & p_tent) for v in f}
+    targets = list(targets)
+    learn(targets)
+    near = {u for v in targets for u in facts[v][2]}
+    near.update(targets)
+    learn(near)
+    # a p-tent has degree 3; only those need their neighbors' p-nice tests
+    tent_cands = {u for u in near if u not in r and facts[u][0] == 3}
+    learn([x for u in tent_cands for x in facts[u][2]])
+
+    p_nice = {v for v, (d, dw, _) in facts.items() if d == 2 and dw == 1 and v not in r}
+    gdeg = {v: facts[v][1] + len(facts[v][2] & p_nice) for v in tent_cands.union(targets)}
+    p_tent = {u for u in tent_cands if gdeg[u] == 2}
 
     out = {}
-    for v in f:
+    for v in targets:
+        _, dw, fn = facts[v]
         if v in r:
             kind = Kind.PLAIN
-        elif deg_w[v] == 2 and not f_nbrs[v]:
+        elif dw == 2 and not fn:
             kind = Kind.NICE
-        elif deg_w[v] == 3 and not f_nbrs[v]:
+        elif dw == 3 and not fn:
             kind = Kind.TENT
         elif v in p_nice:
             kind = Kind.P_NICE
@@ -185,8 +212,18 @@ def classification(inst: DisInstance) -> dict[int, VertexClass]:
             kind = Kind.P_TENT
         else:
             kind = Kind.PLAIN
-        out[v] = VertexClass(kind, deg_w[v], ndeg[v], gdeg[v], tdeg[v])
+        out[v] = VertexClass(kind, dw, gdeg[v] - dw, gdeg[v], len(fn & p_tent))
     return out
+
+
+def classification(inst: DisInstance) -> dict[int, VertexClass]:
+    """Classify every vertex of F.
+
+    Kinds are mutually exclusive. Vertices in R are always plain since the
+    four special kinds require membership in F minus R; their degree fields
+    are still filled in because the reduction triggers need them.
+    """
+    return _classify(inst, inst.f)
 
 
 def classify(inst: DisInstance, v: int) -> VertexClass:
@@ -195,21 +232,69 @@ def classify(inst: DisInstance, v: int) -> VertexClass:
         raise ValueError(f"vertex {v} is in W and has no class")
     if v not in inst.graph:
         raise ValueError(f"vertex {v} not in graph")
-    return classification(inst)[v]
+    return _classify(inst, (v,))[v]
 
 
-def measure(inst: DisInstance) -> Measure:
+def _ball(inst: DisInstance, touched: set[int]) -> set[int]:
+    """F-vertices whose class may have changed since touched was cleared.
+
+    The class of v reads the facts of F-vertices at most two hops from v
+    along F: tdeg needs the p-tent test of an F-neighbor, which needs the
+    p-nice tests of that neighbor's F-neighbors. Moves mark the neighbors
+    of a vertex that leaves F, whose W-degree or F-neighbors change with
+    it, so counted from that vertex this is the three-hop chain
+    p-nice -> ndeg/gdeg -> p-tent -> tdeg.
+    """
+    g, w = inst.graph, inst.w
+    frontier = {v for v in touched if v in g and v not in w}
+    ball = set(frontier)
+    for _ in range(2):
+        frontier = {u for v in frontier for u in g.neighbors(v)} - w - ball
+        ball |= frontier
+    return ball
+
+
+def _settled(classes: Iterable[VertexClass]) -> tuple[int, int]:
+    """How many of classes are nice and how many are tents."""
+    kinds = [c.kind for c in classes]
+    return kinds.count(Kind.NICE), kinds.count(Kind.TENT)
+
+
+def measure(inst: DisInstance, prev: Measure | None = None) -> Measure:
     """Branching measure: budget plus W-components minus settled vertices.
 
     Nice vertices and tents are settled in the sense that the base case
     handles them in polynomial time, so each one prepays a unit of measure.
+
+    Taking a measure clears inst.touched. When prev is the measure inst had
+    when it was last measured, only the vertices the moves since then
+    touched are looked at: prev's classes carry over outside their two-hop
+    ball in F, and prev's W-components carry over unless a touched
+    vertex joined or left W (no move adds an edge inside W, so G[W] changes
+    only then). The result equals a measure taken from scratch.
     """
-    classes = classification(inst)
-    eta = sum(1 for c in classes.values() if c.kind is Kind.NICE)
-    tau = sum(1 for c in classes.values() if c.kind is Kind.TENT)
-    comps = inst.graph.components(inst.w)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    return Measure(inst.k, len(comps), eta, tau, classes, comp_of)
+    touched, inst.touched = inst.touched, set()
+    if prev is None:
+        classes = classification(inst)
+        eta, tau = _settled(classes.values())
+        w_changed = True
+    else:
+        g, w = inst.graph, inst.w
+        classes = dict(prev.classes)
+        fresh = _classify(inst, _ball(inst, touched))
+        gone = [classes.pop(v) for v in touched if v in classes and (v in w or v not in g)]
+        eta0, tau0 = _settled(gone + [classes[v] for v in fresh])  # no move adds to F
+        eta1, tau1 = _settled(fresh.values())
+        eta, tau = prev.eta - eta0 + eta1, prev.tau - tau0 + tau1
+        classes.update(fresh)
+        w_changed = any((v in w) != (v in prev.comp_of) for v in touched)
+    if w_changed:
+        comps = inst.graph.components(inst.w)
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        rho = len(comps)
+    else:
+        comp_of, rho = prev.comp_of, prev.rho
+    return Measure(inst.k, rho, eta, tau, classes, comp_of)
 
 
 def check_solution(g: MultiGraph, s: set[int], k: int) -> bool:

@@ -85,6 +85,10 @@ class MultiGraph:
         nbrs = self._adj[v]
         return sum(nbrs.values()) + nbrs.get(v, 0)
 
+    def low_degree_vertices(self) -> list[int]:
+        """Vertices with at most one incident edge occurrence."""
+        return [v for v, nbrs in self._adj.items() if len(nbrs) <= 1 and self.deg(v) <= 1]
+
     def deg_x(self, v: int, x: Iterable[int]) -> int:
         """Edge occurrences from v into the vertex set x.
 

@@ -3,11 +3,14 @@
 Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
 smallest pair), so a fixpoint run is reproducible. The rules mutate the one
-working copy that reduce_to_fixpoint owns; apply_rule runs a single rule on
-a clone for callers that need the input kept. Rules never grow the
-measure when observed fixpoint to fixpoint; rule 6 may raise it transiently
-because moving an isolated restricted vertex into W adds a W-component
-before later rules cash in the offset.
+working copy that reduce_to_fixpoint owns, through DisInstance moves that
+record the vertices they touch, and the fixpoint updates the measure around
+those vertices after each firing instead of measuring from scratch;
+apply_rule runs a single rule on a clone for callers that need the input
+kept, and measures it from scratch. Rules never grow the measure when
+observed fixpoint to fixpoint; rule 6 may raise it transiently because
+moving an isolated restricted vertex into W adds a W-component before
+later rules cash in the offset.
 
 Rule catalogue, by what each one does:
   1  delete any vertex with at most one incident edge occurrence
@@ -83,11 +86,11 @@ Fired = tuple[str, int | None, frozenset[int]]  # (status, pivot, forced)
 
 
 def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
-    for v in sorted(inst.graph.vertices):
-        if inst.graph.deg(v) <= 1:
-            inst.delete_vertex(v)
-            return "reduced", v, frozenset()
-    return None
+    v = min(inst.graph.low_degree_vertices(), default=None)
+    if v is None:
+        return None
+    inst.delete_vertex(v)
+    return "reduced", v, frozenset()
 
 
 def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
@@ -119,7 +122,7 @@ def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
     # the dropped vertex has exactly two edge occurrences: one to its partner,
     # one to some other vertex (a double edge inside F would be an F-cycle)
     other = next(x for x in g.neighbors(drop) if x != keep)
-    inst.delete_vertex(drop)
+    inst.delete_vertex(drop)  # marks keep and other, the ends of the new edge
     g.add_edge(keep, other)
     if other not in inst.w and g.multiplicity(keep, other) >= 2:
         raise InternalSolverError("bypass created a parallel edge inside F")
@@ -164,7 +167,7 @@ def _rule7(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.f_free):
         nbrs = g.neighbors(v) - blocked
         if nbrs and all(g.deg(u) == 2 for u in nbrs):
-            inst.r |= nbrs
+            inst.restrict(nbrs)
             return "reduced", v, frozenset()
     return None
 
@@ -207,9 +210,10 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
     instance, the vertices forced into the solution by rule 5, and the
     ordered event trace, plus the reduced instance's measure. On a rejection
     the trace still carries everything up to and including the rejecting
-    event. The measure is taken once on entry and once after each firing;
-    that one value is the event's mu_after, the next event's mu_before and
-    what every rule of the next step reads.
+    event. The measure is taken from scratch once on entry and updated from
+    the previous one after each firing; that one value is the event's
+    mu_after, the next event's mu_before and what every rule of the next
+    step reads.
     """
     cur = inst.clone()
     forced: set[int] = set()
@@ -226,7 +230,7 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
         if status == "reject":
             events.append(ReductionEvent(rule_id, pivot, m.mu, m.mu))
             return FixpointResult(None, forced, events)
-        m_after = measure(cur)
+        m_after = measure(cur, m)
         events.append(ReductionEvent(rule_id, pivot, m.mu, m_after.mu))
         forced |= rule_forced
         m = m_after

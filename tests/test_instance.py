@@ -13,7 +13,7 @@ from ifvs.instance import (
     validate_instance,
 )
 from ifvs.multigraph import MultiGraph
-from ifvs.generators import gadget_tent_branch
+from ifvs.generators import gadget_tent_branch, random_dis_instance
 
 from helpers import complete, cycle, path
 
@@ -148,6 +148,29 @@ def test_classify_single_vertex_and_w_rejection():
     assert classify(inst, 7).kind is Kind.PLAIN
     with pytest.raises(ValueError):
         classify(inst, 0)
+    for seed in range(40):
+        inst = random_dis_instance(seed)
+        full = classification(inst)
+        assert {v: classify(inst, v) for v in inst.f} == full, seed
+
+
+def test_moves_mark_what_they_touch():
+    g = path(5)  # 0-1-2-3-4
+    inst = DisInstance(g, {0}, set(), 2)
+    assert inst.touched == set()
+    inst.delete_vertex(4)
+    assert inst.touched == {3, 4}
+    measure(inst)
+    assert inst.touched == set()
+    inst.take(2)  # restricts 1 and 3, its neighbors outside W
+    assert inst.touched == {1, 2, 3}
+    inst.touched.clear()
+    inst.protect(1)  # 0's and 1's W-degrees change
+    assert inst.touched == {0, 1}
+    inst.touched.clear()
+    inst.restrict({3})
+    assert inst.touched == {3}
+    assert inst.clone().touched == set()
 
 
 def test_measure_of_gadget():

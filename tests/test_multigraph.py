@@ -39,6 +39,16 @@ def test_edge_items_sorted_and_complete():
     assert g.edge_items() == [(0, 2, 2), (1, 1, 1), (1, 2, 1)]
 
 
+def test_low_degree_vertices_count_loops_and_multiplicity():
+    g = MultiGraph(range(6))
+    g.add_edge(1, 2)
+    g.add_edge(2, 3)
+    g.add_edge(3, 4, mult=2)
+    g.add_edge(5, 5)
+    # 0 is isolated and 1 pendant; a loop or a double edge is two occurrences
+    assert sorted(g.low_degree_vertices()) == [0, 1]
+
+
 def test_remove_vertex_cleans_both_sides():
     g = MultiGraph(range(3))
     g.add_edge(0, 1)

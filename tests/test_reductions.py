@@ -11,6 +11,7 @@ from ifvs.generators import (
 from ifvs.instance import DisInstance, Kind, classification, measure
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
+from ifvs import reductions
 from ifvs.reductions import RULE_IDS, apply_rule, reduce_to_fixpoint
 
 from helpers import lowest_applicable_rule
@@ -214,6 +215,46 @@ def test_fixpoint_never_raises_the_measure(seed):
         assert red.measure.classes == classification(out)
         comps = out.graph.components(out.w)
         assert red.measure.comp_of == {v: i for i, c in enumerate(comps) for v in c}
+
+
+def _fixpoint_checking_every_step(inst):
+    """Run reduce_to_fixpoint, checking each firing's incremental measure.
+
+    After every firing the measure updated from the previous step's must
+    equal one taken from scratch, down to its classes and W-components.
+    Returns the fixpoint result and the number of updates checked.
+    """
+    checked = []
+
+    def measure_and_check(cur, prev=None):
+        m = measure(cur, prev)
+        if prev is not None:
+            fresh = measure(cur.clone())
+            assert m == fresh
+            assert m.classes == fresh.classes
+            assert m.comp_of == fresh.comp_of
+            checked.append(m)
+        return m
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reductions, "measure", measure_and_check)
+        red = reduce_to_fixpoint(inst)
+    return red, len(checked)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150)
+def test_incremental_measure_matches_a_fresh_one_after_every_firing(seed):
+    red, checked = _fixpoint_checking_every_step(random_dis_instance(seed))
+    # every firing but a rejection updates the measure
+    assert checked == len(red.events) - red.rejected
+
+
+@pytest.mark.parametrize("rule", RULE_IDS)
+def test_incremental_measure_matches_on_every_rule_site(rule):
+    for seed in range(30):
+        red, checked = _fixpoint_checking_every_step(rule_site_instance(rule, seed))
+        assert checked == len(red.events) - red.rejected, (rule, seed)
 
 
 @given(st.integers(0, 10**6))
