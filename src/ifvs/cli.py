@@ -205,7 +205,7 @@ def _cmd_bench(args) -> int:
     suite = sorted(p for p in Path(args.suite).iterdir() if p.is_file())
     if not suite:
         raise ParseError(f"no instance files in {args.suite}")
-    writer = csv.writer(args.out_fh)
+    writer = csv.writer(args.out_fh, lineterminator="\n")
     writer.writerow(
         [
             "instance", "n", "m", "k", "fvs_size", "mu0",

@@ -1,126 +1,191 @@
 """Exact feedback vertex set provider for the compression pipeline.
 
 Plain FVS, no independence requirement. Branch and bound over the vertices
-of a shortest cycle, with standard degree reductions and a vertex-disjoint
-cycle packing lower bound for pruning. min_fvs deepens the budget until the
-decision version succeeds, so the returned set is minimum.
+of a shortest cycle, after the standard degree reductions, which run off a
+worklist: only the neighbours of a removed or bypassed vertex are looked at
+again. The shortest cycle comes from a BFS per root that stops once no
+deeper cycle can beat the best one found, so the minimum over all roots is
+still the girth. Two lower bounds prune a node: the cycle-rank bound
+(deleting a vertex of degree d lowers m - n + c by at most d - 1), tested
+first because it only sorts degrees, and a greedy packing of vertex-disjoint
+shortest cycles. min_fvs deepens the budget from the larger of the two until
+the decision version succeeds, so the returned set is minimum.
 """
 from __future__ import annotations
+
+from collections.abc import Iterable
+from heapq import heappop, heappush
 
 from .multigraph import MultiGraph
 
 
-def _reduce(g: MultiGraph, acc: list[int]) -> None:
+def _reduce(g: MultiGraph, acc: list[int], dirty: Iterable[int] | None = None) -> None:
     """Shrink g in place; vertices forced into every FVS land in acc.
 
     A loop forces its vertex. Degree <= 1 vertices are irrelevant. A
     degree-2 vertex is bypassed by tying its two edge endpoints together,
-    which may create a loop or a parallel edge; both are meaningful and are
-    picked up by the next round.
+    which may create a loop or a parallel edge; both are meaningful.
+
+    The checks run in sweeps in id order, starting with the dirty vertices
+    (default: all). Removing or bypassing a vertex changes the edges of its
+    neighbours only, so only they are checked again: later in this sweep if
+    their id is larger, else in the next one. Checking any other vertex
+    would change nothing, so this is the fixpoint of full sweeps in id
+    order. When g was reduced before and only the dirty vertices lost edges
+    since, on return g again has no loop and every degree is at least 3.
     """
-    dirty = True
-    while dirty:
-        dirty = False
-        for v in sorted(g.vertices):
-            if v not in g:
-                continue
-            if g.multiplicity(v, v) > 0:
-                g.remove_vertex(v)
-                acc.append(v)
-                dirty = True
-                continue
-            d = g.deg(v)
-            if d <= 1:
-                g.remove_vertex(v)
-                dirty = True
-                continue
-            if d == 2:
-                nbrs = sorted(g.neighbors(v))
-                g.remove_vertex(v)
-                if len(nbrs) == 1:
-                    g.add_edge(nbrs[0], nbrs[0])  # double edge collapses to a loop
-                else:
-                    g.add_edge(nbrs[0], nbrs[1])
-                dirty = True
+    sweep = sorted(g.vertices if dirty is None else dirty)  # a sorted list is a heap
+    queued = set(sweep)
+    later: set[int] = set()
+    while sweep or later:
+        if not sweep:
+            sweep, queued, later = sorted(later), later, set()
+        v = heappop(sweep)
+        queued.discard(v)
+        if v not in g:
+            continue
+        d = g.deg(v)
+        loop = g.multiplicity(v, v) > 0
+        if d >= 3 and not loop:
+            continue
+        nbrs = g.neighbors(v)
+        if loop:
+            acc.append(v)
+        elif d == 2:
+            ends = sorted(nbrs)
+            g.add_edge(ends[0], ends[-1])  # a double edge collapses to a loop
+        g.remove_vertex(v)
+        for u in nbrs:
+            if u < v:
+                later.add(u)
+            elif u not in queued:
+                queued.add(u)
+                heappush(sweep, u)
 
 
 def _shortest_cycle(g: MultiGraph) -> list[int] | None:
     """Vertices of some shortest cycle, None on a forest.
 
-    Assumes no loops (reduced graph). A parallel edge is a 2-cycle. Longer
-    cycles come from a BFS per vertex.
+    Assumes no loops (reduced graph). A parallel edge is a 2-cycle, and the
+    smallest such pair wins. Longer cycles come from a BFS per root. A
+    non-tree edge xy met at depth d closes a walk of length
+    depth[x] + depth[y] + 1 >= 2d + 1, so the BFS stops at the first depth
+    where that cannot beat the best cycle, and a cycle is built only for an
+    edge whose walk is shorter than the best.
     """
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    roots = sorted(adj)
+    for u in roots:
+        if g.deg(u) > len(adj[u]):  # no loops, so some edge at u is doubled
+            return [u, min(v for v in adj[u] if g.multiplicity(u, v) >= 2)]
     best: list[int] | None = None
-    for u, v, m in g.edge_items():
-        if u != v and m >= 2:
-            return [u, v]
-    for s in sorted(g.vertices):
-        parent = {s: None}
+    best_len = len(g) + 1
+    for s in roots:
+        parent: dict[int, int | None] = {s: None}
         depth = {s: 0}
         queue = [s]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for y in g.neighbors(x):
+        for x in queue:  # queue grows while it is walked
+            dx = depth[x]
+            if 2 * dx + 1 >= best_len:
+                break
+            for y in adj[x]:
                 if y not in depth:
                     parent[y] = x
-                    depth[y] = depth[x] + 1
+                    depth[y] = dx + 1
                     queue.append(y)
-                elif parent[x] != y and depth[y] >= depth[x]:
-                    # cycle through s-free paths to x and y plus the edge xy
-                    path_x = []
-                    a = x
-                    while a is not None:
-                        path_x.append(a)
-                        a = parent[a]
-                    path_y = []
-                    b = y
-                    while b is not None:
-                        path_y.append(b)
-                        b = parent[b]
-                    common = set(path_x) & set(path_y)
-                    cyc = [z for z in path_x if z not in common]
-                    cyc += [z for z in path_y if z not in common]
-                    top = next(z for z in path_x if z in common)
-                    cyc.append(top)
-                    if best is None or len(cyc) < len(best):
-                        best = cyc
-        if best is not None and len(best) == 3:
+                elif y != parent[x] and dx + depth[y] + 1 < best_len:
+                    best = _tree_cycle(parent, depth, x, y)
+                    best_len = len(best)
+        if best_len == 3:
             break
     return best
 
 
+def _tree_cycle(parent: dict, depth: dict, x: int, y: int) -> list[int]:
+    """The cycle closed by the non-tree edge xy: both tree paths up to
+    their meeting vertex, walked in lockstep once level."""
+    up_x, up_y = [x], [y]
+    while depth[x] > depth[y]:
+        x = parent[x]
+        up_x.append(x)
+    while depth[y] > depth[x]:
+        y = parent[y]
+        up_y.append(y)
+    while x != y:
+        x, y = parent[x], parent[y]
+        up_x.append(x)
+        up_y.append(y)
+    up_y.pop()  # the meeting vertex is already the last of up_x
+    return up_x + up_y[::-1]
+
+
+def _cycle_rank_bound(g: MultiGraph) -> int:
+    """Fewest vertices whose degrees can cover the cycle rank.
+
+    On a loop-free graph, deleting a vertex of degree d removes d edges and
+    one vertex and adds at most d - 1 components, so m - n + c drops by at
+    most d - 1 (an isolated vertex: by 0). A forest has m - n + c = 0, so
+    any FVS S has sum over S of (deg - 1) >= m - n + c >= m - n + 1 when g
+    is non-empty. The bound is the fewest largest-degree vertices reaching
+    that sum.
+    """
+    degs = sorted((g.deg(v) for v in g.vertices), reverse=True)
+    need = sum(degs) // 2 - len(degs) + 1  # m - n + 1, as g has no loops
+    count = 0
+    for d in degs:
+        if need <= 0:
+            break
+        need -= d - 1
+        count += 1
+    return count
+
+
+def _delete(g: MultiGraph, vs: list[int]) -> set[int]:
+    """Remove vs from g; returns the vertices left that lost edges."""
+    lost = set().union(*map(g.neighbors, vs)).difference(vs)
+    for v in vs:
+        g.remove_vertex(v)
+    return lost
+
+
 def cycle_packing_lower_bound(g: MultiGraph) -> int:
     """Greedy count of vertex-disjoint cycles; a valid FVS lower bound."""
-    h = g.copy()
+    return _pack(g.copy())
+
+
+def _pack(h: MultiGraph, dirty: Iterable[int] | None = None) -> int:
+    """cycle_packing_lower_bound of h, consuming h; dirty as for _reduce."""
     count = 0
     while True:
-        _reduce(h, acc := [])
+        _reduce(h, acc := [], dirty)
         count += len(acc)
         cyc = _shortest_cycle(h)
         if cyc is None:
             return count
-        for v in cyc:
-            h.remove_vertex(v)
+        dirty = _delete(h, cyc)
         count += 1
 
 
-def _bnb(g: MultiGraph, budget: int, acc: list[int]) -> list[int] | None:
+def _bnb(
+    g: MultiGraph, budget: int, acc: list[int], dirty: Iterable[int] | None = None
+) -> list[int] | None:
     forced_before = len(acc)
-    _reduce(g, acc)
+    _reduce(g, acc, dirty)
     budget -= len(acc) - forced_before
     if budget < 0:
         return None
+    if not len(g):
+        return acc  # a reduced graph is empty exactly when it was a forest
+    if _cycle_rank_bound(g) > budget:
+        return None
+    # the greedy packing of g starts with this cycle, so it is found once
     cyc = _shortest_cycle(g)
-    if cyc is None:
-        return acc
-    if budget == 0 or cycle_packing_lower_bound(g) > budget:
+    rest = g.copy()
+    if 1 + _pack(rest, _delete(rest, cyc)) > budget:
         return None
     for v in sorted(cyc):
         child = g.copy()
-        child.remove_vertex(v)
-        res = _bnb(child, budget - 1, acc + [v])
+        res = _bnb(child, budget - 1, acc + [v], _delete(child, [v]))
         if res is not None:
             return res
     return None
@@ -136,9 +201,12 @@ def fvs_at_most(g: MultiGraph, k: int) -> set[int] | None:
 
 def min_fvs(g: MultiGraph) -> set[int]:
     """Minimum feedback vertex set by iterative deepening."""
-    start = cycle_packing_lower_bound(g)
-    for k in range(start, len(g) + 1):
-        res = fvs_at_most(g, k)
+    h = g.copy()
+    forced: list[int] = []
+    _reduce(h, forced)
+    start = max(_cycle_rank_bound(h), cycle_packing_lower_bound(h))
+    for k in range(start, len(h) + 1):
+        res = _bnb(h.copy(), k, list(forced), ())
         if res is not None:
-            return res
+            return set(res)
     raise AssertionError("unreachable: the whole vertex set is an FVS")

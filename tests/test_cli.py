@@ -243,6 +243,10 @@ def test_bench_writes_expected_csv(tmp_path, capsys):
               "--seed", str(seed), "--out", str(suite / f"p{seed}.gr")])
     out = tmp_path / "bench.csv"
     assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+    # plain newlines, so line filters such as grep ',yes$' see every row
+    assert b"\r" not in out.read_bytes()
+    assert main(["bench", "--suite", str(suite)]) == 0
+    assert "\r" not in capsys.readouterr().out
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == [
         "instance", "n", "m", "k", "fvs_size", "mu0",

@@ -1,10 +1,19 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifvs.fvs import _shortest_cycle, cycle_packing_lower_bound, fvs_at_most, min_fvs
+from ifvs.fvs import (
+    _cycle_rank_bound,
+    _reduce,
+    _shortest_cycle,
+    cycle_packing_lower_bound,
+    fvs_at_most,
+    min_fvs,
+)
 from ifvs.generators import random_multigraph
+from ifvs.instance import check_solution
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import brute_min_fvs
+from ifvs.pipeline import solve_ifvs
 
 from helpers import complete, cycle, path, petersen
 
@@ -79,3 +88,100 @@ def test_budgeted_agrees_with_minimum(seed):
     assert fvs_at_most(g, opt - 1) is None
     got = fvs_at_most(g, opt)
     assert got is not None and len(got) == opt
+
+
+def _sweep_reduce(g: MultiGraph, acc: list[int]) -> None:
+    """Reference: full sweeps in id order until one changes nothing."""
+    dirty = True
+    while dirty:
+        dirty = False
+        for v in sorted(g.vertices):
+            if v not in g:
+                continue
+            if g.multiplicity(v, v) > 0:
+                g.remove_vertex(v)
+                acc.append(v)
+                dirty = True
+            elif g.deg(v) <= 2:
+                ends = sorted(g.neighbors(v))
+                if g.deg(v) == 2:
+                    g.add_edge(ends[0], ends[-1])
+                g.remove_vertex(v)
+                dirty = True
+
+
+def test_worklist_reduce_matches_full_sweeps():
+    for seed in range(200):
+        g = random_multigraph(12, 16 + seed % 10, seed=seed)
+        ref, got = g.copy(), g.copy()
+        _sweep_reduce(ref, ref_acc := [])
+        _reduce(got, got_acc := [])
+        assert got_acc == ref_acc and got.edge_items() == ref.edge_items(), seed
+        assert all(got.multiplicity(v, v) == 0 and got.deg(v) >= 3 for v in got.vertices)
+        # after a deletion, only the neighbours need a second look
+        for v in sorted(got.vertices):
+            full, part = got.copy(), got.copy()
+            dirty = part.neighbors(v)
+            full.remove_vertex(v)
+            part.remove_vertex(v)
+            _reduce(full, full_acc := [])
+            _reduce(part, part_acc := [], dirty)
+            assert part_acc == full_acc and part.edge_items() == full.edge_items(), (seed, v)
+
+
+def _girth(g: MultiGraph) -> int | None:
+    """2 on a parallel edge, else the least 1 + dist(u, v) in g - uv over
+    the edges uv; None on a forest. Loop-free g only."""
+    best = None
+    for u, v, mult in g.edge_items():
+        if mult >= 2:
+            return 2
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            for y in g.neighbors(x):
+                if y not in dist and {x, y} != {u, v}:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+def test_shortest_cycle_is_a_simple_cycle_of_girth_length():
+    for seed in range(200):
+        n = 6 + seed % 9
+        g = random_multigraph(n, n + seed % 7, seed, loops=False, multi=seed % 3 == 0)
+        cyc = _shortest_cycle(g)
+        girth = _girth(g)
+        if girth is None:
+            assert cyc is None, seed
+            continue
+        assert len(cyc) == len(set(cyc)) == girth, seed
+        # a 2-cycle walks the same pair twice, so it needs a double edge
+        need = 2 if girth == 2 else 1
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert g.multiplicity(a, b) >= need, seed
+
+
+def test_forced_plus_cycle_rank_bound_never_exceeds_optimum():
+    tight = 0
+    for seed in range(200):
+        g = random_multigraph(9, 16, seed=seed)
+        opt = len(brute_min_fvs(g))
+        h = g.copy()
+        _reduce(h, forced := [])
+        bound = len(forced) + _cycle_rank_bound(h)
+        assert bound <= opt, seed
+        tight += bound == opt
+    assert tight > 0  # the bound is not vacuous on this family
+
+
+def test_fifty_vertex_graph_is_self_consistent():
+    # a large instance where a slow provider shows; the answers are pinned
+    g = random_multigraph(50, 80, 0, loops=False, multi=False)
+    assert len(min_fvs(g)) == 10
+    assert fvs_at_most(g, 9) is None
+    res = solve_ifvs(g, 10)
+    assert res.status == "yes" and check_solution(g, res.solution, 10)
+    assert solve_ifvs(g, 9).status == "no"
