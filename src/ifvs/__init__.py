@@ -39,7 +39,7 @@ from .pipeline import (
     subdivide_once,
 )
 from .reductions import ReductionOutcome, apply_rule, reduce_to_fixpoint
-from .fvs import cycle_packing_lower_bound, fvs_at_most, min_fvs
+from .fvs import fvs_at_most, min_fvs
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "check_solution",
     "classification",
     "classify",
-    "cycle_packing_lower_bound",
     "fvs_at_most",
     "leaf_bound",
     "matroid_parity_max",

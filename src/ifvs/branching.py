@@ -220,7 +220,3 @@ def fib(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
-
-
-def count_base_leaves(root: BranchNode) -> int:
-    return sum(1 for node in root.walk() if node.kind == "base")

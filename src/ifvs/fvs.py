@@ -1,15 +1,16 @@
 """Exact feedback vertex set provider for the compression pipeline.
 
-Plain FVS, no independence requirement. Branch and bound over the vertices
-of a shortest cycle, after the standard degree reductions, which run off a
-worklist: only the neighbours of a removed or bypassed vertex are looked at
-again. The shortest cycle comes from a BFS per root that stops once no
-deeper cycle can beat the best one found, so the minimum over all roots is
-still the girth. Two lower bounds prune a node: the cycle-rank bound
-(deleting a vertex of degree d lowers m - n + c by at most d - 1), tested
-first because it only sorts degrees, and a greedy packing of vertex-disjoint
-shortest cycles. min_fvs deepens the budget from the larger of the two until
-the decision version succeeds, so the returned set is minimum.
+Plain FVS, no independence requirement. One depth-first branch and bound
+over the vertices of a shortest cycle, after the standard degree
+reductions, which run off a worklist: only the neighbours of a removed or
+bypassed vertex are looked at again. The shortest cycle comes from a BFS
+per root that stops once no deeper cycle can beat the best one found, so
+the minimum over all roots is still the girth. The search keeps the best
+set found so far and prunes a node when its forced vertices plus the
+cycle-rank bound (deleting a vertex of degree d lowers m - n + c by at
+most d - 1) cannot beat it. It returns the first minimum set in DFS
+order: every node above that set has forced + bound <= opt, which no
+incumbent prunes until a set of size opt is in hand.
 """
 from __future__ import annotations
 
@@ -148,65 +149,36 @@ def _delete(g: MultiGraph, vs: list[int]) -> set[int]:
     return lost
 
 
-def cycle_packing_lower_bound(g: MultiGraph) -> int:
-    """Greedy count of vertex-disjoint cycles; a valid FVS lower bound."""
-    return _pack(g.copy())
-
-
-def _pack(h: MultiGraph, dirty: Iterable[int] | None = None) -> int:
-    """cycle_packing_lower_bound of h, consuming h; dirty as for _reduce."""
-    count = 0
-    while True:
-        _reduce(h, acc := [], dirty)
-        count += len(acc)
-        cyc = _shortest_cycle(h)
-        if cyc is None:
-            return count
-        dirty = _delete(h, cyc)
-        count += 1
-
-
 def _bnb(
-    g: MultiGraph, budget: int, acc: list[int], dirty: Iterable[int] | None = None
+    g: MultiGraph, cap: int, acc: list[int], dirty: Iterable[int] | None = None
 ) -> list[int] | None:
-    forced_before = len(acc)
+    """The smallest FVS of g plus acc with fewer than cap vertices, or None.
+
+    Consumes g and extends acc. Depth first over the vertices of a shortest
+    cycle; each set a child finds lowers cap to its size, so later children
+    must beat it.
+    """
     _reduce(g, acc, dirty)
-    budget -= len(acc) - forced_before
-    if budget < 0:
+    # the bound is 0 on an empty g, so a finished set must be below cap too
+    if len(acc) + _cycle_rank_bound(g) >= cap:
         return None
     if not len(g):
         return acc  # a reduced graph is empty exactly when it was a forest
-    if _cycle_rank_bound(g) > budget:
-        return None
-    # the greedy packing of g starts with this cycle, so it is found once
-    cyc = _shortest_cycle(g)
-    rest = g.copy()
-    if 1 + _pack(rest, _delete(rest, cyc)) > budget:
-        return None
-    for v in sorted(cyc):
+    best = None
+    for v in sorted(_shortest_cycle(g)):
         child = g.copy()
-        res = _bnb(child, budget - 1, acc + [v], _delete(child, [v]))
+        res = _bnb(child, cap, acc + [v], _delete(child, [v]))
         if res is not None:
-            return res
-    return None
+            best, cap = res, len(res)
+    return best
 
 
 def fvs_at_most(g: MultiGraph, k: int) -> set[int] | None:
-    """Some feedback vertex set of size at most k, or None."""
-    if k < 0:
-        return None
-    res = _bnb(g.copy(), k, [])
+    """A minimum feedback vertex set if it has at most k vertices, else None."""
+    res = _bnb(g.copy(), k + 1, [])
     return set(res) if res is not None else None
 
 
 def min_fvs(g: MultiGraph) -> set[int]:
-    """Minimum feedback vertex set by iterative deepening."""
-    h = g.copy()
-    forced: list[int] = []
-    _reduce(h, forced)
-    start = max(_cycle_rank_bound(h), cycle_packing_lower_bound(h))
-    for k in range(start, len(h) + 1):
-        res = _bnb(h.copy(), k, list(forced), ())
-        if res is not None:
-            return set(res)
-    raise AssertionError("unreachable: the whole vertex set is an FVS")
+    """Minimum feedback vertex set; the whole vertex set is one."""
+    return fvs_at_most(g, len(g))

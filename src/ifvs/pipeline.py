@@ -30,7 +30,6 @@ class GuessRecord:
     mu0: int | None = None
     nodes: int = 0
     base_leaves: int = 0
-    reject_leaves: int = 0
     trace: object | None = None
     solution: set[int] | None = None
 
@@ -81,7 +80,6 @@ def _run_guess(
         mu0=res.stats.mu0,
         nodes=res.stats.nodes,
         base_leaves=res.stats.base_leaves,
-        reject_leaves=res.stats.reject_leaves,
         trace=res.trace if keep_trace else None,
         solution=res.solution,
     )

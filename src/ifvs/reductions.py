@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import DisInstance, InternalSolverError, Kind, Measure, measure
+from .instance import DisInstance, InternalSolverError, Measure, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -79,8 +79,8 @@ def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
 # A rule returns None and leaves inst untouched when it does not apply. When
 # it fires it reduces inst in place, or rejects without touching it. m is the
 # measure of inst as passed in; because a rule that does not fire changes
-# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu, rules
-# 2 and 6 read m.classes, rules 4 and 5 read m.comp_of.
+# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu, rule
+# 6 reads m.classes, rules 4 and 5 read m.comp_of.
 
 Fired = tuple[str, int | None, frozenset[int]]  # (status, pivot, forced)
 
@@ -94,31 +94,22 @@ def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
 
 
 def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
+    # an F-vertex with an F-neighbour is never nice, so no class test is needed
     g = inst.graph
-    classes = m.classes
     best = None
     for u in inst.f:
-        if g.deg(u) != 2 or classes[u].kind is Kind.NICE:
+        if g.deg(u) != 2:
             continue
         for v in g.neighbors(u):
-            if v <= u or v in inst.w:
-                continue
-            if g.deg(v) != 2 or classes[v].kind is Kind.NICE:
+            if v <= u or v in inst.w or g.deg(v) != 2:
                 continue
             pair = (u, v)
             if best is None or pair < best:
                 best = pair
     if best is None:
         return None
-    u, v = best
-    in_r = (u in inst.r, v in inst.r)
-    if in_r == (False, True):
-        drop, keep = v, u
-    elif in_r == (True, False):
-        drop, keep = u, v
-    else:
-        # neither or both restricted: either endpoint works, take the smaller
-        drop, keep = (u, v) if u < v else (v, u)
+    u, v = best  # u < v; drop the restricted one if exactly one is, else u
+    drop, keep = (v, u) if v in inst.r and u not in inst.r else (u, v)
     # the dropped vertex has exactly two edge occurrences: one to its partner,
     # one to some other vertex (a double edge inside F would be an F-cycle)
     other = next(x for x in g.neighbors(drop) if x != keep)

@@ -245,8 +245,8 @@ def test_criterion_07_parity_routes_agree(monkeypatch, capsys):
             continue
         nu_brute = brute_parity_max(p)
         ref = reference_parity_max(p)
-        alg = algebraic_parity_max(p, seed=0)
-        mp = matroid_parity_max(p, seed=0)
+        alg = algebraic_parity_max(p)
+        mp = matroid_parity_max(p)
         checked += 1
         if ref.nu != nu_brute:
             bad.append(("reference", seed))
@@ -259,7 +259,7 @@ def test_criterion_07_parity_routes_agree(monkeypatch, capsys):
     with monkeypatch.context() as mp_ctx:
         mp_ctx.setattr(basecase_mod, "REFERENCE_MAX_PAIRS", -1)
         mp_ctx.setattr(basecase_mod, "REFERENCE_MAX_TENTS", -1)
-        mp_ctx.setattr(basecase_mod, "algebraic_parity_max", lambda p, seed=0: None)
+        mp_ctx.setattr(basecase_mod, "algebraic_parity_max", lambda p: None)
         for seed in range(50):
             p = build_parity(base_case_instance(seed, max_pairs=12))
             res = matroid_parity_max(p)

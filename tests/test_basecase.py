@@ -97,7 +97,7 @@ def test_algebraic_equals_reference_and_verifies():
     for seed in range(80):
         p = build_parity(base_case_instance(seed))
         ref = reference_parity_max(p)
-        alg = algebraic_parity_max(p, seed=0)
+        alg = algebraic_parity_max(p)
         assert alg is not None, seed
         assert alg.nu == ref.nu, seed
         assert _forest_union(p, alg.kept)
@@ -111,7 +111,7 @@ def _force_algebraic_route(monkeypatch):
 
 def test_matroid_parity_never_lies_even_when_algebra_gives_up(monkeypatch):
     _force_algebraic_route(monkeypatch)
-    monkeypatch.setattr(basecase, "algebraic_parity_max", lambda p, seed=0: None)
+    monkeypatch.setattr(basecase, "algebraic_parity_max", lambda p: None)
     for seed in range(25):
         p = build_parity(base_case_instance(seed))
         res = matroid_parity_max(p)

@@ -3,9 +3,9 @@ from hypothesis import strategies as st
 
 from ifvs.fvs import (
     _cycle_rank_bound,
+    _delete,
     _reduce,
     _shortest_cycle,
-    cycle_packing_lower_bound,
     fvs_at_most,
     min_fvs,
 )
@@ -54,7 +54,6 @@ def test_petersen_values():
     g = petersen()
     assert len(_shortest_cycle(g)) == 5
     assert len(min_fvs(g)) == 3
-    assert cycle_packing_lower_bound(g) <= 3
 
 
 def test_budgeted_variant_respects_budget():
@@ -63,12 +62,6 @@ def test_budgeted_variant_respects_budget():
     s = fvs_at_most(g, 3)
     assert s is not None and len(s) <= 3
     assert g.is_forest(g.vertices - s)
-
-
-def test_packing_bound_never_exceeds_optimum():
-    for seed in range(40):
-        g = random_multigraph(9, 16, seed=seed)
-        assert cycle_packing_lower_bound(g) <= len(brute_min_fvs(g))
 
 
 @settings(max_examples=80, deadline=None)
@@ -88,6 +81,72 @@ def test_budgeted_agrees_with_minimum(seed):
     assert fvs_at_most(g, opt - 1) is None
     got = fvs_at_most(g, opt)
     assert got is not None and len(got) == opt
+
+
+def test_budgeted_variant_returns_a_minimum_set():
+    for seed in range(200):
+        g = random_multigraph(9, 16, seed=seed)
+        opt = len(brute_min_fvs(g))
+        assert fvs_at_most(g, -1) is None
+        for k in (opt, opt + 1, opt + 2, len(g)):
+            got = fvs_at_most(g, k)
+            assert got is not None and len(got) == opt, (seed, k)
+            assert g.is_forest(g.vertices - got), (seed, k)
+
+
+def _deepening_fvs(g: MultiGraph) -> set[int]:
+    """Reference: the earlier min_fvs, which restarted a budgeted search
+    for every budget from a lower bound up, and also pruned by a greedy
+    packing of vertex-disjoint shortest cycles."""
+
+    def pack(h, dirty=None):
+        count = 0
+        while True:
+            _reduce(h, acc := [], dirty)
+            count += len(acc)
+            cyc = _shortest_cycle(h)
+            if cyc is None:
+                return count
+            dirty = _delete(h, cyc)
+            count += 1
+
+    def search(h, budget, acc, dirty=None):
+        forced_before = len(acc)
+        _reduce(h, acc, dirty)
+        budget -= len(acc) - forced_before
+        if budget < 0:
+            return None
+        if not len(h):
+            return acc
+        if _cycle_rank_bound(h) > budget:
+            return None
+        cyc = _shortest_cycle(h)
+        rest = h.copy()
+        if 1 + pack(rest, _delete(rest, cyc)) > budget:
+            return None
+        for v in sorted(cyc):
+            child = h.copy()
+            res = search(child, budget - 1, acc + [v], _delete(child, [v]))
+            if res is not None:
+                return res
+        return None
+
+    h = g.copy()
+    _reduce(h, forced := [])
+    start = max(_cycle_rank_bound(h), pack(h.copy()))
+    for k in range(start, len(h) + 1):
+        res = search(h.copy(), k, list(forced), ())
+        if res is not None:
+            return set(res)
+    raise AssertionError("the whole vertex set is an FVS")
+
+
+def test_min_fvs_returns_the_deepening_set():
+    # one search with an incumbent finds the same set as the restarts did
+    for seed in range(200):
+        n = 8 + seed % 9
+        g = random_multigraph(n, n + 6 + seed % 11, seed)
+        assert min_fvs(g) == _deepening_fvs(g), seed
 
 
 def _sweep_reduce(g: MultiGraph, acc: list[int]) -> None:
