@@ -28,6 +28,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=900, help="base seed, run k uses seed+k")
     ap.add_argument("--out", default=None, help="CSV path, stdout when omitted")
     args = ap.parse_args(argv)
+    if not 0 <= args.kmin < args.kmax:
+        ap.error("need 0 <= --kmin < --kmax: a slope needs two budgets or more")
+    if 3 * args.kmax > args.n:
+        ap.error("need --n >= 3 * --kmax for disjoint planted triangles")
 
     rows = []
     for k in range(args.kmin, args.kmax + 1):
@@ -51,7 +55,7 @@ def main(argv=None) -> int:
 
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     finally:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DisInstance, InternalSolverError, Kind, Measure, measure
+from .instance import DisInstance, InternalSolverError, Kind, measure
 
 REFERENCE_MAX_PAIRS = 20
 REFERENCE_MAX_TENTS = 13
@@ -58,12 +58,11 @@ class ParityResult:
     used_fallback: bool = False
 
 
-def build_parity(inst: DisInstance, m: Measure | None = None) -> ParityInstance:
-    """Encode a base-case instance with measure m as matroid parity pairs."""
+def build_parity(inst: DisInstance) -> ParityInstance:
+    """Encode a base-case instance, analysed by measure(inst), as parity pairs."""
     if inst.r:
         raise InternalSolverError("base case encoding with nonempty R")
-    if m is None:
-        m = measure(inst)
+    m = measure(inst)
     next_node = m.rho
     pairs = []
     for v in sorted(inst.f):
@@ -286,9 +285,9 @@ def matroid_parity_max(p: ParityInstance) -> ParityResult:
     return ParityResult(ref.nu, ref.kept, used_fallback=True)
 
 
-def solve_base(inst: DisInstance, m: Measure | None = None) -> set[int] | None:
+def solve_base(inst: DisInstance) -> set[int] | None:
     """Minimum deletion set of a base-case instance, None when over budget."""
-    parity = build_parity(inst, m)
+    parity = build_parity(inst)
     res = matroid_parity_max(parity)
     kept_origins = {parity.pairs[i].origin for i in res.kept}
     x = set(inst.f) - kept_origins

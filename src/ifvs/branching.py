@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basecase import solve_base
-from .instance import DisInstance, InternalSolverError, Kind, classification
+from .instance import DisInstance, InternalSolverError, Kind, measure
+from .instance import classification  # noqa: F401 -- perfbench/spans.py traces it here
 from .reductions import ReductionEvent, reduce_to_fixpoint
 
 CASE_A = "A"
@@ -55,9 +56,7 @@ class BranchNode:
 @dataclass
 class DisjointStats:
     nodes: int = 0
-    branch_nodes: int = 0
     base_leaves: int = 0
-    reject_leaves: int = 0
     mu0: int | None = None
 
 
@@ -72,7 +71,7 @@ class DisjointResult:
         return self.solution is not None
 
 
-def select_pivot(inst: DisInstance, classes=None) -> PivotChoice | None:
+def select_pivot(inst: DisInstance) -> PivotChoice | None:
     """Deterministic pivot choice on a reduced instance.
 
     Scans F for vertices that are not nice, tent, or potentially nice and
@@ -80,8 +79,7 @@ def select_pivot(inst: DisInstance, classes=None) -> PivotChoice | None:
     the instance is a base case. A pivot inside R would mean rule 6 was
     still applicable, which the engine treats as an internal error.
     """
-    if classes is None:
-        classes = classification(inst)
+    classes = measure(inst).classes
     best = {CASE_A: None, CASE_B: None, CASE_C: None}
     for v in sorted(classes):
         c = classes[v]
@@ -144,22 +142,22 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
                 "reject", reductions=red.events, answer="no",
             )
         cur = red.instance
-        mu = red.measure.mu
+        m = measure(cur)
+        mu = m.mu
         if root_budget[0] is None:
             root_budget[0] = mu
         elif depth > root_budget[0] + 1:
             raise InternalSolverError(
                 f"depth {depth} exceeds root measure budget {root_budget[0]}"
             )
-        classes = red.measure.classes
-        pivot = select_pivot(cur, classes)
+        pivot = select_pivot(cur)
         if pivot is None:
-            for v, c in classes.items():
+            for v, c in m.classes.items():
                 if c.kind not in (Kind.NICE, Kind.TENT):
                     raise InternalSolverError(
                         f"base case reached with non-settled vertex {v} ({c.kind})"
                     )
-            base = solve_base(cur, red.measure)
+            base = solve_base(cur)
             node = BranchNode(
                 "base", mu=mu, reductions=red.events,
                 answer="yes" if base is not None else "no",
@@ -199,16 +197,8 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
         return red.forced | best, node
 
     solution, root = recurse(inst, 1)
-    stats = DisjointStats()
-    for node in root.walk():
-        stats.nodes += 1
-        if node.kind == "branch":
-            stats.branch_nodes += 1
-        elif node.kind == "base":
-            stats.base_leaves += 1
-        else:
-            stats.reject_leaves += 1
-    stats.mu0 = root.mu
+    nodes = list(root.walk())
+    stats = DisjointStats(len(nodes), sum(node.kind == "base" for node in nodes), root.mu)
     return DisjointResult(solution, root, stats)
 
 

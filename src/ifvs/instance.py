@@ -9,7 +9,7 @@ only has to break the cycles that cross between them.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .multigraph import MultiGraph
@@ -68,13 +68,16 @@ class DisInstance:
     protect (into W); every rule, branch child and compression guess uses
     these two.
 
-    touched collects, since the instance was last measured, every vertex
-    whose facts a move changed: its edges, its W-degree, its R-membership
-    or its place in F. So deleting or protecting a vertex marks it and its
-    neighbors. measure reads the set to reclassify only around them.
+    last is the Measure that measure returned when the instance was last
+    measured, and touched collects every vertex whose facts a move changed
+    since then: its edges, its W-degree, its R-membership or its place in F.
+    So deleting or protecting a vertex marks it and its neighbors, and
+    measure reclassifies only around them. A new instance holds the empty
+    measure with every vertex touched. A clone copies touched and shares
+    last, which is never mutated, so it continues from the same measure.
     """
 
-    __slots__ = ("graph", "w", "r", "k", "touched")
+    __slots__ = ("graph", "w", "r", "k", "touched", "last")
 
     def __init__(
         self,
@@ -88,7 +91,8 @@ class DisInstance:
         self.w = set(w)
         self.r = set(r)
         self.k = k
-        self.touched: set[int] = set()
+        self.touched: set[int] = graph.vertices  # a fresh set
+        self.last = Measure(0, 0, 0, 0)
         if validate:
             problems = validate_instance(self)
             if problems:
@@ -100,7 +104,8 @@ class DisInstance:
         inst.w = set(self.w)
         inst.r = set(self.r)
         inst.k = self.k
-        inst.touched = set()
+        inst.touched = set(self.touched)
+        inst.last = self.last
         return inst
 
     @property
@@ -260,41 +265,45 @@ def _settled(classes: Iterable[VertexClass]) -> tuple[int, int]:
     return kinds.count(Kind.NICE), kinds.count(Kind.TENT)
 
 
-def measure(inst: DisInstance, prev: Measure | None = None) -> Measure:
+def measure(inst: DisInstance) -> Measure:
     """Branching measure: budget plus W-components minus settled vertices.
 
     Nice vertices and tents are settled in the sense that the base case
     handles them in polynomial time, so each one prepays a unit of measure.
 
-    Taking a measure clears inst.touched. When prev is the measure inst had
-    when it was last measured, only the vertices the moves since then
-    touched are looked at: prev's classes carry over outside their two-hop
-    ball in F, and prev's W-components carry over unless a touched
-    vertex joined or left W (no move adds an edge inside W, so G[W] changes
-    only then). The result equals a measure taken from scratch.
+    The measure is updated from inst.last around inst.touched, then stored
+    as inst.last, and touched is cleared. Classes carry over outside the
+    touched vertices' two-hop ball in F, and W-components carry over unless
+    a touched vertex joined or left W (no move adds an edge inside W, so
+    G[W] changes only then). A new instance has every vertex touched, so its
+    first measure classifies all of F. The result equals a measure taken
+    from scratch.
     """
     touched, inst.touched = inst.touched, set()
-    if prev is None:
-        classes = classification(inst)
-        eta, tau = _settled(classes.values())
-        w_changed = True
-    else:
-        g, w = inst.graph, inst.w
-        classes = dict(prev.classes)
-        fresh = _classify(inst, _ball(inst, touched))
-        gone = [classes.pop(v) for v in touched if v in classes and (v in w or v not in g)]
-        eta0, tau0 = _settled(gone + [classes[v] for v in fresh])  # no move adds to F
-        eta1, tau1 = _settled(fresh.values())
-        eta, tau = prev.eta - eta0 + eta1, prev.tau - tau0 + tau1
-        classes.update(fresh)
-        w_changed = any((v in w) != (v in prev.comp_of) for v in touched)
-    if w_changed:
-        comps = inst.graph.components(inst.w)
+    prev = inst.last
+    if not touched:
+        if prev.k != inst.k:
+            inst.last = replace(prev, k=inst.k)
+        return inst.last
+    g, w = inst.graph, inst.w
+    classes = dict(prev.classes)
+    fresh = _classify(inst, _ball(inst, touched))
+    # every class replaced or dropped was counted in prev; no move adds to F,
+    # so a fresh vertex is new to the counts only on a first measure
+    old = [classes.pop(v) for v in touched if v in classes and (v in w or v not in g)]
+    old += [classes[v] for v in fresh if v in classes]
+    eta0, tau0 = _settled(old)
+    eta1, tau1 = _settled(fresh.values())
+    classes.update(fresh)
+    if any((v in w) != (v in prev.comp_of) for v in touched):
+        comps = g.components(w)
         comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
         rho = len(comps)
     else:
         comp_of, rho = prev.comp_of, prev.rho
-    return Measure(inst.k, rho, eta, tau, classes, comp_of)
+    inst.last = Measure(inst.k, rho, prev.eta - eta0 + eta1, prev.tau - tau0 + tau1,
+                        classes, comp_of)
+    return inst.last
 
 
 def check_solution(g: MultiGraph, s: set[int], k: int) -> bool:

@@ -4,13 +4,12 @@ Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
 smallest pair), so a fixpoint run is reproducible. The rules mutate the one
 working copy that reduce_to_fixpoint owns, through DisInstance moves that
-record the vertices they touch, and the fixpoint updates the measure around
-those vertices after each firing instead of measuring from scratch;
-apply_rule runs a single rule on a clone for callers that need the input
-kept, and measures it from scratch. Rules never grow the measure when
-observed fixpoint to fixpoint; rule 6 may raise it transiently because
-moving an isolated restricted vertex into W adds a W-component before
-later rules cash in the offset.
+record the vertices they touch, so each measure the fixpoint takes updates
+the instance's last one around those vertices; apply_rule runs a single
+rule on a clone for callers that need the input kept. Rules never grow the
+measure when observed fixpoint to fixpoint; rule 6 may raise it
+transiently because moving an isolated restricted vertex into W adds a
+W-component before later rules cash in the offset.
 
 Rule catalogue, by what each one does:
   1  delete any vertex with at most one incident edge occurrence
@@ -56,7 +55,6 @@ class FixpointResult:
     instance: DisInstance | None  # None means the instance was rejected
     forced: set[int]
     events: list[ReductionEvent] = field(default_factory=list)
-    measure: Measure | None = None  # of instance; None when rejected
 
     @property
     def rejected(self) -> bool:
@@ -199,12 +197,12 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
 
     Works on one clone of inst, which is never mutated. Returns the reduced
     instance, the vertices forced into the solution by rule 5, and the
-    ordered event trace, plus the reduced instance's measure. On a rejection
-    the trace still carries everything up to and including the rejecting
-    event. The measure is taken from scratch once on entry and updated from
-    the previous one after each firing; that one value is the event's
-    mu_after, the next event's mu_before and what every rule of the next
-    step reads.
+    ordered event trace. On a rejection the trace still carries everything
+    up to and including the rejecting event. The clone continues from the
+    last measure of inst and is measured once on entry and once after each
+    firing; that one value is the event's mu_after, the next event's
+    mu_before and what every rule of the next step reads. The reduced
+    instance keeps its final measure, so measure returns it without work.
     """
     cur = inst.clone()
     forced: set[int] = set()
@@ -216,12 +214,12 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
             if fired is not None:
                 break
         else:
-            return FixpointResult(cur, forced, events, m)
+            return FixpointResult(cur, forced, events)
         status, pivot, rule_forced = fired
         if status == "reject":
             events.append(ReductionEvent(rule_id, pivot, m.mu, m.mu))
             return FixpointResult(None, forced, events)
-        m_after = measure(cur, m)
+        m_after = measure(cur)
         events.append(ReductionEvent(rule_id, pivot, m.mu, m_after.mu))
         forced |= rule_forced
         m = m_after

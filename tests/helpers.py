@@ -1,4 +1,11 @@
 """Shared instance builders and checkers for the test suite."""
+from collections import Counter
+from contextlib import contextmanager
+
+import pytest
+
+from ifvs import basecase, branching, reductions
+from ifvs.instance import Kind, Measure, classification, measure
 from ifvs.multigraph import MultiGraph
 from ifvs.reductions import RULE_IDS, apply_rule
 
@@ -56,3 +63,44 @@ def branch_drops_ok(node) -> bool:
     if rejected == 0 and (len(drops) != 2 or max(drops) < 2):
         return False
     return True
+
+
+def reference_measure(inst) -> Measure:
+    """The measure of inst built without measure: the classification of all
+    of F, the W-components from scratch and the counts read off them."""
+    classes = classification(inst)
+    comps = inst.graph.components(inst.w)
+    kinds = [c.kind for c in classes.values()]
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    return Measure(inst.k, len(comps), kinds.count(Kind.NICE), kinds.count(Kind.TENT),
+                   classes, comp_of)
+
+
+def assert_measure_is_fresh(m: Measure, inst) -> None:
+    ref = reference_measure(inst)
+    assert m == ref
+    assert m.classes == ref.classes
+    assert m.comp_of == ref.comp_of
+
+
+@contextmanager
+def checking_every_measure():
+    """Check every measure the engine reads against reference_measure.
+
+    Patches measure where the reductions, the branching and the base case
+    look it up, and yields a Counter of the checked reads per module.
+    """
+    reads = Counter()
+
+    def patched(name):
+        def checked(inst):
+            m = measure(inst)
+            assert_measure_is_fresh(m, inst)
+            reads[name] += 1
+            return m
+        return checked
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (reductions, branching, basecase):
+            mp.setattr(mod, "measure", patched(mod.__name__))
+        yield reads

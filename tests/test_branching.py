@@ -13,6 +13,8 @@ from ifvs.generators import (
     gadget_nice_promotion,
     gadget_tent_branch,
     random_dis_instance,
+    random_multigraph,
+    rule_site_instance,
 )
 from ifvs.instance import (
     DisInstance,
@@ -24,9 +26,10 @@ from ifvs.instance import (
 )
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
+from ifvs.pipeline import solve_ifvs
 from ifvs.reductions import reduce_to_fixpoint
 
-from helpers import branch_drops_ok
+from helpers import branch_drops_ok, checking_every_measure
 
 
 def test_fib_fixed_values():
@@ -44,7 +47,7 @@ def test_pivot_on_reduced_gadget_is_case_b():
 def test_pivot_skips_settled_kinds_but_not_potential_tents():
     inst, _ = gadget_tent_branch()
     classes = classification(inst)
-    pc = select_pivot(inst, classes)
+    pc = select_pivot(inst)
     assert classes[pc.vertex].kind in (Kind.PLAIN, Kind.P_TENT)
     settled = [v for v, c in classes.items() if c.kind in (Kind.NICE, Kind.TENT, Kind.P_NICE)]
     assert pc.vertex not in settled
@@ -140,6 +143,32 @@ def test_base_leaves_stay_under_the_fibonacci_cap(seed):
         assert res.stats.base_leaves <= fib(res.stats.mu0 + 2)
     bases = sum(node.kind == "base" for node in res.trace.walk())
     assert bases == res.stats.base_leaves
+
+
+def test_every_node_reads_a_fresh_measure():
+    # a branch child continues from its parent's measure and a guess from
+    # the pipeline root's, so a clone that lost its touched vertices or its
+    # last measure shows up here; the random disjoint instances and rule
+    # sites hardly branch, so pipeline guesses supply the branch children
+    trees = []
+    with checking_every_measure() as reads:
+        insts = [random_dis_instance(seed) for seed in range(300)]
+        insts += [rule_site_instance(rule, seed) for rule in range(1, 8) for seed in range(30)]
+        trees += [solve_disjoint(inst).trace for inst in insts]
+        for seed in range(10):
+            g = random_multigraph(16, 27, seed, loops=False, multi=False)
+            res = solve_ifvs(g, 8, minimize=True, keep_traces=True)
+            trees += [rec.trace for rec in res.guesses if rec.trace is not None]
+    nodes = [node for tree in trees for node in tree.walk()]
+    assert sum(node.kind == "branch" for node in nodes) >= 20
+    # each fixpoint measures on entry and after every firing but a rejection
+    assert reads["ifvs.reductions"] == sum(
+        1 + len(node.reductions) - (node.kind == "reject") for node in nodes
+    )
+    # a node that is not rejected reads it, then its pivot choice; a base
+    # leaf reads it once more to encode the parity instance
+    assert reads["ifvs.branching"] == 2 * sum(node.kind != "reject" for node in nodes)
+    assert reads["ifvs.basecase"] == sum(node.kind == "base" for node in nodes)
 
 
 def test_solutions_avoid_w_and_r_and_break_all_cycles():

@@ -157,6 +157,8 @@ def test_classify_single_vertex_and_w_rejection():
 def test_moves_mark_what_they_touch():
     g = path(5)  # 0-1-2-3-4
     inst = DisInstance(g, {0}, set(), 2)
+    assert inst.touched == {0, 1, 2, 3, 4}  # never measured
+    measure(inst)
     assert inst.touched == set()
     inst.delete_vertex(4)
     assert inst.touched == {3, 4}
@@ -170,7 +172,19 @@ def test_moves_mark_what_they_touch():
     inst.touched.clear()
     inst.restrict({3})
     assert inst.touched == {3}
-    assert inst.clone().touched == set()
+    other = inst.clone()
+    assert other.touched == {3} and other.last is inst.last
+
+
+def test_measure_keeps_the_last_measure():
+    inst, _ = gadget_tent_branch()
+    m = measure(inst)
+    assert inst.last is m and measure(inst) is m
+    inst.k -= 1  # a budget change alone keeps the analysis
+    m1 = measure(inst)
+    assert (m1.k, m1.rho, m1.eta, m1.tau) == (m.k - 1, m.rho, m.eta, m.tau)
+    assert m1.classes is m.classes and m1.comp_of is m.comp_of
+    assert measure(inst) is m1
 
 
 def test_measure_of_gadget():

@@ -11,10 +11,14 @@ from ifvs.generators import (
 from ifvs.instance import DisInstance, Kind, classification, measure
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
-from ifvs import reductions
 from ifvs.reductions import RULE_IDS, apply_rule, reduce_to_fixpoint
 
-from helpers import lowest_applicable_rule
+from helpers import (
+    assert_measure_is_fresh,
+    checking_every_measure,
+    lowest_applicable_rule,
+    reference_measure,
+)
 
 
 def test_apply_rule_is_pure():
@@ -205,56 +209,43 @@ def test_fixpoint_is_idempotent():
 @settings(max_examples=120)
 def test_fixpoint_never_raises_the_measure(seed):
     inst = random_dis_instance(seed)
-    mu_raw = measure(inst).mu
+    mu_raw = reference_measure(inst).mu
     red = reduce_to_fixpoint(inst)
     if not red.rejected:
         out = red.instance
-        assert measure(out).mu <= mu_raw
-        # the fixpoint's own measure is the one every reader of the step used
-        assert red.measure == measure(out)
-        assert red.measure.classes == classification(out)
-        comps = out.graph.components(out.w)
-        assert red.measure.comp_of == {v: i for i, c in enumerate(comps) for v in c}
+        # the reduced instance keeps the measure every reader of the last
+        # step used, and measure hands it back without work
+        assert measure(out) is out.last
+        assert_measure_is_fresh(out.last, out)
+        assert out.last.mu <= mu_raw
 
 
 def _fixpoint_checking_every_step(inst):
-    """Run reduce_to_fixpoint, checking each firing's incremental measure.
+    """Run reduce_to_fixpoint, checking each measure it takes.
 
-    After every firing the measure updated from the previous step's must
-    equal one taken from scratch, down to its classes and W-components.
-    Returns the fixpoint result and the number of updates checked.
+    The entry measure and the one after every firing must equal a reference
+    built from the classification and the W-components, down to its classes
+    and W-components. Returns the fixpoint result and the number of measures
+    checked.
     """
-    checked = []
-
-    def measure_and_check(cur, prev=None):
-        m = measure(cur, prev)
-        if prev is not None:
-            fresh = measure(cur.clone())
-            assert m == fresh
-            assert m.classes == fresh.classes
-            assert m.comp_of == fresh.comp_of
-            checked.append(m)
-        return m
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reductions, "measure", measure_and_check)
+    with checking_every_measure() as reads:
         red = reduce_to_fixpoint(inst)
-    return red, len(checked)
+    return red, reads["ifvs.reductions"]
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=150)
 def test_incremental_measure_matches_a_fresh_one_after_every_firing(seed):
     red, checked = _fixpoint_checking_every_step(random_dis_instance(seed))
-    # every firing but a rejection updates the measure
-    assert checked == len(red.events) - red.rejected
+    # the entry, then every firing but a rejection
+    assert checked == 1 + len(red.events) - red.rejected
 
 
 @pytest.mark.parametrize("rule", RULE_IDS)
 def test_incremental_measure_matches_on_every_rule_site(rule):
     for seed in range(30):
         red, checked = _fixpoint_checking_every_step(rule_site_instance(rule, seed))
-        assert checked == len(red.events) - red.rejected, (rule, seed)
+        assert checked == 1 + len(red.events) - red.rejected, (rule, seed)
 
 
 @given(st.integers(0, 10**6))

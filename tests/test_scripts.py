@@ -1,0 +1,39 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCALING = ROOT / "scripts" / "scaling_study.py"
+
+
+def _scaling(*args):
+    return subprocess.run(
+        [sys.executable, str(SCALING), *args],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("args", [
+    ("--kmin", "4", "--kmax", "3"),  # no budgets at all
+    ("--kmin", "3", "--kmax", "3"),  # one point fits no slope
+    ("--n", "30", "--kmax", "12"),  # 12 planted triangles need 36 vertices
+])
+def test_scaling_study_rejects_unusable_ranges(args):
+    run = _scaling(*args)
+    assert run.returncode == 2
+    assert b"Traceback" not in run.stderr
+    assert b"error:" in run.stderr
+
+
+def test_scaling_study_writes_unix_line_ends(tmp_path):
+    out = tmp_path / "scaling.csv"
+    to_file = _scaling("--n", "30", "--kmin", "2", "--kmax", "4", "--out", str(out))
+    to_stdout = _scaling("--n", "30", "--kmin", "2", "--kmax", "4")
+    for run, csv_bytes in ((to_file, out.read_bytes()), (to_stdout, to_stdout.stdout)):
+        assert run.returncode == 0, run.stderr
+        assert b"\r" not in csv_bytes
+        assert csv_bytes.count(b"\n") == 4  # header plus k = 2, 3, 4
+        assert b"slope of ln(branch_nodes) vs k" in run.stderr
