@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import DisInstance, InternalSolverError, Kind, measure
+from .instance import DisInstance, InternalSolverError, measure
 
 REFERENCE_MAX_PAIRS = 20
 REFERENCE_MAX_TENTS = 13
@@ -59,14 +59,18 @@ class ParityResult:
 
 
 def build_parity(inst: DisInstance) -> ParityInstance:
-    """Encode a base-case instance, analysed by measure(inst), as parity pairs."""
+    """Encode a base-case instance as parity pairs.
+
+    The W-components come from measure(inst). With R empty and no
+    F-neighbors, a vertex is nice when it has two edges into W and a tent
+    when it has three, so its own target count tells the two apart.
+    """
     if inst.r:
         raise InternalSolverError("base case encoding with nonempty R")
     m = measure(inst)
     next_node = m.rho
     pairs = []
     for v in sorted(inst.f):
-        c = m.classes[v]
         targets = []
         for u in sorted(inst.graph.neighbors(v)):
             if u not in inst.w:
@@ -76,13 +80,14 @@ def build_parity(inst: DisInstance) -> ParityInstance:
             raise InternalSolverError(
                 f"base case vertex {v} double-links a W-component"
             )
-        if c.kind is Kind.NICE:
-            c1, c2 = sorted(targets)
+        targets.sort()
+        if len(targets) == 2:
+            c1, c2 = targets
             mid = next_node
             next_node += 1
             pairs.append(ParityPair(v, ((c1, mid), (mid, c2)), serial=True))
-        elif c.kind is Kind.TENT:
-            c1, c2, c3 = sorted(targets)
+        elif len(targets) == 3:
+            c1, c2, c3 = targets
             pairs.append(ParityPair(v, ((c1, c2), (c2, c3)), serial=False))
         else:
             raise InternalSolverError(f"vertex {v} is neither nice nor a tent")

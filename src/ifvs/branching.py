@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basecase import solve_base
-from .instance import DisInstance, InternalSolverError, Kind, measure
-from .instance import classification  # noqa: F401 -- perfbench/spans.py traces it here
+from .instance import DisInstance, InternalSolverError, Kind, classification, measure
 from .reductions import ReductionEvent, reduce_to_fixpoint
 
 CASE_A = "A"
@@ -79,7 +78,7 @@ def select_pivot(inst: DisInstance) -> PivotChoice | None:
     the instance is a base case. A pivot inside R would mean rule 6 was
     still applicable, which the engine treats as an internal error.
     """
-    classes = measure(inst).classes
+    classes = classification(inst)
     best = {CASE_A: None, CASE_B: None, CASE_C: None}
     for v in sorted(classes):
         c = classes[v]
@@ -152,11 +151,11 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
             )
         pivot = select_pivot(cur)
         if pivot is None:
-            for v, c in m.classes.items():
-                if c.kind not in (Kind.NICE, Kind.TENT):
-                    raise InternalSolverError(
-                        f"base case reached with non-settled vertex {v} ({c.kind})"
-                    )
+            unsettled = cur.f - m.settled.keys()
+            if unsettled:
+                raise InternalSolverError(
+                    f"base case reached with non-settled vertices {sorted(unsettled)}"
+                )
             base = solve_base(cur)
             node = BranchNode(
                 "base", mu=mu, reductions=red.events,

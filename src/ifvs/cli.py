@@ -108,15 +108,18 @@ def _write_trace(path: str, traces: list[BranchNode | None]):
                 fh.write(json.dumps(rec) + "\n")
 
 
+def _dis_instance(text: str, k: int | None) -> DisInstance:
+    """Parse a .dis file; --k, when given, replaces its budget."""
+    inst = parse_dis_instance(text)
+    if k is not None:
+        inst = DisInstance(inst.graph, inst.w, inst.r, k)
+    return inst
+
+
 def _cmd_solve(args) -> int:
     text = _read(args.input)
     if _is_dis_file(text):
-        inst = parse_dis_instance(text)
-        if args.k is not None:
-            if args.k < 0:
-                raise ParseError("budget must be nonnegative")
-            inst = DisInstance(inst.graph, inst.w, inst.r, args.k)
-        res = solve_disjoint(inst)
+        res = solve_disjoint(_dis_instance(text, args.k))
         status = "yes" if res.solution is not None else "no"
         stats = {"branch_nodes": res.stats.nodes, "max_mu": res.stats.mu0}
         if args.trace:
@@ -145,8 +148,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     text = _read(args.input)
     if _is_dis_file(text):
-        inst = parse_dis_instance(text)
-        sol = oracle_disjoint(inst)
+        sol = oracle_disjoint(_dis_instance(text, args.k))
         _print_result("yes" if sol is not None else "no", sol, {}, args.json)
         return 0 if sol is not None else 1
     g = parse_graph(text)
@@ -293,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # every subcommand takes --k, and a negative budget is bad input
+        if args.k is not None and args.k < 0:
+            raise ParseError("budget must be nonnegative")
         if args.command == "bench":
             if args.out:
                 with open(args.out, "w", newline="") as fh:

@@ -42,18 +42,19 @@ class VertexClass:
 
 @dataclass(frozen=True)
 class Measure:
-    """mu = k + rho - eta - tau, with the analysis it was computed from.
+    """mu = k + rho - eta - tau, with what eta, tau and rho were counted from.
 
-    classes is the classification of F and comp_of maps each W-vertex to its
-    W-component index. Both describe the instance as measured; they take no
-    part in equality, so a Measure compares by its four counts alone.
+    settled maps each nice vertex and each tent to its kind, and comp_of maps
+    each W-vertex to its W-component index. Both describe the instance as
+    measured; they take no part in equality, so a Measure compares by its
+    four counts alone.
     """
 
     k: int
     rho: int
     eta: int
     tau: int
-    classes: dict[int, VertexClass] = field(default_factory=dict, compare=False, repr=False)
+    settled: dict[int, Kind] = field(default_factory=dict, compare=False, repr=False)
     comp_of: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -72,9 +73,10 @@ class DisInstance:
     measured, and touched collects every vertex whose facts a move changed
     since then: its edges, its W-degree, its R-membership or its place in F.
     So deleting or protecting a vertex marks it and its neighbors, and
-    measure reclassifies only around them. A new instance holds the empty
-    measure with every vertex touched. A clone copies touched and shares
-    last, which is never mutated, so it continues from the same measure.
+    measure looks again at the marked vertices alone. A new instance holds
+    the empty measure with every vertex touched. A clone copies touched and
+    shares last, which is never mutated, so it continues from the same
+    measure.
     """
 
     __slots__ = ("graph", "w", "r", "k", "touched", "last")
@@ -171,6 +173,9 @@ def validate_instance(inst: DisInstance) -> list[str]:
     return problems
 
 
+_SETTLED = {2: Kind.NICE, 3: Kind.TENT}  # by the W-degree of a settled vertex
+
+
 def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClass]:
     """Classes of the F-vertices in targets.
 
@@ -207,10 +212,8 @@ def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClas
         _, dw, fn = facts[v]
         if v in r:
             kind = Kind.PLAIN
-        elif dw == 2 and not fn:
-            kind = Kind.NICE
-        elif dw == 3 and not fn:
-            kind = Kind.TENT
+        elif not fn and dw in _SETTLED:
+            kind = _SETTLED[dw]
         elif v in p_nice:
             kind = Kind.P_NICE
         elif v in p_tent:
@@ -240,29 +243,16 @@ def classify(inst: DisInstance, v: int) -> VertexClass:
     return _classify(inst, (v,))[v]
 
 
-def _ball(inst: DisInstance, touched: set[int]) -> set[int]:
-    """F-vertices whose class may have changed since touched was cleared.
+def _settled_kind(inst: DisInstance, v: int) -> Kind | None:
+    """NICE or TENT when v is nice or a tent, else None.
 
-    The class of v reads the facts of F-vertices at most two hops from v
-    along F: tdeg needs the p-tent test of an F-neighbor, which needs the
-    p-nice tests of that neighbor's F-neighbors. Moves mark the neighbors
-    of a vertex that leaves F, whose W-degree or F-neighbors change with
-    it, so counted from that vertex this is the three-hop chain
-    p-nice -> ndeg/gdeg -> p-tent -> tdeg.
+    Both kinds read only v's own facts: v is in F minus R, every neighbor of
+    v is in W, and v has two (nice) or three (tent) edge occurrences into W.
     """
     g, w = inst.graph, inst.w
-    frontier = {v for v in touched if v in g and v not in w}
-    ball = set(frontier)
-    for _ in range(2):
-        frontier = {u for v in frontier for u in g.neighbors(v)} - w - ball
-        ball |= frontier
-    return ball
-
-
-def _settled(classes: Iterable[VertexClass]) -> tuple[int, int]:
-    """How many of classes are nice and how many are tents."""
-    kinds = [c.kind for c in classes]
-    return kinds.count(Kind.NICE), kinds.count(Kind.TENT)
+    if v not in g or v in w or v in inst.r or not g.neighbors(v) <= w:
+        return None
+    return _SETTLED.get(g.deg_x(v, w))
 
 
 def measure(inst: DisInstance) -> Measure:
@@ -271,13 +261,15 @@ def measure(inst: DisInstance) -> Measure:
     Nice vertices and tents are settled in the sense that the base case
     handles them in polynomial time, so each one prepays a unit of measure.
 
-    The measure is updated from inst.last around inst.touched, then stored
-    as inst.last, and touched is cleared. Classes carry over outside the
-    touched vertices' two-hop ball in F, and W-components carry over unless
-    a touched vertex joined or left W (no move adds an edge inside W, so
-    G[W] changes only then). A new instance has every vertex touched, so its
-    first measure classifies all of F. The result equals a measure taken
-    from scratch.
+    The measure is updated from inst.last at inst.touched, then stored as
+    inst.last, and touched is cleared. Since a settled kind reads only the
+    vertex's own facts and every move marks each vertex whose facts it
+    changed, only the touched vertices can have gained or lost a kind, and
+    eta and tau move by their old and new kinds. W-components carry over
+    unless a touched vertex joined or left W (no move adds an edge inside W,
+    so G[W] changes only then). A new instance has every vertex touched, so
+    its first measure looks at all of them. The result equals a measure
+    taken from scratch.
     """
     touched, inst.touched = inst.touched, set()
     prev = inst.last
@@ -285,24 +277,22 @@ def measure(inst: DisInstance) -> Measure:
         if prev.k != inst.k:
             inst.last = replace(prev, k=inst.k)
         return inst.last
-    g, w = inst.graph, inst.w
-    classes = dict(prev.classes)
-    fresh = _classify(inst, _ball(inst, touched))
-    # every class replaced or dropped was counted in prev; no move adds to F,
-    # so a fresh vertex is new to the counts only on a first measure
-    old = [classes.pop(v) for v in touched if v in classes and (v in w or v not in g)]
-    old += [classes[v] for v in fresh if v in classes]
-    eta0, tau0 = _settled(old)
-    eta1, tau1 = _settled(fresh.values())
-    classes.update(fresh)
+    settled = dict(prev.settled)
+    eta, tau = prev.eta, prev.tau
+    for v in touched:
+        old, new = settled.pop(v, None), _settled_kind(inst, v)
+        if new is not None:
+            settled[v] = new
+        eta += (new is Kind.NICE) - (old is Kind.NICE)
+        tau += (new is Kind.TENT) - (old is Kind.TENT)
+    w = inst.w
     if any((v in w) != (v in prev.comp_of) for v in touched):
-        comps = g.components(w)
+        comps = inst.graph.components(w)
         comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
         rho = len(comps)
     else:
         comp_of, rho = prev.comp_of, prev.rho
-    inst.last = Measure(inst.k, rho, prev.eta - eta0 + eta1, prev.tau - tau0 + tau1,
-                        classes, comp_of)
+    inst.last = Measure(inst.k, rho, eta, tau, settled, comp_of)
     return inst.last
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .branching import DisjointResult, fib, solve_disjoint
+from .branching import DisjointResult, _better, fib, solve_disjoint
 from .fvs import min_fvs
 from .instance import DisInstance, InternalSolverError, check_solution
 from .multigraph import MultiGraph
@@ -138,9 +138,7 @@ def solve_ifvs(
         records.append(rec)
         if rec.status != "yes":
             continue
-        sol = forced | set(z_prime) | rec.solution
-        if best is None or (len(sol), sorted(sol)) < (len(best), sorted(best)):
-            best = sol
+        best = _better(best, forced | set(z_prime) | rec.solution)
         if not minimize:
             break  # decision mode stops at the first hit
 

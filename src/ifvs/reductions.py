@@ -5,7 +5,7 @@ inside a rule is deterministic (smallest vertex id, or lexicographically
 smallest pair), so a fixpoint run is reproducible. The rules mutate the one
 working copy that reduce_to_fixpoint owns, through DisInstance moves that
 record the vertices they touch, so each measure the fixpoint takes updates
-the instance's last one around those vertices; apply_rule runs a single
+the instance's last one at those vertices; apply_rule runs a single
 rule on a clone for callers that need the input kept. Rules never grow the
 measure when observed fixpoint to fixpoint; rule 6 may raise it
 transiently because moving an isolated restricted vertex into W adds a
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import DisInstance, InternalSolverError, Measure, measure
+from .instance import DisInstance, InternalSolverError, Measure, _classify, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -77,8 +77,8 @@ def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
 # A rule returns None and leaves inst untouched when it does not apply. When
 # it fires it reduces inst in place, or rejects without touching it. m is the
 # measure of inst as passed in; because a rule that does not fire changes
-# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu, rule
-# 6 reads m.classes, rules 4 and 5 read m.comp_of.
+# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu and
+# rules 4 and 5 read m.comp_of; rule 6 classifies R itself.
 
 Fired = tuple[str, int | None, frozenset[int]]  # (status, pivot, forced)
 
@@ -140,8 +140,9 @@ def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
 
 
 def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
+    classes = _classify(inst, inst.r)
     for v in sorted(inst.r):
-        c = m.classes[v]
+        c = classes[v]
         if c.gdeg >= 1 or c.tdeg >= 1:
             # rule 4 fires first on a double link, so the move merges
             # distinct W-components and cannot close a cycle inside W

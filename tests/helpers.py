@@ -66,20 +66,22 @@ def branch_drops_ok(node) -> bool:
 
 
 def reference_measure(inst) -> Measure:
-    """The measure of inst built without measure: the classification of all
-    of F, the W-components from scratch and the counts read off them."""
-    classes = classification(inst)
+    """The measure of inst built without measure: the settled vertices read
+    off the classification of all of F, the W-components from scratch and
+    the counts read off them."""
+    settled = {v: c.kind for v, c in classification(inst).items()
+               if c.kind in (Kind.NICE, Kind.TENT)}
     comps = inst.graph.components(inst.w)
-    kinds = [c.kind for c in classes.values()]
+    kinds = list(settled.values())
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     return Measure(inst.k, len(comps), kinds.count(Kind.NICE), kinds.count(Kind.TENT),
-                   classes, comp_of)
+                   settled, comp_of)
 
 
 def assert_measure_is_fresh(m: Measure, inst) -> None:
     ref = reference_measure(inst)
     assert m == ref
-    assert m.classes == ref.classes
+    assert m.settled == ref.settled
     assert m.comp_of == ref.comp_of
 
 

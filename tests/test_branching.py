@@ -66,6 +66,15 @@ def test_pivot_in_r_is_an_internal_error():
         select_pivot(inst)
 
 
+def test_base_case_with_an_unsettled_vertex_is_an_internal_error(monkeypatch):
+    # the gadget's fixpoint still has potential tents and plain vertices, so
+    # a pivot choice that wrongly finds nothing must not reach the base case
+    inst, _site = gadget_tent_branch()
+    monkeypatch.setattr("ifvs.branching.select_pivot", lambda inst: None)
+    with pytest.raises(InternalSolverError, match="non-settled"):
+        solve_disjoint(inst)
+
+
 def test_pivot_none_on_base_case():
     g = MultiGraph(range(2))
     n = g.new_vertex()
@@ -165,9 +174,9 @@ def test_every_node_reads_a_fresh_measure():
     assert reads["ifvs.reductions"] == sum(
         1 + len(node.reductions) - (node.kind == "reject") for node in nodes
     )
-    # a node that is not rejected reads it, then its pivot choice; a base
-    # leaf reads it once more to encode the parity instance
-    assert reads["ifvs.branching"] == 2 * sum(node.kind != "reject" for node in nodes)
+    # a node that is not rejected reads it once, for its mu; a base leaf
+    # reads it once more to encode the parity instance
+    assert reads["ifvs.branching"] == sum(node.kind != "reject" for node in nodes)
     assert reads["ifvs.basecase"] == sum(node.kind == "base" for node in nodes)
 
 

@@ -163,6 +163,35 @@ def test_oracle_graph_and_dis(c5_file, tmp_path, capsys):
     assert payload["size"] == 2
 
 
+def test_oracle_honours_the_budget_override_on_dis_files(tmp_path, capsys):
+    p = tmp_path / "base.dis"
+    assert main(["gen", "--kind", "base-case", "--seed", "3", "--out", str(p)]) == 0
+    # the file's own budget fits a solution of size 2, which k = 0 does not
+    for k in range(4):
+        solve_rc = main(["solve", "--input", str(p), "--k", str(k)])
+        assert main(["oracle", "--input", str(p), "--k", str(k)]) == solve_rc, k
+    assert main(["oracle", "--input", str(p), "--k", "0"]) == 1
+    assert main(["oracle", "--input", str(p)]) == 0
+    assert "size: 2" in capsys.readouterr().out.splitlines()[-2]
+
+
+def test_negative_budget_is_input_error_in_oracle_and_verify(c5_file, tmp_path, capsys):
+    inst, _site = gadget_tent_branch()
+    dis = tmp_path / "tent.dis"
+    dis.write_text(emit_dis(inst))
+    sol = tmp_path / "sol.txt"
+    sol.write_text("1\n")
+    for argv in (
+        ["oracle", "--input", c5_file, "--k", "-1"],
+        ["oracle", "--input", str(dis), "--k", "-1"],
+        ["verify", "--input", c5_file, "--solution", str(sol), "--k", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget must be nonnegative" in captured.err
+
+
 def test_oracle_minimize_respects_budget_filter(k4_file, capsys):
     assert main(["oracle", "--input", k4_file, "--minimize"]) == 1
 

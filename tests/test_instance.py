@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifvs.instance import (
     DisInstance,
@@ -15,7 +17,7 @@ from ifvs.instance import (
 from ifvs.multigraph import MultiGraph
 from ifvs.generators import gadget_tent_branch, random_dis_instance
 
-from helpers import complete, cycle, path
+from helpers import assert_measure_is_fresh, complete, cycle, path
 
 
 def test_validate_flags_each_problem():
@@ -183,8 +185,50 @@ def test_measure_keeps_the_last_measure():
     inst.k -= 1  # a budget change alone keeps the analysis
     m1 = measure(inst)
     assert (m1.k, m1.rho, m1.eta, m1.tau) == (m.k - 1, m.rho, m.eta, m.tau)
-    assert m1.classes is m.classes and m1.comp_of is m.comp_of
+    assert m1.settled is m.settled and m1.comp_of is m.comp_of
     assert measure(inst) is m1
+
+
+def _move(inst, move: str, v: int) -> None:
+    """Apply move at v where its precondition holds, else do nothing."""
+    if move == "delete_vertex":
+        inst.delete_vertex(v)
+    elif v in inst.w:
+        return
+    elif move == "restrict":
+        inst.restrict({v})
+    elif move == "take" and v not in inst.r:
+        inst.take(v)
+    elif move == "protect" and inst.graph.is_forest(inst.w | {v}):
+        inst.protect(v)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("take", "protect", "restrict", "delete_vertex")),
+            st.integers(0, 10**6),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_measure_after_any_moves_matches_a_fresh_one(seed, moves):
+    # measure looks only at the vertices the moves marked, so a move that
+    # fails to mark a vertex whose own facts it changed shows up here;
+    # measuring only after some moves lets the marks of several pile up
+    inst = random_dis_instance(seed)
+    assert_measure_is_fresh(measure(inst), inst)
+    for move, pick, measure_now in moves:
+        verts = sorted(inst.graph.vertices)
+        if not verts:
+            break
+        _move(inst, move, verts[pick % len(verts)])
+        if measure_now:
+            assert_measure_is_fresh(measure(inst), inst)
+    assert_measure_is_fresh(measure(inst), inst)
 
 
 def test_measure_of_gadget():

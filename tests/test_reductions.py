@@ -224,9 +224,9 @@ def _fixpoint_checking_every_step(inst):
     """Run reduce_to_fixpoint, checking each measure it takes.
 
     The entry measure and the one after every firing must equal a reference
-    built from the classification and the W-components, down to its classes
-    and W-components. Returns the fixpoint result and the number of measures
-    checked.
+    built from the classification and the W-components, down to its settled
+    vertices and W-components. Returns the fixpoint result and the number of
+    measures checked.
     """
     with checking_every_measure() as reads:
         red = reduce_to_fixpoint(inst)
