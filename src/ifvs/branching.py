@@ -101,20 +101,6 @@ def select_pivot(inst: DisInstance) -> PivotChoice | None:
     return None
 
 
-def branch_delete(inst: DisInstance, v: int) -> DisInstance:
-    """Child where v joins the solution and its neighbors in F are restricted."""
-    out = inst.clone()
-    out.take(v)
-    return out
-
-
-def branch_to_w(inst: DisInstance, v: int) -> DisInstance:
-    """Child where v is protected forever by joining W."""
-    out = inst.clone()
-    out.protect(v)
-    return out
-
-
 def _better(a: set[int] | None, b: set[int] | None) -> set[int] | None:
     """Smaller solution wins, ties by sorted vertex tuple."""
     if a is None:
@@ -131,6 +117,10 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
     vertices breaks all cycles. The recorded trace carries measures at every
     node fixpoint; the engine hard-checks the drop guarantees and raises
     InternalSolverError on any accounting violation.
+
+    inst is left as it was. The search clones it once, then each node
+    reduces its own instance in place and clones it for its delete child;
+    the to-W child, built once the delete subtree is done, reuses it.
     """
     root_budget = [None]
 
@@ -165,10 +155,13 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
                 return None, node
             return red.forced | base, node
 
-        del_sol, del_node = recurse(branch_delete(cur, pivot.vertex), depth + 1)
+        child = cur.clone()
+        child.take(pivot.vertex)
+        del_sol, del_node = recurse(child, depth + 1)
         if del_sol is not None:
             del_sol = del_sol | {pivot.vertex}
-        w_sol, w_node = recurse(branch_to_w(cur, pivot.vertex), depth + 1)
+        cur.protect(pivot.vertex)
+        w_sol, w_node = recurse(cur, depth + 1)
 
         # rejected children count as an unbounded drop; real children must
         # drop at least 1 each and at least one side must drop 2 or more
@@ -195,7 +188,7 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
             return None, node
         return red.forced | best, node
 
-    solution, root = recurse(inst, 1)
+    solution, root = recurse(inst.clone(), 1)
     nodes = list(root.walk())
     stats = DisjointStats(len(nodes), sum(node.kind == "base" for node in nodes), root.mu)
     return DisjointResult(solution, root, stats)

@@ -156,7 +156,7 @@ def _bnb(
 
     Consumes g and extends acc. Depth first over the vertices of a shortest
     cycle; each set a child finds lowers cap to its size, so later children
-    must beat it.
+    must beat it. The last child takes g itself, the others a copy.
     """
     _reduce(g, acc, dirty)
     # the bound is 0 on an empty g, so a finished set must be below cap too
@@ -165,8 +165,9 @@ def _bnb(
     if not len(g):
         return acc  # a reduced graph is empty exactly when it was a forest
     best = None
-    for v in sorted(_shortest_cycle(g)):
-        child = g.copy()
+    cycle = sorted(_shortest_cycle(g))
+    for v in cycle:
+        child = g if v == cycle[-1] else g.copy()
         res = _bnb(child, cap, acc + [v], _delete(child, [v]))
         if res is not None:
             best, cap = res, len(res)

@@ -30,6 +30,8 @@ def random_multigraph(
     n: int, m: int, seed: int, loops: bool = True, multi: bool = True
 ) -> MultiGraph:
     """n vertices, m edge occurrences, repetition and loops allowed."""
+    if n < 0 or m < 0:
+        raise ValueError("vertex and edge counts must be nonnegative")
     rng = random.Random(seed)
     g = MultiGraph(range(n))
     if n == 0:

@@ -63,7 +63,7 @@ class Measure:
 
 
 class DisInstance:
-    """Mutable disjoint-solve state. The engine clones before branching.
+    """Mutable disjoint-solve state; a search clones it only where it forks.
 
     A vertex leaves F in one of two ways, take (into the solution) or
     protect (into W); every rule, branch child and compression guess uses

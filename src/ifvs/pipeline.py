@@ -5,9 +5,9 @@ into the solution first, which restricts their neighbors. An exact FVS Z of
 the remaining graph is computed, and every guess Z' of the solution part
 inside Z is built from that root instance by taking Z' and protecting
 Z minus Z' into the undeletable forest W. A guess is skipped when Z minus Z'
-holds a cycle or Z' would take a restricted vertex. The disjoint engine
-answers each guess exactly, so the first feasible guess settles the decision
-and a full scan settles minimization.
+holds a cycle, or Z' meets a restricted vertex or is not independent. The
+disjoint engine answers each guess exactly, so the first feasible guess
+settles the decision and a full scan settles minimization.
 """
 from __future__ import annotations
 
@@ -64,12 +64,13 @@ def _run_guess(
 ) -> GuessRecord:
     """Take Z' into the solution, protect Z minus Z' and solve the rest."""
     w = z.difference(z_prime)
-    if not root.graph.is_forest(w):
+    # Z' is taken while W is empty, so it would take a restricted vertex
+    # exactly when it meets R or its own neighbours; a skip copies nothing
+    blocked = root.r.union(*map(root.graph.neighbors, z_prime))
+    if not root.graph.is_forest(w) or not blocked.isdisjoint(z_prime):
         return GuessRecord(z_prime, "skipped")
     inst = root.clone()
     for v in z_prime:
-        if v in inst.r:  # Z' meets a loop vertex's neighborhood or is not independent
-            return GuessRecord(z_prime, "skipped")
         inst.take(v)
     for v in sorted(w):
         inst.protect(v)

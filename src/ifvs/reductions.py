@@ -2,8 +2,8 @@
 
 Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
-smallest pair), so a fixpoint run is reproducible. The rules mutate the one
-working copy that reduce_to_fixpoint owns, through DisInstance moves that
+smallest pair), so a fixpoint run is reproducible. reduce_to_fixpoint
+reduces the instance it is given in place, through DisInstance moves that
 record the vertices they touch, so each measure the fixpoint takes updates
 the instance's last one at those vertices; apply_rule runs a single
 rule on a clone for callers that need the input kept. Rules never grow the
@@ -196,31 +196,31 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
 def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
     """Apply the lowest-numbered applicable rule until none fires.
 
-    Works on one clone of inst, which is never mutated. Returns the reduced
-    instance, the vertices forced into the solution by rule 5, and the
-    ordered event trace. On a rejection the trace still carries everything
-    up to and including the rejecting event. The clone continues from the
-    last measure of inst and is measured once on entry and once after each
-    firing; that one value is the event's mu_after, the next event's
-    mu_before and what every rule of the next step reads. The reduced
-    instance keeps its final measure, so measure returns it without work.
+    Reduces inst in place: the caller gives it up, and clones first to keep
+    it. Returns inst as the reduced instance (None on a rejection), the
+    vertices forced into the solution by rule 5, and the ordered event
+    trace. On a rejection the trace still carries everything up to and
+    including the rejecting event. inst continues from its last measure and
+    is measured once on entry and once after each firing; that one value is
+    the event's mu_after, the next event's mu_before and what every rule of
+    the next step reads. The reduced instance keeps its final measure, so
+    measure returns it without work.
     """
-    cur = inst.clone()
     forced: set[int] = set()
     events: list[ReductionEvent] = []
-    m = measure(cur)
+    m = measure(inst)
     while True:
         for rule_id in RULE_IDS:
-            fired = _RULES[rule_id](cur, m)
+            fired = _RULES[rule_id](inst, m)
             if fired is not None:
                 break
         else:
-            return FixpointResult(cur, forced, events)
+            return FixpointResult(inst, forced, events)
         status, pivot, rule_forced = fired
         if status == "reject":
             events.append(ReductionEvent(rule_id, pivot, m.mu, m.mu))
             return FixpointResult(None, forced, events)
-        m_after = measure(cur)
+        m_after = measure(inst)
         events.append(ReductionEvent(rule_id, pivot, m.mu, m_after.mu))
         forced |= rule_forced
         m = m_after

@@ -48,6 +48,13 @@ def lowest_applicable_rule(inst) -> int | None:
     return None
 
 
+def instance_facts(inst) -> tuple:
+    """Edges, vertices, W, R and k of a disjoint instance, for comparing an
+    instance before and after a call."""
+    g = inst.graph
+    return g.edge_items(), set(g.vertices), set(inst.w), set(inst.r), inst.k
+
+
 def branch_drops_ok(node) -> bool:
     """Every real child drops the measure by 1, and unless a child was
     rejected outright, one of the two drops is at least 2."""

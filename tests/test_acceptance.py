@@ -226,7 +226,9 @@ def test_criterion_06_rules_preserve_answers_and_measure(capsys):
                 bad.append(("feasibility-flip", rule, seed))
             elif before is not None and len(before) != len(after) + len(out.forced):
                 bad.append(("size-drift", rule, seed))
-            red = reduce_to_fixpoint(inst)
+            # the fixpoint reduces its argument, so it gets a clone and inst
+            # keeps the measure it started from
+            red = reduce_to_fixpoint(inst.clone())
             if red.instance is not None and measure(red.instance).mu > measure(inst).mu:
                 bad.append(("measure-up", rule, seed))
     detail = f"7 rules x 1000 sites, {applications} applications, {len(bad)} violations"

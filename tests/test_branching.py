@@ -1,14 +1,11 @@
+from itertools import chain, combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifvs.branching import (
-    branch_delete,
-    branch_to_w,
-    fib,
-    select_pivot,
-    solve_disjoint,
-)
+from ifvs.branching import fib, select_pivot, solve_disjoint
+from ifvs.fvs import min_fvs
 from ifvs.generators import (
     gadget_nice_promotion,
     gadget_tent_branch,
@@ -29,7 +26,7 @@ from ifvs.oracle import oracle_disjoint
 from ifvs.pipeline import solve_ifvs
 from ifvs.reductions import reduce_to_fixpoint
 
-from helpers import branch_drops_ok, checking_every_measure
+from helpers import branch_drops_ok, checking_every_measure, instance_facts
 
 
 def test_fib_fixed_values():
@@ -84,16 +81,20 @@ def test_pivot_none_on_base_case():
 
 
 def test_branch_delete_restricts_free_neighbors_and_pays():
+    # the delete child, as the engine builds it
     inst, site = gadget_tent_branch()
-    child = branch_delete(inst, site)
+    child = inst.clone()
+    child.take(site)
     assert site not in child.graph
     assert child.k == inst.k - 1
     assert inst.graph.neighbors(site) & inst.f <= child.r
 
 
 def test_branch_to_w_protects_and_unrestricts():
+    # the to-W child, as the engine builds it
     inst, _ = gadget_nice_promotion()
-    child = branch_to_w(inst, 1)
+    child = inst.clone()
+    child.protect(1)
     assert 1 in child.w and 1 not in child.r
     # the potentially nice neighbor of the protected vertex turns nice
     assert classify(child, 3).kind is Kind.NICE
@@ -103,8 +104,10 @@ def test_gadget_children_drop_measure_at_fixpoint():
     inst, site = gadget_tent_branch()
     mu = measure(inst).mu
     drops = {}
-    for name, op in (("delete", branch_delete), ("to_w", branch_to_w)):
-        red = reduce_to_fixpoint(op(inst, site))
+    for name, move in (("delete", DisInstance.take), ("to_w", DisInstance.protect)):
+        child = inst.clone()
+        move(child, site)
+        red = reduce_to_fixpoint(child)
         drops[name] = mu - measure(red.instance).mu
     assert drops["delete"] >= 2
     assert drops["to_w"] >= 1
@@ -192,3 +195,100 @@ def test_solutions_avoid_w_and_r_and_break_all_cycles():
         assert inst.graph.is_forest(rest)
         for v in sol:
             assert not inst.graph.neighbors(v) & sol
+
+
+def test_solvers_leave_their_input_unchanged():
+    # the engine reduces and branches on its own clone of inst, the
+    # pipeline on its own copy of g
+    insts = [random_dis_instance(seed) for seed in range(60)]
+    insts.append(gadget_tent_branch()[0])
+    for inst in insts:
+        before = instance_facts(inst)
+        solve_disjoint(inst)
+        assert instance_facts(inst) == before
+    for seed in range(10):
+        g = random_multigraph(16, 27, seed)  # loops and parallel edges too
+        before = g.edge_items(), set(g.vertices)
+        solve_ifvs(g, 8, minimize=True)
+        assert (g.edge_items(), set(g.vertices)) == before, seed
+
+
+def _pipeline_guesses(g: MultiGraph, k: int):
+    """The guesses with |Z'| <= 2 that solve_ifvs would build for loop-free
+    g at budget k, made with the public moves."""
+    z = min_fvs(g)
+    root = DisInstance(g, set(), set(), k, validate=False)
+    for z_prime in chain.from_iterable(combinations(sorted(z), n) for n in range(3)):
+        w = z.difference(z_prime)
+        if not g.is_forest(w) or any(g.neighbors(v) & set(z_prime) for v in z_prime):
+            continue
+        inst = root.clone()
+        for v in z_prime:
+            inst.take(v)
+        for v in sorted(w):
+            inst.protect(v)
+        yield inst
+
+
+@pytest.fixture(scope="module")
+def deep_trees():
+    """Guesses of sparse random graphs whose engine tree has 20 nodes or
+    more, with their facts before the solve and the result.
+
+    The random disjoint instances and rule sites hardly branch, so this is
+    the family that reaches deep trees. At budget |Z| almost every such tree
+    says no, so budget |Z| + 1 is added for trees that find a solution.
+    """
+    out = []
+    for seed in range(10):
+        n = 40 + seed % 11
+        g = random_multigraph(n, int(1.6 * n), seed, loops=False, multi=False)
+        z_size = len(min_fvs(g))
+        for k in (z_size, z_size + 1):
+            for inst in _pipeline_guesses(g, k):
+                before = instance_facts(inst)
+                res = solve_disjoint(inst)
+                if res.stats.nodes >= 20:
+                    out.append((inst, before, res))
+    return out
+
+
+def test_deep_trees_branch_with_the_right_drops(deep_trees):
+    assert len(deep_trees) >= 60
+    assert max(res.stats.nodes for _, _, res in deep_trees) >= 200
+    for _inst, _before, res in deep_trees:
+        for node in res.trace.walk():
+            if node.kind == "branch":
+                assert branch_drops_ok(node)
+        assert res.stats.base_leaves <= fib(res.stats.mu0 + 2)
+
+
+def test_deep_trees_find_valid_solutions(deep_trees):
+    found = 0
+    for inst, _before, res in deep_trees:
+        if not res.feasible:
+            continue
+        sol, g = res.solution, inst.graph
+        assert sol <= inst.f - inst.r
+        assert all(not g.neighbors(v) & sol for v in sol)
+        assert len(sol) <= inst.k
+        assert g.is_forest(g.vertices - sol)
+        found += 1
+    assert found >= 15
+
+
+def test_deep_trees_leave_the_input_and_repeat_with_fresh_measures(deep_trees):
+    # the to-W child reduces its parent's instance in place, so a node that
+    # lost its touched vertices or kept a stale measure shows up here
+    with checking_every_measure() as reads:
+        again = [solve_disjoint(inst) for inst, _, _ in deep_trees]
+    nodes = []
+    for (inst, before, res), res2 in zip(deep_trees, again):
+        assert instance_facts(inst) == before
+        assert res2.trace == res.trace
+        assert res2.solution == res.solution
+        nodes += res2.trace.walk()
+    assert reads["ifvs.reductions"] == sum(
+        1 + len(node.reductions) - (node.kind == "reject") for node in nodes
+    )
+    assert reads["ifvs.branching"] == sum(node.kind != "reject" for node in nodes)

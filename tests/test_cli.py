@@ -258,6 +258,15 @@ def test_gen_unknown_gadget_scenario(capsys):
     assert main(["gen", "--kind", "gadget", "--n", "99"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["random", "subdivided"])
+@pytest.mark.parametrize("flag", ["--n", "--m"])
+def test_gen_negative_size_is_input_error(tmp_path, kind, flag, capsys):
+    out = tmp_path / "neg.gr"
+    assert main(["gen", "--kind", kind, flag, "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_gen_writes_to_stdout_without_out(capsys):
     assert main(["gen", "--kind", "random", "--n", "5", "--m", "4",
                  "--seed", "0"]) == 0

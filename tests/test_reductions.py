@@ -174,12 +174,10 @@ def test_fixpoint_orders_events_lowest_rule_first():
         inst = random_dis_instance(seed)
         before = inst.clone()
         red = reduce_to_fixpoint(inst)
-        # the fixpoint reduces a copy of its own and leaves inst as it was
-        assert inst.graph.edge_items() == before.graph.edge_items(), seed
-        assert (inst.graph.vertices, inst.w, inst.r, inst.k) == (
-            before.graph.vertices, before.w, before.r, before.k,
-        ), seed
-        replay = inst
+        # the fixpoint reduces inst itself, so the events replay on a clone
+        # taken before it ran
+        assert red.rejected or red.instance is inst, seed
+        replay = before
         for ev in red.events:
             assert lowest_applicable_rule(replay) == ev.rule, seed
             out = apply_rule(replay, ev.rule)
@@ -267,9 +265,14 @@ def test_fixpoint_preserves_feasibility_and_minimum(seed):
 
 def test_forced_vertices_reappear_in_solutions():
     # a forced double-linked vertex must be in every solution the engine
-    # reports, so the fixpoint result carries it outward
-    inst = rule_site_instance(5, seed=2)
-    red = reduce_to_fixpoint(inst)
-    site_solution = oracle_disjoint(inst.clone())
-    if site_solution is not None and not red.rejected:
-        assert red.forced <= site_solution
+    # reports, so the fixpoint result carries it outward; the oracle answers
+    # before the fixpoint reduces the site in place
+    checked = 0
+    for seed in range(50):
+        inst = rule_site_instance(5, seed)
+        site_solution = oracle_disjoint(inst)
+        red = reduce_to_fixpoint(inst)
+        if site_solution is not None and not red.rejected and red.forced:
+            assert red.forced <= site_solution, seed
+            checked += 1
+    assert checked >= 30
