@@ -11,10 +11,9 @@ Usage:
 import argparse
 import csv
 import math
+import statistics
 import sys
 import time
-
-import numpy as np
 
 from ifvs.generators import planted_ifvs
 from ifvs.pipeline import BOUND_BASE, leaf_bound, solve_ifvs
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
 
     ks = [r["k"] for r in rows]
     logs = [math.log(max(r["branch_nodes"], 1)) for r in rows]
-    slope = float(np.polyfit(ks, logs, 1)[0])
+    slope = statistics.linear_regression(ks, logs).slope
     print(
         f"slope of ln(branch_nodes) vs k: {slope:.4f}"
         f" (growth-base limit ln({BOUND_BASE:.6f}) = {math.log(BOUND_BASE):.4f})",

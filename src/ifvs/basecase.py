@@ -19,15 +19,14 @@ pairs and finishes nice pairs greedily, so it answers wherever the tents are
 few. Larger leaves go to the polynomial randomized algebraic solver: build
 Y = sum_i x_i (u_i v_i^T - v_i u_i^T) over a prime field from the incidence
 vectors of each pair with random weights x_i, read nu off as rank(Y) / 2,
-and recover a witness by pair deletion rank probes. Random rank can only
+and recover a witness by pair deletion rank probes. Ranks are computed in
+exact Python integers, so no field is too large. Random rank can only
 undershoot, so the witness is verified; if none verifies, the reference runs.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .instance import DisInstance, InternalSolverError, measure
 
@@ -186,53 +185,53 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Row reduce a copy of mat over the prime field of order p."""
-    m = mat % p
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r0 in range(rank, rows):
-            if m[r0, c] % p:
-                piv = r0
-                break
-        if piv is None:
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Row reduce a copy of rows over the prime field of order p.
+
+    Each pivot row leaves the copy, and the rows left are zero mod p left of
+    the pivot column, so only their tails change. Entries are reduced only
+    where they are read, so an update adds less than p**2 to each.
+    """
+    m = [row[:] for row in rows]
+    for c in range(len(m[0]) if m else 0):
+        i = next((i for i, row in enumerate(m) if row[c] % p), None)
+        if i is None:
             continue
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = m[rank] * inv % p
-        below = m[rank + 1 :, c].copy()
-        if below.any():
-            m[rank + 1 :] = (m[rank + 1 :] - np.outer(below, m[rank])) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        top = m.pop(i)
+        inv = pow(top[c], p - 2, p)
+        tail = [b % p for b in top[c + 1 :]]
+        for row in m:
+            f = row[c] * inv % p
+            if f:
+                row[c + 1 :] = [a - f * b for a, b in zip(row[c + 1 :], tail)]
+    return len(rows) - len(m)
 
 
-def _pair_matrix(p: ParityInstance, i: int, field: int, rng: random.Random) -> np.ndarray:
-    (a1, b1), (a2, b2) = p.pairs[i].edges
+def _skew_matrix(p: ParityInstance, active: list[int], field: int,
+                 rng: random.Random) -> list[list[int]]:
+    """Y = sum of x_i (u_i v_i^T - v_i u_i^T) over the active pairs, unreduced.
+
+    u_i and v_i are the signed incidence vectors of pair i's two edges, and
+    each weight x_i is drawn from [1, field) by rng in pair order.
+    """
     n = p.num_ground
-    u = np.zeros(n, dtype=np.int64)
-    v = np.zeros(n, dtype=np.int64)
-    # signed incidence keeps every product below field, so int64 never wraps
-    u[a1], u[b1] = 1, -1
-    v[a2], v[b2] = 1, -1
-    x = rng.randrange(1, field)
-    return x * (np.outer(u, v) - np.outer(v, u)) % field
+    y = [[0] * n for _ in range(n)]
+    for i in active:
+        (a1, b1), (a2, b2) = p.pairs[i].edges
+        x = rng.randrange(1, field)
+        for r, su in ((a1, x), (b1, -x)):
+            for c, sv in ((a2, su), (b2, -su)):
+                y[r][c] += sv
+                y[c][r] -= sv
+    return y
 
 
 def _rank_estimate(p: ParityInstance, active: list[int], field: int,
-                   rng: random.Random, tries: int) -> int:
+                   rng: random.Random) -> int:
     """Best of several random weightings; rank can only come out low."""
     best = 0
-    for _ in range(tries):
-        y = np.zeros((p.num_ground, p.num_ground), dtype=np.int64)
-        for i in active:
-            y = (y + _pair_matrix(p, i, field, rng)) % field
-        r = _rank_mod_p(y, field)
+    for _ in range(_RESAMPLES):
+        r = _rank_mod_p(_skew_matrix(p, active, field, rng), field)
         if r % 2:
             raise InternalSolverError(f"skew matrix rank {r} is odd")
         best = max(best, r)
@@ -248,24 +247,20 @@ def algebraic_parity_max(p: ParityInstance) -> ParityResult | None:
     reference solver. Field size grows quadratically with the pair count to
     keep the failure probability per rank evaluation below 2**-6 per the
     Schwartz-Zippel bound, and every rank is the best of several resamples.
-    Also returns None when the field is too large for exact int64 row
-    reduction, which multiplies two residues (field**2 >= 2**63).
     """
     npairs = len(p.pairs)
     if npairs == 0:
         return ParityResult(0, frozenset())
     field = _next_prime(max(2 * npairs * npairs * 64, 101))
-    if field * field >= 1 << 63:
-        return None
     rng = random.Random(0)
     for _ in range(_RESAMPLES):
-        nu = _rank_estimate(p, list(range(npairs)), field, rng, _RESAMPLES) // 2
+        nu = _rank_estimate(p, list(range(npairs)), field, rng) // 2
         active = list(range(npairs))
         for i in range(npairs):
             if len(active) == nu:
                 break
             probe = [j for j in active if j != i]
-            if _rank_estimate(p, probe, field, rng, _RESAMPLES) // 2 == nu:
+            if _rank_estimate(p, probe, field, rng) // 2 == nu:
                 active = probe
         if len(active) == nu and _forest_union(p, active):
             return ParityResult(nu, frozenset(active))

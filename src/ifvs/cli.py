@@ -119,6 +119,8 @@ def _dis_instance(text: str, k: int | None) -> DisInstance:
 def _cmd_solve(args) -> int:
     text = _read(args.input)
     if _is_dis_file(text):
+        if args.fvs:
+            raise ParseError("--fvs applies to graph input only")
         res = solve_disjoint(_dis_instance(text, args.k))
         status = "yes" if res.solution is not None else "no"
         stats = {"branch_nodes": res.stats.nodes, "max_mu": res.stats.mu0}

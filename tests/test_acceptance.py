@@ -9,9 +9,9 @@ traces from both feed the branching-vector and leaf-count checks.
 """
 import math
 import random
+import statistics
 import time
 
-import numpy as np
 import pytest
 
 import ifvs.basecase as basecase_mod
@@ -310,7 +310,7 @@ def test_criterion_09_planted_scaling_stays_under_bound(capsys):
         if res.status != "yes":
             slow.append((k, "unsolved"))
         logs.append(math.log(max(res.stats["branch_nodes"], 1)))
-    slope = float(np.polyfit(ks, logs, 1)[0])
+    slope = statistics.linear_regression(ks, logs).slope
     limit = math.log(3.619) + 0.1
     ok = not slow and slope <= limit
     detail = f"k=4..12 at n=60, slope {slope:.3f} vs limit {limit:.3f}, {len(slow)} slow/failed runs"

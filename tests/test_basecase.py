@@ -14,7 +14,8 @@ from ifvs.basecase import (
     solve_base,
     _forest_union,
     _next_prime,
-    _pair_matrix,
+    _rank_mod_p,
+    _skew_matrix,
 )
 from ifvs.generators import base_case_instance
 from ifvs.instance import DisInstance, InternalSolverError
@@ -120,15 +121,17 @@ def test_matroid_parity_never_lies_even_when_algebra_gives_up(monkeypatch):
         assert _forest_union(p, res.kept)
 
 
-def test_oversized_field_falls_back_to_the_reference(monkeypatch):
-    # the field chosen for about 6000 pairs: its products overflow int64
+def test_fields_past_int64_products_stay_on_the_algebraic_route(monkeypatch):
+    # the field chosen for about 6000 pairs: a product of two residues
+    # passes 2**63, which exact integers do not mind
     _force_algebraic_route(monkeypatch)
     monkeypatch.setattr(basecase, "_next_prime", lambda n: 4608000071)
     for seed in range(10):
         p = build_parity(base_case_instance(seed))
         res = matroid_parity_max(p)
-        assert res.used_fallback, seed
+        assert not res.used_fallback, seed
         assert res.nu == brute_parity_max(p), seed
+        assert _forest_union(p, res.kept) and len(res.kept) == res.nu
 
 
 def _refuse(*args, **kwargs):
@@ -167,14 +170,42 @@ def test_large_tent_heavy_instances_run_the_algebraic_route_alone(monkeypatch):
     assert _forest_union(p, res.kept) and len(res.kept) == res.nu
 
 
-def test_pair_matrix_is_exact_at_large_fields():
-    p = ParityInstance(4, [ParityPair(0, ((0, 1), (2, 3)), serial=False)])
-    field = 2048000011  # below the int64 row reduction cap
-    m = _pair_matrix(p, 0, field, random.Random(7))
-    x = random.Random(7).randrange(1, field)
-    u, v = [1, field - 1, 0, 0], [0, 0, 1, field - 1]
-    want = [[x * (u[i] * v[j] - v[i] * u[j]) % field for j in range(4)] for i in range(4)]
-    assert m.tolist() == want
+def test_skew_matrix_is_exact_at_large_fields():
+    p = ParityInstance(4, [
+        ParityPair(0, ((0, 1), (2, 3)), serial=False),
+        ParityPair(1, ((0, 2), (2, 1)), serial=True),
+    ])
+    field = 4608000071  # a product of two residues passes 2**63
+    m = _skew_matrix(p, [0, 1], field, random.Random(7))
+    rng = random.Random(7)
+    want = [[0] * 4 for _ in range(4)]
+    for (a1, b1), (a2, b2) in (pr.edges for pr in p.pairs):
+        x = rng.randrange(1, field)
+        u, v = [0] * 4, [0] * 4
+        u[a1], u[b1] = 1, -1
+        v[a2], v[b2] = 1, -1
+        for i in range(4):
+            for j in range(4):
+                want[i][j] += x * (u[i] * v[j] - v[i] * u[j])
+    assert m == want
+
+
+def test_rank_mod_p_counts_independent_rows_over_the_field():
+    p = 101
+    assert _rank_mod_p([[1, 0, 0], [0, 1, 0], [0, 0, 1]], p) == 3
+    assert _rank_mod_p([[0, 0], [0, 0]], p) == 0
+    assert _rank_mod_p([], p) == 0
+    assert _rank_mod_p([[1, 2, 3], [1, 2, 3], [0, 0, 0]], p) == 1
+    assert _rank_mod_p([[0, 2, 1], [0, 4, 2], [5, 0, 0]], p) == 2
+    # singular mod p, not over the integers
+    assert _rank_mod_p([[p, 0], [0, 1]], p) == 1
+    assert _rank_mod_p([[1, 2], [3, 6 + p]], p) == 1
+    assert _rank_mod_p([[2, 1], [1, (p + 1) // 2]], p) == 1
+    q = 4608000071  # (q - 1)**2 passes 2**63
+    assert _rank_mod_p([[q - 1, 1], [1, q - 1]], q) == 1
+    assert _rank_mod_p([[q - 1, 1], [1, q - 2]], q) == 2
+    rows = [[4, 7], [1, 1]]
+    assert _rank_mod_p(rows, p) == 2 and rows == [[4, 7], [1, 1]]  # input untouched
 
 
 def test_solve_base_matches_oracle_and_respects_budget():

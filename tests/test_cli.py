@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifvs.cli import main
 from ifvs.formats import (
@@ -12,7 +18,7 @@ from ifvs.formats import (
     parse_graph,
     parse_solution,
 )
-from ifvs.generators import gadget_tent_branch
+from ifvs.generators import GADGETS, base_case_instance, gadget_tent_branch, random_multigraph
 from ifvs.instance import InternalSolverError, check_solution
 
 from helpers import complete, cycle
@@ -146,6 +152,20 @@ def test_solve_accepts_external_fvs_file(tmp_path, capsys):
                "--fvs", str(fp), "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["stats"]["fvs_size"] == 2
+
+
+@pytest.mark.parametrize("fvs", ["exists", "missing"])
+def test_solve_rejects_an_fvs_file_on_dis_input(tmp_path, fvs, capsys):
+    p = tmp_path / "base.dis"
+    p.write_text(emit_dis(base_case_instance(3)))
+    fp = tmp_path / "fvs.txt"
+    if fvs == "exists":
+        fp.write_text("1\n")
+    rc = main(["solve", "--input", str(p), "--fvs", str(fp)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: --fvs applies to graph input only" in captured.err
 
 
 def test_oracle_graph_and_dis(c5_file, tmp_path, capsys):
@@ -313,3 +333,89 @@ def test_bench_empty_suite_is_input_error(tmp_path, capsys):
     suite = tmp_path / "empty"
     suite.mkdir()
     assert main(["bench", "--suite", str(suite)]) == 2
+
+
+# -- malformed input fuzzing -------------------------------------------------
+#
+# Every header count in the corpus and in the replacement tokens stays at
+# 12 or below, so the oracle and the solver answer in milliseconds.
+
+_FUZZ_BASE_SEEDS = [
+    s for s in range(200)
+    if len((g := base_case_instance(s, max_pairs=4).graph).vertices) <= 12
+    and g.num_edges <= 12
+]
+_FUZZ_TOKENS = ["-1", "-12", "x", "2.5", "1e3", "p", "W", "R", "k", "e", "0", "1", "12"]
+_FUZZ_LINES = [
+    "e 1 2", "e 1 1", "e 0 1", "W 1", "R 2", "k 1", "k -1", "c note",
+    "p ifvs 3 1", "p disifvs 2 0", "e", "W", "k", "x y z", "{",
+]
+_FUZZ_SOLUTIONS = [
+    "1 2\n", "\n", "3\n",
+    '{"status": "yes", "solution": [1], "size": 1, "stats": {}}\n',
+]
+
+
+@st.composite
+def _fuzz_text(draw, base: str) -> str:
+    lines = base.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["token", "delete", "duplicate", "insert", "shuffle"]))
+        if op == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_FUZZ_LINES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "token":
+            tok = lines[i].split() or [""]
+            tok[draw(st.integers(0, len(tok) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(tok)
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines = draw(st.permutations(lines))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _fuzz_case(draw) -> tuple[str, str]:
+    kind = draw(st.sampled_from(["graph", "base-case", "gadget"]))
+    if kind == "graph":
+        g = random_multigraph(draw(st.integers(0, 10)), draw(st.integers(0, 12)),
+                              draw(st.integers(0, 999)))
+        base = emit_graph(g)
+    elif kind == "base-case":
+        base = emit_dis(base_case_instance(draw(st.sampled_from(_FUZZ_BASE_SEEDS)), max_pairs=4))
+    else:
+        base = emit_dis(GADGETS[draw(st.sampled_from([1, 2, 3]))]()[0])
+    solution = draw(st.sampled_from(_FUZZ_SOLUTIONS))
+    if draw(st.booleans()):
+        solution = draw(_fuzz_text(solution))
+    return draw(_fuzz_text(base)), solution
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_case())
+def test_malformed_files_exit_zero_one_or_two_without_a_traceback(case):
+    text, solution = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "input.txt"
+        sol = Path(tmp) / "solution.txt"
+        inp.write_text(text)
+        sol.write_text(solution)
+        codes = {}
+        for argv in (
+            ["solve", "--input", str(inp), "--k", "2"],
+            ["oracle", "--input", str(inp), "--k", "2"],
+            ["verify", "--input", str(inp), "--solution", str(sol), "--k", "2"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = codes[argv[0]] = main(argv)
+            assert rc in (0, 1, 2), (argv[0], rc, err.getvalue())
+            assert "Traceback" not in err.getvalue(), argv[0]
+            if rc == 2:
+                assert err.getvalue().startswith("error:"), (argv[0], err.getvalue())
+        # both read the same file at the same budget, so they answer alike
+        assert codes["solve"] == codes["oracle"]
