@@ -10,13 +10,15 @@ class MultiGraph:
     Multiplicities are stored exactly. A loop at v is the edge (v, v) and
     contributes 2 to deg(v). Vertex ids come from a monotone counter and are
     never reused after deletion, so ids stay stable for the lifetime of a
-    solver run.
+    solver run. Degrees are cached in _deg and kept up to date by every
+    edit, so deg and low_degree_vertices cost no scan of the adjacency.
     """
 
-    __slots__ = ("_adj", "_next_id")
+    __slots__ = ("_adj", "_deg", "_next_id")
 
     def __init__(self, vertices: Iterable[int] = ()) -> None:
         self._adj: dict[int, dict[int, int]] = {}
+        self._deg: dict[int, int] = {}
         self._next_id = 0
         for v in vertices:
             self.add_vertex(v)
@@ -24,7 +26,9 @@ class MultiGraph:
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, v: int) -> int:
-        self._adj.setdefault(v, {})
+        if v not in self._adj:
+            self._adj[v] = {}
+            self._deg[v] = 0
         if v >= self._next_id:
             self._next_id = v + 1
         return v
@@ -39,17 +43,22 @@ class MultiGraph:
         self.add_vertex(u)
         self.add_vertex(v)
         self._adj[u][v] = self._adj[u].get(v, 0) + mult
+        self._deg[u] += mult
         if u != v:
             self._adj[v][u] = self._adj[v].get(u, 0) + mult
+        self._deg[v] += mult  # a loop adds 2 to deg(u)
 
     def remove_vertex(self, v: int) -> None:
-        for u in self._adj.pop(v):
+        del self._deg[v]
+        for u, m in self._adj.pop(v).items():
             if u != v:
                 del self._adj[u][v]
+                self._deg[u] -= m
 
     def copy(self) -> MultiGraph:
         g = MultiGraph()
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        g._deg = dict(self._deg)
         g._next_id = self._next_id
         return g
 
@@ -68,10 +77,8 @@ class MultiGraph:
     @property
     def num_edges(self) -> int:
         """Total number of edge occurrences, loops counted once each."""
-        total = sum(sum(nbrs.values()) for nbrs in self._adj.values())
-        loops = sum(nbrs.get(v, 0) for v, nbrs in self._adj.items())
-        # each non-loop occurrence was counted from both sides
-        return (total - loops) // 2 + loops
+        # every edge occurrence, a loop included, adds 2 to the degree sum
+        return sum(self._deg.values()) // 2
 
     def multiplicity(self, u: int, v: int) -> int:
         return self._adj.get(u, {}).get(v, 0)
@@ -82,12 +89,11 @@ class MultiGraph:
 
     def deg(self, v: int) -> int:
         """Total incident edge occurrences; a loop contributes 2."""
-        nbrs = self._adj[v]
-        return sum(nbrs.values()) + nbrs.get(v, 0)
+        return self._deg[v]
 
     def low_degree_vertices(self) -> list[int]:
         """Vertices with at most one incident edge occurrence."""
-        return [v for v, nbrs in self._adj.items() if len(nbrs) <= 1 and self.deg(v) <= 1]
+        return [v for v, d in self._deg.items() if d <= 1]
 
     def deg_x(self, v: int, x: Iterable[int]) -> int:
         """Edge occurrences from v into the vertex set x.

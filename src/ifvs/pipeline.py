@@ -2,12 +2,14 @@
 
 Any solution must contain every loop vertex, so the loop vertices are taken
 into the solution first, which restricts their neighbors. An exact FVS Z of
-the remaining graph is computed, and every guess Z' of the solution part
-inside Z is built from that root instance by taking Z' and protecting
-Z minus Z' into the undeletable forest W. A guess is skipped when Z minus Z'
-holds a cycle, or Z' meets a restricted vertex or is not independent. The
-disjoint engine answers each guess exactly, so the first feasible guess
-settles the decision and a full scan settles minimization.
+the remaining graph is computed. Then the vertices of degree at most one
+outside Z are peeled off the root until none is left, once for all guesses.
+Every guess Z' of the solution part inside Z is built from that root
+instance by taking Z' and protecting Z minus Z' into the undeletable
+forest W. A guess is skipped when Z minus Z' holds a cycle, or Z' meets a
+restricted vertex or is not independent. The disjoint engine answers each
+guess exactly, so the first feasible guess settles the decision and a full
+scan settles minimization.
 """
 from __future__ import annotations
 
@@ -129,6 +131,12 @@ def solve_ifvs(
             # any independent solution is also an FVS, so the minimum FVS
             # size is a lower bound; an oversized override proves nothing
             return SolveResult("no", None, k, _stats(len(z), []))
+    # a vertex of degree <= 1 lies on no cycle, and each guess's root
+    # fixpoint would delete it by rule 1 before any other rule fires; Z is
+    # spared, so its guesses and their skip tests stay as they are
+    while peel := [v for v in h.low_degree_vertices() if v not in z]:
+        for v in peel:
+            root.delete_vertex(v)
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)) + 1)

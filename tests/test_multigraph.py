@@ -130,3 +130,43 @@ def test_attach_to_earlier_always_builds_a_forest(n, seed):
         a, b = sorted(comp)[:2]
         g.add_edge(a, b)
         assert not g.is_forest(g.vertices)
+
+
+_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("vertex"), st.integers(0, 7)),
+        st.tuples(st.just("edge"), st.integers(0, 7), st.integers(0, 7), st.integers(1, 3)),
+        st.tuples(st.just("remove"), st.integers(0, 7)),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=40,
+)
+
+
+def _assert_degrees_match_adjacency(g: MultiGraph) -> None:
+    degs = {
+        v: sum(g.multiplicity(v, u) for u in g.neighbors(v)) + 2 * g.multiplicity(v, v)
+        for v in g.vertices
+    }
+    assert {v: g.deg(v) for v in g.vertices} == degs
+    assert sorted(g.low_degree_vertices()) == sorted(v for v, d in degs.items() if d <= 1)
+    assert g.num_edges == sum(m for _u, _v, m in g.edge_items())
+
+
+@given(_EDITS)
+def test_cached_degrees_follow_every_edit(edits):
+    g = MultiGraph()
+    originals = []  # (graph, its degrees) at each copy; the copy is edited on
+    for op, *args in edits:
+        if op == "vertex":
+            g.add_vertex(*args)
+        elif op == "edge":
+            g.add_edge(*args)
+        elif op == "remove" and args[0] in g:
+            g.remove_vertex(*args)
+        elif op == "copy":
+            originals.append((g, {v: g.deg(v) for v in g.vertices}))
+            g = g.copy()
+        _assert_degrees_match_adjacency(g)
+        for orig, degs in originals:
+            assert {v: orig.deg(v) for v in orig.vertices} == degs

@@ -1,10 +1,13 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifvs.branching import fib
+from ifvs.fvs import min_fvs
 from ifvs.generators import planted_ifvs, random_multigraph
 from ifvs.instance import check_solution
 from ifvs.multigraph import MultiGraph
@@ -108,6 +111,58 @@ def test_guesses_that_cannot_be_built_are_skipped():
     assert status[(2, 3)] == "skipped"  # 2 and 3 are adjacent
     assert status[()] == "skipped"  # Z minus Z' is the triangle
     assert status[(2,)] == "yes" and res.solution == {0, 2}
+
+
+def _with_pendants(g: MultiGraph, seed: int) -> tuple[MultiGraph, int]:
+    """g plus 1-8 pendant vertices on fresh ids, and the last one added.
+
+    A pendant may hang off an earlier one, so whole trees grow on g.
+    """
+    rng = random.Random(seed)
+    h = g.copy()
+    for _ in range(rng.randint(1, 8)):
+        t = h.new_vertex()
+        h.add_edge(rng.choice(sorted(h.vertices - {t})), t)
+    return h, t
+
+
+def _pendant_case(seed: int) -> tuple[MultiGraph, MultiGraph, int, set[int]]:
+    n = 10 + seed % 20
+    g = random_multigraph(n, int(1.4 * n), seed, loops=seed % 3 == 0, multi=seed % 2 == 0)
+    h, t = _with_pendants(g, seed)
+    return g, h, t, min_fvs(g)
+
+
+def test_pendant_trees_change_no_answer_and_no_trace():
+    # the root is peeled before any guess, so trees hung on g leave every
+    # guess, down to its reduction events, exactly as on g
+    for seed in range(100):
+        g, h, _, z = _pendant_case(seed)
+        for k in (2, 4, len(g)):
+            for minimize in (False, True):
+                res_g = solve_ifvs(g, k, minimize, fvs_override=z, keep_traces=True)
+                res_h = solve_ifvs(h, k, minimize, fvs_override=z, keep_traces=True)
+                assert res_h == res_g, (seed, k, minimize)
+
+
+def test_peeling_spares_a_pendant_vertex_of_z():
+    # loop-free seeds only, so that no member of Z is taken as a loop vertex
+    for seed in (s for s in range(30) if s % 3):
+        _, h, t, z = _pendant_case(seed)
+        assert h.deg(t) == 1
+        zt = sorted(z | {t})
+        for k in (2, 4):
+            for minimize in (False, True):
+                res = solve_ifvs(h, k, minimize, fvs_override=z)
+                res_t = solve_ifvs(h, k, minimize, fvs_override=set(zt))
+                assert res_t.stats["fvs_size"] == len(zt)
+                assert res_t.status == res.status
+                if minimize:
+                    sizes = range(min(k, len(zt)) + 1)
+                    subsets = [c for i in sizes for c in combinations(zt, i)]
+                    assert [rec.z_prime for rec in res_t.guesses] == subsets
+                    if res.solution is not None:
+                        assert len(res_t.solution) == len(res.solution)
 
 
 def test_threads_other_than_one_are_rejected():
