@@ -93,6 +93,13 @@ def build_parity(inst: DisInstance) -> ParityInstance:
     return ParityInstance(next_node, pairs)
 
 
+def _find(parent: list[int], a: int) -> int:
+    """Root of a in a union-find parent list; halves the path on the way."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
+
+
 class _UnionFind:
     __slots__ = ("parent",)
 
@@ -100,11 +107,7 @@ class _UnionFind:
         self.parent = list(range(n))
 
     def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
+        return _find(self.parent, a)
 
     def union(self, a: int, b: int) -> bool:
         """Merge; False when a and b already share a tree (cycle)."""
@@ -126,28 +129,45 @@ def _forest_union(p: ParityInstance, kept: list[int] | frozenset[int]) -> _Union
 
 
 def reference_parity_max(p: ParityInstance) -> ParityResult:
-    """Exact maximum by branching on tent pairs, greedy on serial pairs.
+    """Exact maximum by depth-first search on tent pairs, greedy on serials.
 
     A serial pair is a single connection between two ground nodes, so once
     the tent pairs are fixed the serial pairs form a plain graphic matroid
-    and greedy completion is optimal. Runtime is exponential only in the
-    number of tent pairs.
+    and greedy completion is optimal. The search decides the highest tent
+    first, keep before drop, so its leaves come in descending bitmask order
+    (the algebraic witness recovery drops the lowest pairs first, so both
+    routes lean to the same witness). It cuts the keep subtree of a tent
+    that closes a cycle, and every node whose kept, undecided and serial
+    pairs cannot beat the best leaf; a tie never replaces the best leaf, so
+    the witness is the first maximum in that order. Runtime is exponential
+    only in the number of tent pairs.
     """
     tent_idx = [i for i, pr in enumerate(p.pairs) if not pr.serial]
-    serial_idx = [i for i, pr in enumerate(p.pairs) if pr.serial]
+    serials = [(i, pr.edges[0][0], pr.edges[1][1])
+               for i, pr in reversed(list(enumerate(p.pairs))) if pr.serial]
     best_nu = -1
     best_kept: list[int] = []
-    # highest indices first: the algebraic witness recovery drops the lowest
-    # ones first, so both routes lean to the same witness
-    for mask in range((1 << len(tent_idx)) - 1, -1, -1):
-        kept = [tent_idx[j] for j in range(len(tent_idx)) if mask >> j & 1]
-        uf = _forest_union(p, kept)
-        if uf is None:
+    # each node is (tents left, union-find parents, kept pairs); a drop child
+    # shares its parent's lists, which no other pending node reads
+    stack = [(len(tent_idx), list(range(p.num_ground)), [])]
+    while stack:
+        left, parent, kept = stack.pop()
+        if len(kept) + left + len(serials) <= best_nu:
             continue
-        for i in reversed(serial_idx):
-            (a, _), (_, b) = p.pairs[i].edges
-            if uf.find(a) != uf.find(b):
-                uf.union(a, b)
+        if left:
+            i = tent_idx[left - 1]
+            stack.append((left - 1, parent, kept))
+            (a, b), (_, c) = p.pairs[i].edges
+            ra, rb, rc = _find(parent, a), _find(parent, b), _find(parent, c)
+            if rb != ra and rb != rc and ra != rc:
+                child = parent[:]
+                child[ra] = child[rc] = rb
+                stack.append((left - 1, child, kept + [i]))
+            continue
+        for i, a, b in serials:
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[ra] = rb
                 kept.append(i)
         if len(kept) > best_nu:
             best_nu = len(kept)

@@ -6,6 +6,7 @@ from ifvs import basecase
 from ifvs.basecase import (
     ParityInstance,
     ParityPair,
+    ParityResult,
     algebraic_parity_max,
     brute_parity_max,
     build_parity,
@@ -94,6 +95,86 @@ def test_reference_equals_brute_on_generated_instances():
         assert reference_parity_max(p).nu == brute_parity_max(p), seed
 
 
+def _mask_loop_parity_max(p: ParityInstance) -> ParityResult:
+    """Reference: the earlier reference_parity_max, which ran every tent mask
+    from scratch, highest mask first, each with a fresh union-find and a
+    fresh greedy pass over the serial pairs."""
+    tent_idx = [i for i, pr in enumerate(p.pairs) if not pr.serial]
+    serial_idx = [i for i, pr in enumerate(p.pairs) if pr.serial]
+    best_nu = -1
+    best_kept: list[int] = []
+    for mask in range((1 << len(tent_idx)) - 1, -1, -1):
+        kept = [tent_idx[j] for j in range(len(tent_idx)) if mask >> j & 1]
+        uf = _forest_union(p, kept)
+        if uf is None:
+            continue
+        for i in reversed(serial_idx):
+            (a, _), (_, b) = p.pairs[i].edges
+            if uf.find(a) != uf.find(b):
+                uf.union(a, b)
+                kept.append(i)
+        if len(kept) > best_nu:
+            best_nu = len(kept)
+            best_kept = kept
+    return ParityResult(best_nu, frozenset(best_kept))
+
+
+def _spread_leaf(seed: int, npairs: int, tent_share: float) -> ParityInstance:
+    """Parity leaf with one ground node per pair (at least three): each pair
+    is a tent with probability tent_share, and links distinct ground nodes,
+    as build_parity encodes the parity-batch base cases."""
+    rng = random.Random(seed)
+    ncomp = max(3, npairs)
+    pairs = []
+    nxt = ncomp
+    for i in range(npairs):
+        chosen = sorted(rng.sample(range(ncomp), 3 if rng.random() < tent_share else 2))
+        if len(chosen) == 3:
+            c1, c2, c3 = chosen
+            pairs.append(ParityPair(i, ((c1, c2), (c2, c3)), serial=False))
+        else:
+            c1, c2 = chosen
+            pairs.append(ParityPair(i, ((c1, nxt), (nxt, c2)), serial=True))
+            nxt += 1
+    return ParityInstance(nxt, pairs)
+
+
+def _fourteen_tent_leaf() -> ParityInstance:
+    # 14 tents and 7 nice pairs: past both reference caps
+    rng = random.Random(3)
+    pairs = []
+    for i in range(14):
+        c1, c2, c3 = sorted(rng.sample(range(16), 3))
+        pairs.append(ParityPair(i, ((c1, c2), (c2, c3)), serial=False))
+    for i in range(14, 21):
+        c1, c2 = sorted(rng.sample(range(16), 2))
+        pairs.append(ParityPair(i, ((c1, 2 + i), (2 + i, c2)), serial=True))
+    return ParityInstance(23, pairs)
+
+
+def test_reference_search_returns_the_mask_loop_witness():
+    # same nu and the same kept set, so every witness downstream is unchanged
+    leaves = [build_parity(base_case_instance(seed)) for seed in range(200)]
+    leaves += [_spread_leaf(4 * n + j, n, share)
+               for n in range(19) for j, share in enumerate((0, 0.25, 0.6, 1.0))]
+    leaves.append(_fourteen_tent_leaf())
+    for n, p in enumerate(leaves):
+        assert reference_parity_max(p) == _mask_loop_parity_max(p), n
+
+
+@pytest.mark.parametrize(
+    "seed,tent_share,tents", [(0, 1.0, 20), (1, 1.0, 20), (1, 0.7, 14), (9, 0.7, 14)]
+)
+def test_tent_heavy_leaves_match_the_algebraic_route(seed, tent_share, tents):
+    # 20 pairs with 14 or 20 tents, where the mask loop took seconds
+    p = _spread_leaf(seed, 20, tent_share)
+    assert sum(not q.serial for q in p.pairs) == tents
+    ref = reference_parity_max(p)
+    alg = algebraic_parity_max(p)
+    assert alg is not None and ref.nu == alg.nu
+    assert _forest_union(p, ref.kept) and len(ref.kept) == ref.nu
+
+
 def test_algebraic_equals_reference_and_verifies():
     for seed in range(80):
         p = build_parity(base_case_instance(seed))
@@ -149,17 +230,7 @@ def test_small_instances_run_the_reference_route_alone(monkeypatch):
 
 
 def test_large_tent_heavy_instances_run_the_algebraic_route_alone(monkeypatch):
-    # 14 tents and 7 nice pairs: past both reference caps, yet 2**14 tent
-    # masks keep the reference answer cheap enough to compare against
-    rng = random.Random(3)
-    pairs = []
-    for i in range(14):
-        c1, c2, c3 = sorted(rng.sample(range(16), 3))
-        pairs.append(ParityPair(i, ((c1, c2), (c2, c3)), serial=False))
-    for i in range(14, 21):
-        c1, c2 = sorted(rng.sample(range(16), 2))
-        pairs.append(ParityPair(i, ((c1, 2 + i), (2 + i, c2)), serial=True))
-    p = ParityInstance(23, pairs)
+    p = _fourteen_tent_leaf()
     assert len(p.pairs) > basecase.REFERENCE_MAX_PAIRS
     assert sum(not q.serial for q in p.pairs) > basecase.REFERENCE_MAX_TENTS
     want = reference_parity_max(p).nu
