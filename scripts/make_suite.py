@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ifvs.formats import emit_graph
 from ifvs.generators import planted_ifvs, random_multigraph
-from ifvs.oracle import brute_min_fvs, oracle_min_ifvs
+from ifvs.oracle import ORACLE_MAX_N, brute_min_fvs, oracle_min_ifvs
 from ifvs.pipeline import subdivide_once
 
 # about a third of the random graphs at m = 2n have an independent FVS;
@@ -46,6 +46,13 @@ def main(argv=None) -> int:
     ap.add_argument("--planted-n", type=int, default=40)
     ap.add_argument("--planted-k", type=int, default=5)
     args = ap.parse_args(argv)
+    if min(args.random, args.planted, args.subdivided) < 0:
+        ap.error("--random, --planted and --subdivided count files and must be nonnegative")
+    if not 0 <= args.n <= ORACLE_MAX_N:
+        ap.error(f"need 0 <= --n <= {ORACLE_MAX_N}: brute-force enumeration sets the budgets")
+    if args.planted_k < 0 or args.planted_n < max(1, 3 * args.planted_k):
+        ap.error("need --planted-n >= 3 * --planted-k >= 0 and --planted-n >= 1"
+                 " for disjoint planted triangles")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -60,36 +60,33 @@ class ParityResult:
 def build_parity(inst: DisInstance) -> ParityInstance:
     """Encode a base-case instance as parity pairs.
 
-    The W-components come from measure(inst). With R empty and no
-    F-neighbors, a vertex is nice when it has two edges into W and a tent
-    when it has three, so its own target count tells the two apart.
+    The W-components and settled vertices come from measure(inst), and every
+    vertex of F must be settled, else the leaf is no base case. A settled
+    vertex is in F minus R with all of its neighbors in W, and its two
+    (nice) or three (tent) edges into W tell the two kinds apart.
     """
-    if inst.r:
-        raise InternalSolverError("base case encoding with nonempty R")
     m = measure(inst)
+    unsettled = inst.f - m.settled.keys()
+    if unsettled:
+        raise InternalSolverError(
+            f"base case reached with non-settled vertices {sorted(unsettled)}"
+        )
+    g = inst.graph
     next_node = m.rho
     pairs = []
     for v in sorted(inst.f):
-        targets = []
-        for u in sorted(inst.graph.neighbors(v)):
-            if u not in inst.w:
-                raise InternalSolverError(f"base case vertex {v} has F-neighbor {u}")
-            targets.extend([m.comp_of[u]] * inst.graph.multiplicity(v, u))
+        targets = sorted(m.comp_of[u] for u in g.neighbors(v) for _ in range(g.multiplicity(v, u)))
         if len(set(targets)) != len(targets):
             raise InternalSolverError(
                 f"base case vertex {v} double-links a W-component"
             )
-        targets.sort()
         if len(targets) == 2:
             c1, c2 = targets
-            mid = next_node
+            pairs.append(ParityPair(v, ((c1, next_node), (next_node, c2)), serial=True))
             next_node += 1
-            pairs.append(ParityPair(v, ((c1, mid), (mid, c2)), serial=True))
-        elif len(targets) == 3:
+        else:
             c1, c2, c3 = targets
             pairs.append(ParityPair(v, ((c1, c2), (c2, c3)), serial=False))
-        else:
-            raise InternalSolverError(f"vertex {v} is neither nice nor a tent")
     return ParityInstance(next_node, pairs)
 
 
@@ -100,32 +97,16 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        return _find(self.parent, a)
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge; False when a and b already share a tree (cycle)."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _forest_union(p: ParityInstance, kept: list[int] | frozenset[int]) -> _UnionFind | None:
-    """Union-find over the kept pairs' edges, None when they close a cycle."""
-    uf = _UnionFind(p.num_ground)
+def _forest_union(p: ParityInstance, kept: list[int] | frozenset[int]) -> list[int] | None:
+    """Union-find parents of the kept pairs' edges, None when they close a cycle."""
+    parent = list(range(p.num_ground))
     for i in kept:
         for a, b in p.pairs[i].edges:
-            if not uf.union(a, b):
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra == rb:
                 return None
-    return uf
+            parent[ra] = rb
+    return parent
 
 
 def reference_parity_max(p: ParityInstance) -> ParityResult:
@@ -182,7 +163,7 @@ def brute_parity_max(p: ParityInstance) -> int:
     best = 0
     for mask in range(1 << len(p.pairs)):
         kept = [i for i in range(len(p.pairs)) if mask >> i & 1]
-        if len(kept) > best and _forest_union(p, kept):
+        if len(kept) > best and _forest_union(p, kept) is not None:
             best = len(kept)
     return best
 
@@ -282,7 +263,7 @@ def algebraic_parity_max(p: ParityInstance) -> ParityResult | None:
             probe = [j for j in active if j != i]
             if _rank_estimate(p, probe, field, rng) // 2 == nu:
                 active = probe
-        if len(active) == nu and _forest_union(p, active):
+        if len(active) == nu and _forest_union(p, active) is not None:
             return ParityResult(nu, frozenset(active))
     return None
 

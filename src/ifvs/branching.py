@@ -118,21 +118,22 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
     node fixpoint; the engine hard-checks the drop guarantees and raises
     InternalSolverError on any accounting violation.
 
-    inst is left as it was. The search clones it once, then each node
-    reduces its own instance in place and clones it for its delete child;
-    the to-W child, built once the delete subtree is done, reuses it.
+    inst is left as it was, its taken included. The search clones it once,
+    with an empty taken, so a solution holds vertices of inst's graph only.
+    Each node reduces its own instance in place and clones it for its
+    delete child; the to-W child, built once the delete subtree is done,
+    reuses it. A solved leaf answers with its instance's taken, every
+    vertex taken on its path from the root, plus its base-case deletions.
     """
     root_budget = [None]
 
-    def recurse(node_inst: DisInstance, depth: int) -> tuple[set[int] | None, BranchNode]:
-        red = reduce_to_fixpoint(node_inst)
+    def recurse(cur: DisInstance, depth: int) -> tuple[set[int] | None, BranchNode]:
+        red = reduce_to_fixpoint(cur)
         if red.rejected:
             return None, BranchNode(
                 "reject", reductions=red.events, answer="no",
             )
-        cur = red.instance
-        m = measure(cur)
-        mu = m.mu
+        mu = measure(cur).mu
         if root_budget[0] is None:
             root_budget[0] = mu
         elif depth > root_budget[0] + 1:
@@ -141,11 +142,6 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
             )
         pivot = select_pivot(cur)
         if pivot is None:
-            unsettled = cur.f - m.settled.keys()
-            if unsettled:
-                raise InternalSolverError(
-                    f"base case reached with non-settled vertices {sorted(unsettled)}"
-                )
             base = solve_base(cur)
             node = BranchNode(
                 "base", mu=mu, reductions=red.events,
@@ -153,13 +149,11 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
             )
             if base is None:
                 return None, node
-            return red.forced | base, node
+            return cur.taken | base, node
 
         child = cur.clone()
         child.take(pivot.vertex)
         del_sol, del_node = recurse(child, depth + 1)
-        if del_sol is not None:
-            del_sol = del_sol | {pivot.vertex}
         cur.protect(pivot.vertex)
         w_sol, w_node = recurse(cur, depth + 1)
 
@@ -183,12 +177,11 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
             children=[("delete", del_node), ("to_w", w_node)],
             reductions=red.events,
         )
-        best = _better(del_sol, w_sol)
-        if best is None:
-            return None, node
-        return red.forced | best, node
+        return _better(del_sol, w_sol), node
 
-    solution, root = recurse(inst.clone(), 1)
+    start = inst.clone()
+    start.taken.clear()
+    solution, root = recurse(start, 1)
     nodes = list(root.walk())
     stats = DisjointStats(len(nodes), sum(node.kind == "base" for node in nodes), root.mu)
     return DisjointResult(solution, root, stats)

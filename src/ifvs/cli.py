@@ -217,15 +217,20 @@ def _cmd_bench(args) -> int:
         ]
     )
     for path in suite:
-        text = path.read_text()
-        g = parse_graph(text)
-        from_comment = graph_comment_value(text, "k")
-        if from_comment is not None:
-            k = int(from_comment)
-        elif args.k is not None:
-            k = args.k
-        else:
-            raise ParseError(f"{path.name}: no 'c k' comment and no --k")
+        try:
+            text = path.read_text()
+            g = parse_graph(text)
+            from_comment = graph_comment_value(text, "k")
+            if from_comment is not None:
+                k = int(from_comment)
+            elif args.k is not None:
+                k = args.k
+            else:
+                raise ParseError("no 'c k' comment and no --k")
+            if k < 0:
+                raise ParseError("budget must be nonnegative")
+        except ValueError as exc:  # a ParseError, a bad 'c k' or undecodable bytes
+            raise ParseError(f"{path.name}: {exc}") from exc
         t0 = time.perf_counter()
         res = solve_ifvs(g, k, minimize=args.minimize)
         dt = (time.perf_counter() - t0) * 1000.0

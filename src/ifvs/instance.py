@@ -67,7 +67,8 @@ class DisInstance:
 
     A vertex leaves F in one of two ways, take (into the solution) or
     protect (into W); every rule, branch child and compression guess uses
-    these two.
+    these two. take records each vertex it puts into the solution in
+    taken, which a new instance starts empty and a clone copies.
 
     last is the Measure that measure returned when the instance was last
     measured, and touched collects every vertex whose facts a move changed
@@ -79,7 +80,7 @@ class DisInstance:
     measure.
     """
 
-    __slots__ = ("graph", "w", "r", "k", "touched", "last")
+    __slots__ = ("graph", "w", "r", "k", "taken", "touched", "last")
 
     def __init__(
         self,
@@ -93,6 +94,7 @@ class DisInstance:
         self.w = set(w)
         self.r = set(r)
         self.k = k
+        self.taken: set[int] = set()
         self.touched: set[int] = graph.vertices  # a fresh set
         self.last = Measure(0, 0, 0, 0)
         if validate:
@@ -106,6 +108,7 @@ class DisInstance:
         inst.w = set(self.w)
         inst.r = set(self.r)
         inst.k = self.k
+        inst.taken = set(self.taken)
         inst.touched = set(self.touched)
         inst.last = self.last
         return inst
@@ -126,13 +129,14 @@ class DisInstance:
         self.r.discard(v)
 
     def take(self, v: int) -> None:
-        """Put v into the solution: delete it and pay one unit of budget.
+        """Put v into the solution: delete it, add it to taken, pay one unit of budget.
 
         Its neighbors outside W become restricted, so the solution stays
         independent. The caller makes sure v itself is not restricted.
         """
         self.restrict(self.graph.neighbors(v) - self.w)
         self.delete_vertex(v)
+        self.taken.add(v)
         self.k -= 1
 
     def restrict(self, vs: set[int]) -> None:

@@ -112,8 +112,7 @@ def solve_ifvs(
         raise ValueError("guesses run on one thread; threads must be 1")
     root = DisInstance(g.copy(), set(), set(), k, validate=False)
     h = root.graph
-    forced = {v for v in h.vertices if h.multiplicity(v, v) > 0}
-    for v in sorted(forced):
+    for v in sorted(v for v in h.vertices if h.multiplicity(v, v) > 0):
         if v in root.r or root.k == 0:
             # two loop vertices are adjacent, or there are more than k
             return SolveResult("no", None, k, _stats(None, []))
@@ -147,7 +146,7 @@ def solve_ifvs(
         records.append(rec)
         if rec.status != "yes":
             continue
-        best = _better(best, forced | set(z_prime) | rec.solution)
+        best = _better(best, root.taken | set(z_prime) | rec.solution)
         if not minimize:
             break  # decision mode stops at the first hit
 

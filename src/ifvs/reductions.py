@@ -5,24 +5,26 @@ inside a rule is deterministic (smallest vertex id, or lexicographically
 smallest pair), so a fixpoint run is reproducible. reduce_to_fixpoint
 reduces the instance it is given in place, through DisInstance moves that
 record the vertices they touch, so each measure the fixpoint takes updates
-the instance's last one at those vertices; apply_rule runs a single
-rule on a clone for callers that need the input kept. Rules never grow the
-measure when observed fixpoint to fixpoint; rule 6 may raise it
-transiently because moving an isolated restricted vertex into W adds a
-W-component before later rules cash in the offset.
+the instance's last one at those vertices. Rule 5 takes its vertex into
+the solution, which the instance records, so a fixpoint returns only its
+events and verdict. apply_rule runs a single rule on a clone for callers
+that need the input kept. Rules never grow the measure when observed
+fixpoint to fixpoint; rule 6 may raise it transiently because moving an
+isolated restricted vertex into W adds a W-component before later rules
+cash in the offset.
 
 Rule catalogue, by what each one does:
   1  delete any vertex with at most one incident edge occurrence
   2  bypass one of two adjacent degree-2 vertices outside W
   3  reject when the budget or the measure went negative
   4  reject when a restricted vertex double-links one W-component
-  5  force a deletable vertex that double-links one W-component
+  5  take a deletable vertex that double-links one W-component
   6  promote a restricted vertex with generalized degree or tent degree
   7  restrict all degree-2 free neighbors of a free vertex
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import DisInstance, InternalSolverError, Measure, _classify, measure
 
@@ -44,7 +46,6 @@ class ReductionOutcome:
     status: str  # "reduced" | "reject" | "unchanged"
     instance: DisInstance | None
     rule_id: int
-    forced: frozenset[int] = frozenset()
     pivot: int | None = None
     mu_before: int | None = None
     mu_after: int | None = None
@@ -52,13 +53,10 @@ class ReductionOutcome:
 
 @dataclass
 class FixpointResult:
-    instance: DisInstance | None  # None means the instance was rejected
-    forced: set[int]
-    events: list[ReductionEvent] = field(default_factory=list)
+    """Events and verdict of a fixpoint; the reduced instance is its input."""
 
-    @property
-    def rejected(self) -> bool:
-        return self.instance is None
+    events: list[ReductionEvent]
+    rejected: bool
 
 
 def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
@@ -80,7 +78,7 @@ def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
 # nothing, one m serves every rule tried in a step. Rule 3 reads m.mu and
 # rules 4 and 5 read m.comp_of; rule 6 classifies R itself.
 
-Fired = tuple[str, int | None, frozenset[int]]  # (status, pivot, forced)
+Fired = tuple[str, int | None]  # (status, pivot)
 
 
 def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
@@ -88,7 +86,7 @@ def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
     if v is None:
         return None
     inst.delete_vertex(v)
-    return "reduced", v, frozenset()
+    return "reduced", v
 
 
 def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
@@ -115,19 +113,19 @@ def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
     g.add_edge(keep, other)
     if other not in inst.w and g.multiplicity(keep, other) >= 2:
         raise InternalSolverError("bypass created a parallel edge inside F")
-    return "reduced", drop, frozenset()
+    return "reduced", drop
 
 
 def _rule3(inst: DisInstance, m: Measure) -> Fired | None:
     if inst.k < 0 or m.mu < 0:
-        return "reject", None, frozenset()
+        return "reject", None
     return None
 
 
 def _rule4(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.r):
         if _double_link(inst, v, m.comp_of):
-            return "reject", v, frozenset()
+            return "reject", v
     return None
 
 
@@ -135,7 +133,7 @@ def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.f_free):
         if _double_link(inst, v, m.comp_of):
             inst.take(v)
-            return "reduced", v, frozenset({v})
+            return "reduced", v
     return None
 
 
@@ -147,7 +145,7 @@ def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
             # rule 4 fires first on a double link, so the move merges
             # distinct W-components and cannot close a cycle inside W
             inst.protect(v)
-            return "reduced", v, frozenset()
+            return "reduced", v
     return None
 
 
@@ -158,7 +156,7 @@ def _rule7(inst: DisInstance, m: Measure) -> Fired | None:
         nbrs = g.neighbors(v) - blocked
         if nbrs and all(g.deg(u) == 2 for u in nbrs):
             inst.restrict(nbrs)
-            return "reduced", v, frozenset()
+            return "reduced", v
     return None
 
 
@@ -187,26 +185,25 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
     fired = _RULES[rule_id](out, m0)
     if fired is None:
         return ReductionOutcome("unchanged", inst, rule_id)
-    status, pivot, forced = fired
+    status, pivot = fired
     if status == "reject":
-        return ReductionOutcome(status, None, rule_id, forced, pivot, m0.mu, m0.mu)
-    return ReductionOutcome(status, out, rule_id, forced, pivot, m0.mu, measure(out).mu)
+        return ReductionOutcome(status, None, rule_id, pivot, m0.mu, m0.mu)
+    return ReductionOutcome(status, out, rule_id, pivot, m0.mu, measure(out).mu)
 
 
 def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
     """Apply the lowest-numbered applicable rule until none fires.
 
     Reduces inst in place: the caller gives it up, and clones first to keep
-    it. Returns inst as the reduced instance (None on a rejection), the
-    vertices forced into the solution by rule 5, and the ordered event
-    trace. On a rejection the trace still carries everything up to and
-    including the rejecting event. inst continues from its last measure and
-    is measured once on entry and once after each firing; that one value is
-    the event's mu_after, the next event's mu_before and what every rule of
-    the next step reads. The reduced instance keeps its final measure, so
-    measure returns it without work.
+    it; the vertices rule 5 takes land in inst.taken. Returns the ordered
+    event trace and whether a rule rejected; on a rejection the trace still
+    carries everything up to and including the rejecting event. inst
+    continues from its last measure and is measured once on entry and once
+    after each firing; that one value is the event's mu_after, the next
+    event's mu_before and what every rule of the next step reads. The
+    reduced instance keeps its final measure, so measure returns it without
+    work.
     """
-    forced: set[int] = set()
     events: list[ReductionEvent] = []
     m = measure(inst)
     while True:
@@ -215,12 +212,11 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
             if fired is not None:
                 break
         else:
-            return FixpointResult(inst, forced, events)
-        status, pivot, rule_forced = fired
+            return FixpointResult(events, False)
+        status, pivot = fired
         if status == "reject":
             events.append(ReductionEvent(rule_id, pivot, m.mu, m.mu))
-            return FixpointResult(None, forced, events)
+            return FixpointResult(events, True)
         m_after = measure(inst)
         events.append(ReductionEvent(rule_id, pivot, m.mu, m_after.mu))
-        forced |= rule_forced
         m = m_after

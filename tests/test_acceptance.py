@@ -152,7 +152,7 @@ def dis_sweep():
             red = reduce_to_fixpoint(inst)
             if red.rejected:
                 agg["fixpoint_rejections"].append(seed)
-            elif measure(red.instance).mu < 0:
+            elif measure(inst).mu < 0:
                 agg["fixpoint_mu_negative"].append(seed)
     return agg
 
@@ -224,12 +224,13 @@ def test_criterion_06_rules_preserve_answers_and_measure(capsys):
             after = oracle_disjoint(out.instance)
             if (before is None) != (after is None):
                 bad.append(("feasibility-flip", rule, seed))
-            elif before is not None and len(before) != len(after) + len(out.forced):
+            elif before is not None and len(before) != len(after) + len(out.instance.taken):
                 bad.append(("size-drift", rule, seed))
             # the fixpoint reduces its argument, so it gets a clone and inst
             # keeps the measure it started from
-            red = reduce_to_fixpoint(inst.clone())
-            if red.instance is not None and measure(red.instance).mu > measure(inst).mu:
+            reduced = inst.clone()
+            red = reduce_to_fixpoint(reduced)
+            if not red.rejected and measure(reduced).mu > measure(inst).mu:
                 bad.append(("measure-up", rule, seed))
     detail = f"7 rules x 1000 sites, {applications} applications, {len(bad)} violations"
     _report(6, not bad, detail, capsys)

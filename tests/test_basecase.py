@@ -13,6 +13,7 @@ from ifvs.basecase import (
     matroid_parity_max,
     reference_parity_max,
     solve_base,
+    _find,
     _forest_union,
     _next_prime,
     _rank_mod_p,
@@ -105,13 +106,14 @@ def _mask_loop_parity_max(p: ParityInstance) -> ParityResult:
     best_kept: list[int] = []
     for mask in range((1 << len(tent_idx)) - 1, -1, -1):
         kept = [tent_idx[j] for j in range(len(tent_idx)) if mask >> j & 1]
-        uf = _forest_union(p, kept)
-        if uf is None:
+        parent = _forest_union(p, kept)
+        if parent is None:
             continue
         for i in reversed(serial_idx):
             (a, _), (_, b) = p.pairs[i].edges
-            if uf.find(a) != uf.find(b):
-                uf.union(a, b)
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[ra] = rb
                 kept.append(i)
         if len(kept) > best_nu:
             best_nu = len(kept)

@@ -107,8 +107,8 @@ def test_gadget_children_drop_measure_at_fixpoint():
     for name, move in (("delete", DisInstance.take), ("to_w", DisInstance.protect)):
         child = inst.clone()
         move(child, site)
-        red = reduce_to_fixpoint(child)
-        drops[name] = mu - measure(red.instance).mu
+        reduce_to_fixpoint(child)
+        drops[name] = mu - measure(child).mu
     assert drops["delete"] >= 2
     assert drops["to_w"] >= 1
 
@@ -228,6 +228,24 @@ def _pipeline_guesses(g: MultiGraph, k: int):
         for v in sorted(w):
             inst.protect(v)
         yield inst
+
+
+def test_engine_keeps_the_input_ledger_and_answers_outside_it():
+    # a guess has taken Z' before the engine runs; the engine starts its own
+    # clone with an empty ledger, so the input's ledger stays as it was and
+    # the answer holds only vertices of the guess's graph
+    checked = 0
+    for seed in range(10):
+        g = random_multigraph(16, 27, seed, loops=False, multi=False)
+        for inst in _pipeline_guesses(g, len(min_fvs(g)) + 1):
+            taken = set(inst.taken)
+            res = solve_disjoint(inst)
+            assert inst.taken == taken
+            if res.feasible and taken:
+                assert res.solution <= inst.graph.vertices
+                assert res.solution.isdisjoint(taken)
+                checked += 1
+    assert checked >= 10
 
 
 @pytest.fixture(scope="module")

@@ -329,6 +329,23 @@ def test_bench_budget_fallback_flag(tmp_path, capsys):
     assert rows[1][3] == "1" and rows[1][-1] == "yes"
 
 
+@pytest.mark.parametrize("content, detail", [
+    (b"hello\n", "line 1: header must come first"),
+    (b"c k abc\np ifvs 3 0\n", "'abc'"),
+    (b"c k -1\np ifvs 3 0\n", "budget must be nonnegative"),
+    (b"\xff\xfe\n", "can't decode"),
+    (emit_dis(base_case_instance(3)).encode(), "expected 'p ifvs n m'"),
+], ids=["not-a-graph", "k-not-an-integer", "k-negative", "not-utf8", "dis-file"])
+def test_bench_input_errors_name_the_file(tmp_path, capsys, content, detail):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.gr").write_text(emit_graph(cycle(5), ["k 1"]))
+    (suite / "b.gr").write_bytes(content)
+    assert main(["bench", "--suite", str(suite)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: b.gr: ") and detail in err
+
+
 def test_bench_empty_suite_is_input_error(tmp_path, capsys):
     suite = tmp_path / "empty"
     suite.mkdir()

@@ -78,6 +78,27 @@ def test_take_restricts_f_neighbors_but_not_w_neighbors_and_pays_one():
     assert inst.k == 1
 
 
+def test_take_records_the_vertex_and_no_other_move_does():
+    inst = DisInstance(path(5), {0}, set(), 3)  # 0-1-2-3-4
+    assert inst.taken == set()
+    inst.take(2)
+    assert inst.taken == {2}
+    inst.protect(1)
+    inst.restrict({3})
+    inst.delete_vertex(4)
+    assert inst.taken == {2}
+
+
+def test_clone_has_its_own_ledger():
+    inst = DisInstance(path(7), {0}, set(), 3)  # 0-1-2-3-4-5-6
+    inst.take(2)
+    other = inst.clone()
+    assert other.taken == {2}
+    other.take(4)
+    inst.take(5)
+    assert inst.taken == {2, 5} and other.taken == {2, 4}
+
+
 def test_protect_clears_r_and_raises_on_a_w_cycle():
     inst = DisInstance(path(3), {0}, {1}, 1)
     inst.protect(1)

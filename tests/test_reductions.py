@@ -16,6 +16,7 @@ from ifvs.reductions import RULE_IDS, apply_rule, reduce_to_fixpoint
 from helpers import (
     assert_measure_is_fresh,
     checking_every_measure,
+    instance_facts,
     lowest_applicable_rule,
     reference_measure,
 )
@@ -120,12 +121,26 @@ def test_rule5_forces_vertex_restricts_neighbors_pays_budget():
         inst = rule_site_instance(5, seed)
         out = apply_rule(inst, 5)
         assert out.status == "reduced"
-        (v,) = out.forced
+        (v,) = out.instance.taken - inst.taken
         assert v == out.pivot
         free_nbrs = inst.graph.neighbors(v) & inst.f
         assert out.instance.k == inst.k - 1
         assert free_nbrs <= out.instance.r
         assert v not in out.instance.graph
+
+
+def test_fixpoint_takes_exactly_its_rule5_pivots():
+    # take is the only move that adds to the ledger, and rule 5 the only
+    # rule that takes, so the ledger after a fixpoint is its rule-5 sites
+    fired = 0
+    insts = [random_dis_instance(seed) for seed in range(200)]
+    insts += [rule_site_instance(rule, seed) for rule in RULE_IDS for seed in range(30)]
+    for inst in insts:
+        red = reduce_to_fixpoint(inst)
+        taken = {ev.pivot for ev in red.events if ev.rule == 5}
+        assert inst.taken == taken
+        fired += len(taken)
+    assert fired >= 30
 
 
 def test_rule6_promotes_and_keeps_w_forest():
@@ -163,7 +178,7 @@ def test_rules_preserve_the_exact_minimum(rule):
         else:
             after = oracle_disjoint(out.instance.clone())
             min_before = None if before is None else len(before)
-            min_after = None if after is None else len(after) + len(out.forced)
+            min_after = None if after is None else len(after) + len(out.instance.taken)
             assert min_before == min_after, (rule, seed)
         checked += 1
     assert checked == 60
@@ -176,7 +191,6 @@ def test_fixpoint_orders_events_lowest_rule_first():
         red = reduce_to_fixpoint(inst)
         # the fixpoint reduces inst itself, so the events replay on a clone
         # taken before it ran
-        assert red.rejected or red.instance is inst, seed
         replay = before
         for ev in red.events:
             assert lowest_applicable_rule(replay) == ev.rule, seed
@@ -191,6 +205,8 @@ def test_fixpoint_orders_events_lowest_rule_first():
         else:
             assert not red.rejected
             assert lowest_applicable_rule(replay) is None
+            assert instance_facts(replay) == instance_facts(inst), seed
+            assert replay.taken == inst.taken, seed
 
 
 def test_fixpoint_is_idempotent():
@@ -199,7 +215,7 @@ def test_fixpoint_is_idempotent():
         red = reduce_to_fixpoint(inst)
         if red.rejected:
             continue
-        again = reduce_to_fixpoint(red.instance)
+        again = reduce_to_fixpoint(inst)
         assert not again.events
 
 
@@ -210,12 +226,11 @@ def test_fixpoint_never_raises_the_measure(seed):
     mu_raw = reference_measure(inst).mu
     red = reduce_to_fixpoint(inst)
     if not red.rejected:
-        out = red.instance
         # the reduced instance keeps the measure every reader of the last
         # step used, and measure hands it back without work
-        assert measure(out) is out.last
-        assert_measure_is_fresh(out.last, out)
-        assert out.last.mu <= mu_raw
+        assert measure(inst) is inst.last
+        assert_measure_is_fresh(inst.last, inst)
+        assert inst.last.mu <= mu_raw
 
 
 def _fixpoint_checking_every_step(inst):
@@ -255,24 +270,24 @@ def test_fixpoint_preserves_feasibility_and_minimum(seed):
     if red.rejected:
         assert before is None
         return
-    after = oracle_disjoint(red.instance.clone())
+    after = oracle_disjoint(inst.clone())
     if before is None:
         assert after is None
     else:
         assert after is not None
-        assert len(after) + len(red.forced) == len(before)
+        assert len(after) + len(inst.taken) == len(before)
 
 
 def test_forced_vertices_reappear_in_solutions():
     # a forced double-linked vertex must be in every solution the engine
-    # reports, so the fixpoint result carries it outward; the oracle answers
-    # before the fixpoint reduces the site in place
+    # reports, so the fixpoint takes it into the instance's ledger; the
+    # oracle answers before the fixpoint reduces the site in place
     checked = 0
     for seed in range(50):
         inst = rule_site_instance(5, seed)
         site_solution = oracle_disjoint(inst)
         red = reduce_to_fixpoint(inst)
-        if site_solution is not None and not red.rejected and red.forced:
-            assert red.forced <= site_solution, seed
+        if site_solution is not None and not red.rejected and inst.taken:
+            assert inst.taken <= site_solution, seed
             checked += 1
     assert checked >= 30

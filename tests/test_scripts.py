@@ -7,13 +7,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCALING = ROOT / "scripts" / "scaling_study.py"
+MAKE_SUITE = ROOT / "scripts" / "make_suite.py"
+
+
+def _run(script, *args):
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
 
 
 def _scaling(*args):
-    return subprocess.run(
-        [sys.executable, str(SCALING), *args],
-        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
-    )
+    return _run(SCALING, *args)
 
 
 @pytest.mark.parametrize("args", [
@@ -37,3 +42,21 @@ def test_scaling_study_writes_unix_line_ends(tmp_path):
         assert b"\r" not in csv_bytes
         assert csv_bytes.count(b"\n") == 4  # header plus k = 2, 3, 4
         assert b"slope of ln(branch_nodes) vs k" in run.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--n", "23"),  # above the brute-force oracle's size guard
+    ("--n", "-1"),
+    ("--planted-n", "10", "--planted-k", "5"),  # 5 triangles need 15 vertices
+    ("--planted-k", "-1"),
+    ("--random", "-1"),
+    ("--planted", "-2"),
+    ("--subdivided", "-1"),
+])
+def test_make_suite_rejects_unusable_arguments_before_writing(tmp_path, args):
+    out = tmp_path / "suite"
+    run = _run(MAKE_SUITE, "--out", str(out), *args)
+    assert run.returncode == 2
+    assert b"Traceback" not in run.stderr
+    assert b"error:" in run.stderr
+    assert not out.exists()
