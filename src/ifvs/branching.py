@@ -14,12 +14,24 @@ measure by the time their own reductions reach a fixpoint, and one of them
 loses at least two, which gives the Fibonacci-shaped search tree that the
 trace checks enforce. When no pivot exists every vertex of F must be nice or
 a tent and the matroid parity base case finishes in polynomial time.
+
+Before its fixpoint, each node checks a cycle-rank bound and rejects at
+once when at most k vertices of F - R cannot cover the cycle rank
+m - n + c of its graph, taking their degrees largest first. Deleting a
+vertex of degree d lowers m - n + c by at most d - 1, a forest has
+m - n + c = 0, W and R vertices are not deletable and degrees only fall
+as vertices go, so no solution exists at such a node. Contracting the
+W-trees would change neither m - n + c nor any F-degree, so the bound
+reads the graph as it is. A cut node is a reject leaf with no reduction
+events; it is a check ahead of the rules, not one of them, and a cut
+child counts as an unbounded drop like any rejected child.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .basecase import solve_base
+from .fvs import cover_count
 from .instance import DisInstance, InternalSolverError, Kind, classification, measure
 from .reductions import ReductionEvent, reduce_to_fixpoint
 
@@ -101,6 +113,20 @@ def select_pivot(inst: DisInstance) -> PivotChoice | None:
     return None
 
 
+def cycle_rank_cut(inst: DisInstance) -> bool:
+    """True when no inst.k vertices of F - R can break every cycle of inst.
+
+    Deleting a vertex of degree d lowers m - n + c by at most d - 1, and a
+    forest has m - n + c = 0. W and R vertices are not deletable, and
+    degrees only fall as vertices go, so a solution needs the degrees of
+    at most k vertices of F - R, largest first, to cover m - n + c.
+    """
+    g = inst.graph
+    need = g.num_edges - len(g) + len(g.components())
+    degs = sorted((g.deg(v) for v in inst.f_free), reverse=True)
+    return cover_count(need, degs[:max(inst.k, 0)]) is None
+
+
 def _better(a: set[int] | None, b: set[int] | None) -> set[int] | None:
     """Smaller solution wins, ties by sorted vertex tuple."""
     if a is None:
@@ -128,6 +154,8 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
     root_budget = [None]
 
     def recurse(cur: DisInstance, depth: int) -> tuple[set[int] | None, BranchNode]:
+        if cycle_rank_cut(cur):
+            return None, BranchNode("reject", answer="no")
         red = reduce_to_fixpoint(cur)
         if red.rejected:
             return None, BranchNode(

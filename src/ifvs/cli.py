@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 import traceback
@@ -254,6 +255,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _bench_to_file(args) -> int:
+    """Run bench into a file beside --out, moved onto it once the run is
+    done; a run that fails leaves no partial CSV and an old --out as it was."""
+    target = Path(args.out)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            args.out_fh = fh
+            code = args.fn(args)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return code
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ifvs", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -307,9 +324,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ParseError("budget must be nonnegative")
         if args.command == "bench":
             if args.out:
-                with open(args.out, "w", newline="") as fh:
-                    args.out_fh = fh
-                    return args.fn(args)
+                return _bench_to_file(args)
             args.out_fh = sys.stdout
         return args.fn(args)
     except (ParseError, InstanceError, OracleGuardError, OSError, ValueError) as exc:

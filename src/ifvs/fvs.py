@@ -8,9 +8,11 @@ per root that stops once no deeper cycle can beat the best one found, so
 the minimum over all roots is still the girth. The search keeps the best
 set found so far and prunes a node when its forced vertices plus the
 cycle-rank bound (deleting a vertex of degree d lowers m - n + c by at
-most d - 1) cannot beat it. It returns the first minimum set in DFS
-order: every node above that set has forced + bound <= opt, which no
-incumbent prunes until a set of size opt is in hand.
+most d - 1) cannot beat it, and a child already before its graph is
+copied, by the same count over its parent's degrees. It returns the
+first minimum set in DFS order: every node above that set has
+forced + bound <= opt, which no incumbent prunes until a set of size opt
+is in hand.
 """
 from __future__ import annotations
 
@@ -120,25 +122,42 @@ def _tree_cycle(parent: dict, depth: dict, x: int, y: int) -> list[int]:
     return up_x + up_y[::-1]
 
 
-def _cycle_rank_bound(g: MultiGraph) -> int:
-    """Fewest vertices whose degrees can cover the cycle rank.
+def cover_count(need: int, degs: list[int]) -> int | None:
+    """Fewest of degs whose degrees minus one add up to need, or None.
 
-    On a loop-free graph, deleting a vertex of degree d removes d edges and
-    one vertex and adds at most d - 1 components, so m - n + c drops by at
-    most d - 1 (an isolated vertex: by 0). A forest has m - n + c = 0, so
-    any FVS S has sum over S of (deg - 1) >= m - n + c >= m - n + 1 when g
-    is non-empty. The bound is the fewest largest-degree vertices reaching
-    that sum.
+    degs is sorted largest first. Deleting a vertex of degree d lowers the
+    cycle rank m - n + c by at most d - 1, and by nothing when d <= 1, and
+    degrees only fall as vertices go. So breaking every cycle of a graph of
+    rank need takes at least this many vertices of these degrees, and None
+    means that all of them together fall short.
     """
-    degs = sorted((g.deg(v) for v in g.vertices), reverse=True)
-    need = sum(degs) // 2 - len(degs) + 1  # m - n + 1, as g has no loops
     count = 0
     for d in degs:
         if need <= 0:
             break
         need -= d - 1
         count += 1
-    return count
+    return count if need <= 0 else None
+
+
+def _cycle_rank_bound(g: MultiGraph) -> int:
+    """Fewest vertices whose degrees can cover the cycle rank.
+
+    On a loop-free graph, deleting a vertex of degree d removes d edges and
+    one vertex and adds at most d - 1 components, so m - n + c drops by at
+    most d - 1. A forest has m - n + c = 0, so any FVS S has sum over S of
+    (deg - 1) >= m - n + c >= m - n + 1 when g is non-empty. The bound is
+    the fewest largest-degree vertices reaching that sum, which all of a
+    reduced g's vertices do.
+    """
+    return cover_count(*_rank_and_degrees(g))
+
+
+def _rank_and_degrees(g: MultiGraph) -> tuple[int, list[int]]:
+    """m - n + 1 of a loop-free g (0 when g is empty), and its degrees
+    largest first."""
+    degs = sorted((g.deg(v) for v in g.vertices), reverse=True)
+    return sum(degs) // 2 - len(degs) + bool(degs), degs
 
 
 def _delete(g: MultiGraph, vs: list[int]) -> set[int]:
@@ -159,14 +178,23 @@ def _bnb(
     must beat it. The last child takes g itself, the others a copy.
     """
     _reduce(g, acc, dirty)
+    need, degs = _rank_and_degrees(g)
     # the bound is 0 on an empty g, so a finished set must be below cap too
-    if len(acc) + _cycle_rank_bound(g) >= cap:
+    if len(acc) + cover_count(need, degs) >= cap:
         return None
     if not len(g):
         return acc  # a reduced graph is empty exactly when it was a forest
     best = None
     cycle = sorted(_shortest_cycle(g))
     for v in cycle:
+        # bound the child before copying it: g - v has cycle rank at least
+        # need - (deg(v) - 1) and no degree above g's, so none of its FVSs
+        # is smaller than this count
+        d = g.deg(v)
+        rest = list(degs)
+        rest.remove(d)
+        if len(acc) + 1 + cover_count(need - d + 1, rest) >= cap:
+            continue
         child = g if v == cycle[-1] else g.copy()
         res = _bnb(child, cap, acc + [v], _delete(child, [v]))
         if res is not None:

@@ -23,7 +23,7 @@ from ifvs.basecase import (
     reference_parity_max,
     _forest_union,
 )
-from ifvs.branching import fib, solve_disjoint
+from ifvs.branching import cycle_rank_cut, fib, solve_disjoint
 from ifvs.generators import (
     base_case_instance,
     planted_ifvs,
@@ -119,6 +119,7 @@ def dis_sweep():
         "yes_instances": 0,
         "fixpoint_rejections": [],
         "fixpoint_mu_negative": [],
+        "cycle_rank_cuts": [],
     }
     for seed in range(DIS_SWEEP_SIZE):
         inst = random_dis_instance(seed)
@@ -149,6 +150,11 @@ def dis_sweep():
                 agg["leaf_violations"].append(seed)
         if want is not None:
             agg["yes_instances"] += 1
+            # the cut may not fire even at the tightest budget that fits
+            tight = inst.clone()
+            tight.k = len(want)
+            if cycle_rank_cut(tight):
+                agg["cycle_rank_cuts"].append(seed)
             red = reduce_to_fixpoint(inst)
             if red.rejected:
                 agg["fixpoint_rejections"].append(seed)
@@ -196,11 +202,13 @@ def test_criterion_04_base_leaves_within_fibonacci_cap(graph_sweep, dis_sweep, c
 
 
 def test_criterion_05_feasible_fixpoints_have_nonnegative_measure(dis_sweep, capsys):
-    bad = len(dis_sweep["fixpoint_rejections"]) + len(dis_sweep["fixpoint_mu_negative"])
+    wrong = ("fixpoint_rejections", "fixpoint_mu_negative", "cycle_rank_cuts")
+    bad = sum(len(dis_sweep[key]) for key in wrong)
     detail = (
         f"{dis_sweep['yes_instances']} feasible instances, "
         f"{len(dis_sweep['fixpoint_rejections'])} wrong rejections, "
-        f"{len(dis_sweep['fixpoint_mu_negative'])} negative measures"
+        f"{len(dis_sweep['fixpoint_mu_negative'])} negative measures, "
+        f"{len(dis_sweep['cycle_rank_cuts'])} cycle-rank cuts at the optimum's size"
     )
     _report(5, dis_sweep["yes_instances"] > 0 and bad == 0, detail, capsys)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifvs.branching import fib, select_pivot, solve_disjoint
+from ifvs.branching import BranchNode, cycle_rank_cut, fib, select_pivot, solve_disjoint
 from ifvs.fvs import min_fvs
 from ifvs.generators import (
     gadget_nice_promotion,
@@ -120,6 +120,49 @@ def test_solve_disjoint_on_gadget_matches_oracle():
     assert sorted(res.solution) == [4, 8]
     assert res.stats.mu0 == 4
     assert res.stats.base_leaves <= fib(res.stats.mu0 + 2)
+
+
+def _triangle(r: set[int], k: int) -> DisInstance:
+    """Vertex 2 linked to both ends of the W-edge 01: one cycle, and only
+    vertex 2 can break it."""
+    g = MultiGraph(range(3))
+    for u, v in ((0, 1), (2, 0), (2, 1)):
+        g.add_edge(u, v)
+    return DisInstance(g, {0, 1}, r, k)
+
+
+def test_cycle_rank_cut_never_cuts_a_forest():
+    # without cross edges the graph is the two side forests
+    insts = [random_dis_instance(seed, max_cross=0, k=0) for seed in range(50)]
+    g = MultiGraph(range(4))
+    for i in range(3):
+        g.add_edge(i, i + 1)
+    insts.append(DisInstance(g, {0, 2}, {1}, 0))  # a path across both sides
+    for inst in insts:
+        assert not cycle_rank_cut(inst)
+        assert solve_disjoint(inst).solution == set()
+
+
+def test_cycle_rank_cut_cuts_a_cycle_with_no_deletable_vertex():
+    # an R-vertex that double-links one W-component, whatever the budget
+    inst = _triangle({2}, 5)
+    assert cycle_rank_cut(inst)
+    assert oracle_disjoint(inst) is None
+
+
+def test_cycle_rank_cut_cuts_a_cycle_at_budget_zero():
+    assert cycle_rank_cut(_triangle(set(), 0))
+    assert not cycle_rank_cut(_triangle(set(), 1))
+    assert solve_disjoint(_triangle(set(), 1)).solution == {2}
+
+
+def test_a_cut_node_is_a_reject_leaf_without_reductions():
+    for inst in (_triangle({2}, 5), _triangle(set(), 0)):
+        res = solve_disjoint(inst)
+        assert res.solution is None
+        assert res.trace == BranchNode("reject", answer="no")
+        assert res.trace.reductions == []
+        assert res.stats.nodes == 1 and res.stats.mu0 is None
 
 
 @given(st.integers(0, 10**6))
@@ -254,15 +297,16 @@ def deep_trees():
     more, with their facts before the solve and the result.
 
     The random disjoint instances and rule sites hardly branch, so this is
-    the family that reaches deep trees. At budget |Z| almost every such tree
-    says no, so budget |Z| + 1 is added for trees that find a solution.
+    the family that reaches deep trees. The cycle-rank cut keeps almost
+    every tree that says no below 20 nodes, so the budgets run from
+    |Z| + 1 to |Z| + 3, where the deep trees search for a solution.
     """
     out = []
     for seed in range(10):
         n = 40 + seed % 11
         g = random_multigraph(n, int(1.6 * n), seed, loops=False, multi=False)
         z_size = len(min_fvs(g))
-        for k in (z_size, z_size + 1):
+        for k in (z_size + 1, z_size + 2, z_size + 3):
             for inst in _pipeline_guesses(g, k):
                 before = instance_facts(inst)
                 res = solve_disjoint(inst)

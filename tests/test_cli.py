@@ -346,6 +346,24 @@ def test_bench_input_errors_name_the_file(tmp_path, capsys, content, detail):
     assert err.startswith("error: b.gr: ") and detail in err
 
 
+@pytest.mark.parametrize("old", [None, b"old,bytes\n"], ids=["new-out", "existing-out"])
+def test_failed_bench_leaves_no_partial_csv(tmp_path, capsys, old):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.gr").write_text(emit_graph(cycle(5), ["k 1"]))
+    (suite / "b.gr").write_text(emit_graph(cycle(5)))  # no 'c k' comment
+    out = tmp_path / "bench.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 2
+    assert "b.gr" in capsys.readouterr().err
+    # no temporary file is left beside --out either
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (["suite"] if old is None else ["bench.csv", "suite"])
+    if old is not None:
+        assert out.read_bytes() == old
+
+
 def test_bench_empty_suite_is_input_error(tmp_path, capsys):
     suite = tmp_path / "empty"
     suite.mkdir()
