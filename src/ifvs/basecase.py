@@ -60,10 +60,12 @@ class ParityResult:
 def build_parity(inst: DisInstance) -> ParityInstance:
     """Encode a base-case instance as parity pairs.
 
-    The W-components and settled vertices come from measure(inst), and every
-    vertex of F must be settled, else the leaf is no base case. A settled
-    vertex is in F minus R with all of its neighbors in W, and its two
-    (nice) or three (tent) edges into W tell the two kinds apart.
+    The settled vertices come from measure(inst), and every vertex of F
+    must be settled, else the leaf is no base case. A settled vertex is in F
+    minus R with all of its neighbors in W, and its two (nice) or three
+    (tent) edges into W tell the two kinds apart. The instance's
+    W-components become ground nodes 0 to rho - 1, numbered by their
+    smallest vertex.
     """
     m = measure(inst)
     unsettled = inst.f - m.settled.keys()
@@ -71,11 +73,13 @@ def build_parity(inst: DisInstance) -> ParityInstance:
         raise InternalSolverError(
             f"base case reached with non-settled vertices {sorted(unsettled)}"
         )
-    g = inst.graph
+    g, comps, comp_of = inst.graph, inst.comps, inst.comp_of
+    node = {c: i for i, c in enumerate(sorted(comps, key=lambda c: min(comps[c])))}
     next_node = m.rho
     pairs = []
     for v in sorted(inst.f):
-        targets = sorted(m.comp_of[u] for u in g.neighbors(v) for _ in range(g.multiplicity(v, u)))
+        targets = sorted(node[comp_of[u]]
+                         for u in g.neighbors(v) for _ in range(g.multiplicity(v, u)))
         if len(set(targets)) != len(targets):
             raise InternalSolverError(
                 f"base case vertex {v} double-links a W-component"

@@ -122,7 +122,7 @@ def cycle_rank_cut(inst: DisInstance) -> bool:
     at most k vertices of F - R, largest first, to cover m - n + c.
     """
     g = inst.graph
-    need = g.num_edges - len(g) + len(g.components())
+    need = g.num_edges - len(g) + g.component_count()
     degs = sorted((g.deg(v) for v in inst.f_free), reverse=True)
     return cover_count(need, degs[:max(inst.k, 0)]) is None
 

@@ -42,12 +42,11 @@ class VertexClass:
 
 @dataclass(frozen=True)
 class Measure:
-    """mu = k + rho - eta - tau, with what eta, tau and rho were counted from.
+    """mu = k + rho - eta - tau, with the settled vertices eta and tau count.
 
-    settled maps each nice vertex and each tent to its kind, and comp_of maps
-    each W-vertex to its W-component index. Both describe the instance as
-    measured; they take no part in equality, so a Measure compares by its
-    four counts alone.
+    settled maps each nice vertex and each tent to its kind as measured; it
+    takes no part in equality, so a Measure compares by its four counts
+    alone.
     """
 
     k: int
@@ -55,7 +54,6 @@ class Measure:
     eta: int
     tau: int
     settled: dict[int, Kind] = field(default_factory=dict, compare=False, repr=False)
-    comp_of: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def mu(self) -> int:
@@ -70,6 +68,17 @@ class DisInstance:
     these two. take records each vertex it puts into the solution in
     taken, which a new instance starts empty and a clone copies.
 
+    The instance owns the partition of W into the components of G[W]:
+    comps maps a label to a component's vertex set, comp_of maps each
+    W-vertex to its label, and rho is len(comps). No move adds an edge
+    inside W, so the partition changes only where protect merges v and the
+    components it has edges to into the largest of them (v alone opens a
+    new one), and where a deleted W-vertex leaves its component. Only
+    deleting an inner W-vertex, which no rule does, splits a component,
+    whose pieces are then found afresh. A label is a vertex of its
+    component when made and leaves it only by deletion, so labels never
+    clash.
+
     last is the Measure that measure returned when the instance was last
     measured, and touched collects every vertex whose facts a move changed
     since then: its edges, its W-degree, its R-membership or its place in F.
@@ -80,7 +89,7 @@ class DisInstance:
     measure.
     """
 
-    __slots__ = ("graph", "w", "r", "k", "taken", "touched", "last")
+    __slots__ = ("graph", "w", "r", "k", "taken", "comps", "comp_of", "touched", "last")
 
     def __init__(
         self,
@@ -95,6 +104,10 @@ class DisInstance:
         self.r = set(r)
         self.k = k
         self.taken: set[int] = set()
+        self.comps: dict[int, set[int]] = {}
+        self.comp_of: dict[int, int] = {}
+        for comp in graph.components(self.w):
+            self._add_component(comp)
         self.touched: set[int] = graph.vertices  # a fresh set
         self.last = Measure(0, 0, 0, 0)
         if validate:
@@ -109,6 +122,8 @@ class DisInstance:
         inst.r = set(self.r)
         inst.k = self.k
         inst.taken = set(self.taken)
+        inst.comps = {c: set(comp) for c, comp in self.comps.items()}
+        inst.comp_of = dict(self.comp_of)
         inst.touched = set(self.touched)
         inst.last = self.last
         return inst
@@ -121,12 +136,29 @@ class DisInstance:
     def f_free(self) -> set[int]:
         return self.graph.vertices - self.w - self.r
 
+    def _add_component(self, comp: set[int]) -> None:
+        label = min(comp)
+        self.comps[label] = comp
+        for u in comp:
+            self.comp_of[u] = label
+
     def delete_vertex(self, v: int) -> None:
-        self.touched |= self.graph.neighbors(v)
+        nbrs = self.graph.neighbors(v)
+        self.touched |= nbrs
         self.touched.add(v)
         self.graph.remove_vertex(v)
-        self.w.discard(v)
         self.r.discard(v)
+        if v in self.w:
+            self.w.remove(v)
+            label = self.comp_of.pop(v)
+            comp = self.comps[label]
+            comp.remove(v)
+            if len(nbrs & self.w) >= 2:  # an inner vertex: its tree falls apart
+                del self.comps[label]
+                for piece in self.graph.components(comp):
+                    self._add_component(piece)
+            elif not comp:
+                del self.comps[label]
 
     def take(self, v: int) -> None:
         """Put v into the solution: delete it, add it to taken, pay one unit of budget.
@@ -145,13 +177,30 @@ class DisInstance:
         self.touched |= vs
 
     def protect(self, v: int) -> None:
-        """Put v into W for good; a cycle inside W is a solver bug."""
+        """Put v into W for good, merging the W-components it has edges to.
+
+        A loop at v, or two edge occurrences from v into one W-component,
+        would close a cycle inside W, which is a solver bug.
+        """
+        g, comp_of = self.graph, self.comp_of
+        nbrs = g.neighbors(v)
+        labels = {comp_of[u] for u in nbrs if u in comp_of}
+        # each edge occurrence into W must reach a component of its own
+        if g.multiplicity(v, v) or g.deg_x(v, self.w) != len(labels):
+            raise InternalSolverError(f"protecting {v} closed a W-cycle")
         self.r.discard(v)
         self.w.add(v)
-        self.touched |= self.graph.neighbors(v)
+        self.touched |= nbrs
         self.touched.add(v)
-        if not self.graph.is_forest(self.w):
-            raise InternalSolverError(f"protecting {v} closed a W-cycle")
+        label = max(labels, key=lambda c: len(self.comps[c]), default=v)
+        comp = self.comps.setdefault(label, set())
+        for c in labels - {label}:
+            smaller = self.comps.pop(c)
+            comp |= smaller
+            for u in smaller:
+                comp_of[u] = label
+        comp.add(v)
+        comp_of[v] = label
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -265,15 +314,14 @@ def measure(inst: DisInstance) -> Measure:
     Nice vertices and tents are settled in the sense that the base case
     handles them in polynomial time, so each one prepays a unit of measure.
 
-    The measure is updated from inst.last at inst.touched, then stored as
-    inst.last, and touched is cleared. Since a settled kind reads only the
-    vertex's own facts and every move marks each vertex whose facts it
+    rho is read off the W-partition the instance keeps. The settled kinds
+    are updated from inst.last at inst.touched alone, the result is stored
+    as inst.last, and touched is cleared. Since a settled kind reads only
+    the vertex's own facts and every move marks each vertex whose facts it
     changed, only the touched vertices can have gained or lost a kind, and
-    eta and tau move by their old and new kinds. W-components carry over
-    unless a touched vertex joined or left W (no move adds an edge inside W,
-    so G[W] changes only then). A new instance has every vertex touched, so
-    its first measure looks at all of them. The result equals a measure
-    taken from scratch.
+    eta and tau move by their old and new kinds. A new instance has every
+    vertex touched, so its first measure looks at all of them. The result
+    equals a measure taken from scratch.
     """
     touched, inst.touched = inst.touched, set()
     prev = inst.last
@@ -289,14 +337,7 @@ def measure(inst: DisInstance) -> Measure:
             settled[v] = new
         eta += (new is Kind.NICE) - (old is Kind.NICE)
         tau += (new is Kind.TENT) - (old is Kind.TENT)
-    w = inst.w
-    if any((v in w) != (v in prev.comp_of) for v in touched):
-        comps = inst.graph.components(w)
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        rho = len(comps)
-    else:
-        comp_of, rho = prev.comp_of, prev.rho
-    inst.last = Measure(inst.k, rho, eta, tau, settled, comp_of)
+    inst.last = Measure(inst.k, len(inst.comps), eta, tau, settled)
     return inst.last
 
 

@@ -10,15 +10,18 @@ class MultiGraph:
     Multiplicities are stored exactly. A loop at v is the edge (v, v) and
     contributes 2 to deg(v). Vertex ids come from a monotone counter and are
     never reused after deletion, so ids stay stable for the lifetime of a
-    solver run. Degrees are cached in _deg and kept up to date by every
-    edit, so deg and low_degree_vertices cost no scan of the adjacency.
+    solver run. Every edit keeps the degrees in _deg, the vertices of
+    degree at most one in _low and the edge occurrence count in _m up to
+    date, so deg, low_degree_vertices and num_edges cost no scan.
     """
 
-    __slots__ = ("_adj", "_deg", "_next_id")
+    __slots__ = ("_adj", "_deg", "_low", "_m", "_next_id")
 
     def __init__(self, vertices: Iterable[int] = ()) -> None:
         self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
+        self._low: set[int] = set()
+        self._m = 0
         self._next_id = 0
         for v in vertices:
             self.add_vertex(v)
@@ -29,6 +32,7 @@ class MultiGraph:
         if v not in self._adj:
             self._adj[v] = {}
             self._deg[v] = 0
+            self._low.add(v)
         if v >= self._next_id:
             self._next_id = v + 1
         return v
@@ -47,18 +51,28 @@ class MultiGraph:
         if u != v:
             self._adj[v][u] = self._adj[v].get(u, 0) + mult
         self._deg[v] += mult  # a loop adds 2 to deg(u)
+        self._m += mult
+        for x in (u, v):
+            if self._deg[x] > 1:
+                self._low.discard(x)
 
     def remove_vertex(self, v: int) -> None:
         del self._deg[v]
+        self._low.discard(v)
         for u, m in self._adj.pop(v).items():
+            self._m -= m
             if u != v:
                 del self._adj[u][v]
                 self._deg[u] -= m
+                if self._deg[u] <= 1:
+                    self._low.add(u)
 
     def copy(self) -> MultiGraph:
         g = MultiGraph()
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         g._deg = dict(self._deg)
+        g._low = set(self._low)
+        g._m = self._m
         g._next_id = self._next_id
         return g
 
@@ -77,8 +91,7 @@ class MultiGraph:
     @property
     def num_edges(self) -> int:
         """Total number of edge occurrences, loops counted once each."""
-        # every edge occurrence, a loop included, adds 2 to the degree sum
-        return sum(self._deg.values()) // 2
+        return self._m
 
     def multiplicity(self, u: int, v: int) -> int:
         return self._adj.get(u, {}).get(v, 0)
@@ -93,7 +106,7 @@ class MultiGraph:
 
     def low_degree_vertices(self) -> list[int]:
         """Vertices with at most one incident edge occurrence."""
-        return [v for v, d in self._deg.items() if d <= 1]
+        return list(self._low)
 
     def deg_x(self, v: int, x: Iterable[int]) -> int:
         """Edge occurrences from v into the vertex set x.
@@ -141,6 +154,20 @@ class MultiGraph:
                         stack.append(u)
             comps.append(comp)
         return comps
+
+    def component_count(self) -> int:
+        """Number of connected components, counted without building them."""
+        unseen = set(self._adj)
+        count = 0
+        while unseen:
+            count += 1
+            stack = [unseen.pop()]
+            while stack:
+                for u in self._adj[stack.pop()]:
+                    if u in unseen:
+                        unseen.remove(u)
+                        stack.append(u)
+        return count
 
     def is_forest(self, x: Iterable[int] | None = None) -> bool:
         """True iff the subgraph induced on x has no cycle.

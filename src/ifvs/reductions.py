@@ -59,12 +59,12 @@ class FixpointResult:
     rejected: bool
 
 
-def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
+def _double_link(inst: DisInstance, v: int) -> bool:
     """Does v send two or more edge occurrences into one W-component?"""
     seen: dict[int, int] = {}
     for u in inst.graph.neighbors(v):
         if u in inst.w:
-            c = comp_of[u]
+            c = inst.comp_of[u]
             seen[c] = seen.get(c, 0) + inst.graph.multiplicity(v, u)
             if seen[c] >= 2:
                 return True
@@ -75,8 +75,9 @@ def _double_link(inst: DisInstance, v: int, comp_of: dict[int, int]) -> bool:
 # A rule returns None and leaves inst untouched when it does not apply. When
 # it fires it reduces inst in place, or rejects without touching it. m is the
 # measure of inst as passed in; because a rule that does not fire changes
-# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu and
-# rules 4 and 5 read m.comp_of; rule 6 classifies R itself.
+# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu,
+# rules 4 and 5 read the instance's W-components and rule 6 classifies R
+# itself.
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
@@ -124,14 +125,14 @@ def _rule3(inst: DisInstance, m: Measure) -> Fired | None:
 
 def _rule4(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.r):
-        if _double_link(inst, v, m.comp_of):
+        if _double_link(inst, v):
             return "reject", v
     return None
 
 
 def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
     for v in sorted(inst.f_free):
-        if _double_link(inst, v, m.comp_of):
+        if _double_link(inst, v):
             inst.take(v)
             return "reduced", v
     return None

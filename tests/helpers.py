@@ -78,18 +78,25 @@ def reference_measure(inst) -> Measure:
     the counts read off them."""
     settled = {v: c.kind for v, c in classification(inst).items()
                if c.kind in (Kind.NICE, Kind.TENT)}
-    comps = inst.graph.components(inst.w)
     kinds = list(settled.values())
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    return Measure(inst.k, len(comps), kinds.count(Kind.NICE), kinds.count(Kind.TENT),
-                   settled, comp_of)
+    return Measure(inst.k, len(inst.graph.components(inst.w)),
+                   kinds.count(Kind.NICE), kinds.count(Kind.TENT), settled)
+
+
+def assert_partition_is_fresh(inst) -> None:
+    """The instance's W-partition is the components of G[W], as sets, and
+    comp_of labels every W-vertex with the component that holds it."""
+    fresh = {frozenset(comp) for comp in inst.graph.components(inst.w)}
+    assert {frozenset(comp) for comp in inst.comps.values()} == fresh
+    assert len(inst.comps) == len(fresh)
+    assert inst.comp_of == {v: c for c, comp in inst.comps.items() for v in comp}
 
 
 def assert_measure_is_fresh(m: Measure, inst) -> None:
     ref = reference_measure(inst)
     assert m == ref
     assert m.settled == ref.settled
-    assert m.comp_of == ref.comp_of
+    assert_partition_is_fresh(inst)
 
 
 @contextmanager

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ifvs import basecase
+from ifvs import basecase, branching
 from ifvs.basecase import (
     ParityInstance,
     ParityPair,
@@ -19,7 +19,8 @@ from ifvs.basecase import (
     _rank_mod_p,
     _skew_matrix,
 )
-from ifvs.generators import base_case_instance
+from ifvs.branching import solve_disjoint
+from ifvs.generators import base_case_instance, random_dis_instance
 from ifvs.instance import DisInstance, InternalSolverError
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
@@ -54,6 +55,52 @@ def test_tent_becomes_two_chained_edges():
     assert not pair.serial
     assert pair.edges == ((0, 1), (1, 2))
     assert p.num_ground == 3
+
+
+def _reference_build_parity(inst: DisInstance) -> ParityInstance:
+    """build_parity with the W-components numbered in the order
+    components(W) lists them, found from scratch."""
+    g = inst.graph
+    comps = g.components(inst.w)
+    node = {v: i for i, comp in enumerate(comps) for v in comp}
+    next_node = len(comps)
+    pairs = []
+    for v in sorted(inst.f):
+        targets = sorted(node[u] for u in g.neighbors(v) for _ in range(g.multiplicity(v, u)))
+        if len(targets) == 2:
+            c1, c2 = targets
+            pairs.append(ParityPair(v, ((c1, next_node), (next_node, c2)), serial=True))
+            next_node += 1
+        else:
+            c1, c2, c3 = targets
+            pairs.append(ParityPair(v, ((c1, c2), (c2, c3)), serial=False))
+    return ParityInstance(next_node, pairs)
+
+
+def test_build_parity_numbers_components_by_their_smallest_vertex():
+    # W is grown by protect from the top id down, so merges keep labels
+    # that are not the smallest vertex of their component
+    for seed in range(80):
+        fresh = base_case_instance(seed)
+        grown = DisInstance(fresh.graph.copy(), set(), set(), fresh.k, validate=False)
+        for v in sorted(fresh.w, reverse=True):
+            grown.protect(v)
+        p = build_parity(grown)
+        assert p == _reference_build_parity(grown) == build_parity(fresh), seed
+
+
+def test_build_parity_numbers_engine_leaves_like_a_fresh_partition(monkeypatch):
+    leaves = []
+
+    def checked(inst):
+        assert build_parity(inst) == _reference_build_parity(inst)
+        leaves.append(inst)
+        return solve_base(inst)
+
+    monkeypatch.setattr(branching, "solve_base", checked)
+    for seed in range(300):
+        solve_disjoint(random_dis_instance(seed))
+    assert len(leaves) > 100
 
 
 def test_build_parity_rejects_non_base_shapes():

@@ -17,7 +17,7 @@ from ifvs.instance import (
 from ifvs.multigraph import MultiGraph
 from ifvs.generators import gadget_tent_branch, random_dis_instance
 
-from helpers import assert_measure_is_fresh, complete, cycle, path
+from helpers import assert_measure_is_fresh, assert_partition_is_fresh, complete, cycle, path
 
 
 def test_validate_flags_each_problem():
@@ -106,6 +106,15 @@ def test_protect_clears_r_and_raises_on_a_w_cycle():
     tri = DisInstance(cycle(3), {0, 1}, set(), 1)
     with pytest.raises(InternalSolverError, match="W-cycle"):
         tri.protect(2)
+    double = MultiGraph(range(2))
+    double.add_edge(0, 1, mult=2)
+    with pytest.raises(InternalSolverError, match="W-cycle"):
+        DisInstance(double, {0}, set(), 1).protect(1)
+    loop = MultiGraph(range(2))
+    loop.add_edge(0, 1)
+    loop.add_edge(1, 1)
+    with pytest.raises(InternalSolverError, match="W-cycle"):
+        DisInstance(loop, {0}, set(), 1, validate=False).protect(1)
 
 
 def test_measure_formula():
@@ -206,7 +215,7 @@ def test_measure_keeps_the_last_measure():
     inst.k -= 1  # a budget change alone keeps the analysis
     m1 = measure(inst)
     assert (m1.k, m1.rho, m1.eta, m1.tau) == (m.k - 1, m.rho, m.eta, m.tau)
-    assert m1.settled is m.settled and m1.comp_of is m.comp_of
+    assert m1.settled is m.settled
     assert measure(inst) is m1
 
 
@@ -250,6 +259,51 @@ def test_measure_after_any_moves_matches_a_fresh_one(seed, moves):
         if measure_now:
             assert_measure_is_fresh(measure(inst), inst)
     assert_measure_is_fresh(measure(inst), inst)
+
+
+def test_deleting_an_inner_w_vertex_splits_its_component():
+    inst = DisInstance(path(5), set(range(5)), set(), 0)  # 0-1-2-3-4, all in W
+    inst.delete_vertex(2)
+    assert_partition_is_fresh(inst)
+    assert len(inst.comps) == 2
+    inst.delete_vertex(0)
+    inst.delete_vertex(1)  # empties a component
+    assert_partition_is_fresh(inst)
+    assert measure(inst).rho == 1
+
+
+def _partition(inst) -> set[frozenset[int]]:
+    return {frozenset(comp) for comp in inst.comps.values()}
+
+
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("take", "protect", "restrict", "delete_vertex", "delete_w", "clone")),
+            st.integers(0, 10**6),
+        ),
+        max_size=16,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_w_partition_follows_every_move(seed, moves):
+    # delete_w deletes a W-vertex, which splits its component when it is an
+    # inner vertex; the engine never does that, but delete_vertex allows it
+    inst = random_dis_instance(seed)
+    kept = []  # (instance, its partition) at each clone; the clone moves on
+    for move, pick in moves:
+        verts = sorted(inst.w if move == "delete_w" else inst.graph.vertices)
+        if move == "clone":
+            kept.append((inst, _partition(inst)))
+            inst = inst.clone()
+        elif verts:
+            _move(inst, "delete_vertex" if move == "delete_w" else move, verts[pick % len(verts)])
+        assert_partition_is_fresh(inst)
+        assert measure(inst).rho == len(inst.graph.components(inst.w))
+        for orig, part in kept:
+            assert _partition(orig) == part
+            assert_partition_is_fresh(orig)
 
 
 def test_measure_of_gadget():

@@ -151,6 +151,7 @@ def _assert_degrees_match_adjacency(g: MultiGraph) -> None:
     assert {v: g.deg(v) for v in g.vertices} == degs
     assert sorted(g.low_degree_vertices()) == sorted(v for v, d in degs.items() if d <= 1)
     assert g.num_edges == sum(m for _u, _v, m in g.edge_items())
+    assert g.component_count() == len(g.components())
 
 
 @given(_EDITS)
@@ -170,3 +171,4 @@ def test_cached_degrees_follow_every_edit(edits):
         _assert_degrees_match_adjacency(g)
         for orig, degs in originals:
             assert {v: orig.deg(v) for v in orig.vertices} == degs
+            _assert_degrees_match_adjacency(orig)
