@@ -60,15 +60,15 @@ class ParityResult:
 def build_parity(inst: DisInstance) -> ParityInstance:
     """Encode a base-case instance as parity pairs.
 
-    The settled vertices come from measure(inst), and every vertex of F
-    must be settled, else the leaf is no base case. A settled vertex is in F
-    minus R with all of its neighbors in W, and its two (nice) or three
-    (tent) edges into W tell the two kinds apart. The instance's
-    W-components become ground nodes 0 to rho - 1, numbered by their
-    smallest vertex.
+    The settled vertices are inst.settled as measure(inst) leaves them,
+    and every vertex of F must be settled, else the leaf is no base case. A
+    settled vertex is in F minus R with all of its neighbors in W, and its
+    two (nice) or three (tent) edges into W tell the two kinds apart. The
+    instance's W-components become ground nodes 0 to rho - 1, numbered by
+    their smallest vertex.
     """
     m = measure(inst)
-    unsettled = inst.f - m.settled.keys()
+    unsettled = inst.f - inst.settled.keys()
     if unsettled:
         raise InternalSolverError(
             f"base case reached with non-settled vertices {sorted(unsettled)}"

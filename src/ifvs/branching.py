@@ -18,21 +18,24 @@ a tent and the matroid parity base case finishes in polynomial time.
 Before its fixpoint, each node checks a cycle-rank bound and rejects at
 once when at most k vertices of F - R cannot cover the cycle rank
 m - n + c of its graph, taking their degrees largest first. Deleting a
-vertex of degree d lowers m - n + c by at most d - 1, a forest has
-m - n + c = 0, W and R vertices are not deletable and degrees only fall
-as vertices go, so no solution exists at such a node. Contracting the
-W-trees would change neither m - n + c nor any F-degree, so the bound
+vertex of degree d lowers m - n + c by at most max(d - 1, 0), a forest
+has m - n + c = 0, W and R vertices are not deletable and degrees only
+fall as vertices go, so no solution exists at such a node. Contracting
+the W-trees would change neither m - n + c nor any F-degree, so the bound
 reads the graph as it is. A cut node is a reject leaf with no reduction
 events; it is a check ahead of the rules, not one of them, and a cut
-child counts as an unbounded drop like any rejected child.
+child counts as an unbounded drop like any rejected child. The check
+also sets the instance's floor to the exact rank. The floor falls by
+max(d - 1, 0) at each deletion, so rule 3 checks the same bound on it
+after the fixpoint's own takes, and the pipeline checks it on each guess
+before the guess's instance is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .basecase import solve_base
-from .fvs import cover_count
-from .instance import DisInstance, InternalSolverError, Kind, classification, measure
+from .instance import DisInstance, InternalSolverError, Kind, classification, floor_cut, measure
 from .reductions import ReductionEvent, reduce_to_fixpoint
 
 CASE_A = "A"
@@ -116,15 +119,13 @@ def select_pivot(inst: DisInstance) -> PivotChoice | None:
 def cycle_rank_cut(inst: DisInstance) -> bool:
     """True when no inst.k vertices of F - R can break every cycle of inst.
 
-    Deleting a vertex of degree d lowers m - n + c by at most d - 1, and a
-    forest has m - n + c = 0. W and R vertices are not deletable, and
-    degrees only fall as vertices go, so a solution needs the degrees of
-    at most k vertices of F - R, largest first, to cover m - n + c.
+    Sets inst.floor to m - n + c exactly and checks it with floor_cut: W
+    and R vertices are not deletable, so a solution needs the degrees of at
+    most k vertices of F - R, largest first, minus one each, to cover it.
     """
     g = inst.graph
-    need = g.num_edges - len(g) + g.component_count()
-    degs = sorted((g.deg(v) for v in inst.f_free), reverse=True)
-    return cover_count(need, degs[:max(inst.k, 0)]) is None
+    inst.floor = g.num_edges - len(g) + g.component_count()
+    return floor_cut(inst)
 
 
 def _better(a: set[int] | None, b: set[int] | None) -> set[int] | None:

@@ -9,9 +9,10 @@ only has to break the cycles that cross between them.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
+from .fvs import cover_count
 from .multigraph import MultiGraph
 
 
@@ -42,18 +43,12 @@ class VertexClass:
 
 @dataclass(frozen=True)
 class Measure:
-    """mu = k + rho - eta - tau, with the settled vertices eta and tau count.
-
-    settled maps each nice vertex and each tent to its kind as measured; it
-    takes no part in equality, so a Measure compares by its four counts
-    alone.
-    """
+    """mu = k + rho - eta - tau; eta and tau count the settled vertices."""
 
     k: int
     rho: int
     eta: int
     tau: int
-    settled: dict[int, Kind] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def mu(self) -> int:
@@ -80,16 +75,26 @@ class DisInstance:
     clash.
 
     last is the Measure that measure returned when the instance was last
+    measured, settled maps each nice vertex and tent to its kind as then
     measured, and touched collects every vertex whose facts a move changed
     since then: its edges, its W-degree, its R-membership or its place in F.
     So deleting or protecting a vertex marks it and its neighbors, and
     measure looks again at the marked vertices alone. A new instance holds
-    the empty measure with every vertex touched. A clone copies touched and
-    shares last, which is never mutated, so it continues from the same
-    measure.
+    the empty measure with nothing settled and every vertex touched. A
+    clone copies touched and settled and shares last, which is never
+    mutated, so it continues from the same measure.
+
+    floor is a lower bound on the cycle rank m - n + c of the graph, and
+    floor_k the budget at which floor_cut last checked it. Deleting a
+    vertex of degree d lowers m - n + c by at most max(d - 1, 0), so
+    delete_vertex lowers floor by that much. A new instance starts from 0,
+    which bounds every graph; the engine sets it exactly at each node.
     """
 
-    __slots__ = ("graph", "w", "r", "k", "taken", "comps", "comp_of", "touched", "last")
+    __slots__ = (
+        "graph", "w", "r", "k", "taken", "comps", "comp_of",
+        "touched", "last", "settled", "floor", "floor_k",
+    )
 
     def __init__(
         self,
@@ -110,6 +115,9 @@ class DisInstance:
             self._add_component(comp)
         self.touched: set[int] = graph.vertices  # a fresh set
         self.last = Measure(0, 0, 0, 0)
+        self.settled: dict[int, Kind] = {}
+        self.floor = 0
+        self.floor_k = k
         if validate:
             problems = validate_instance(self)
             if problems:
@@ -126,6 +134,9 @@ class DisInstance:
         inst.comp_of = dict(self.comp_of)
         inst.touched = set(self.touched)
         inst.last = self.last
+        inst.settled = dict(self.settled)
+        inst.floor = self.floor
+        inst.floor_k = self.floor_k
         return inst
 
     @property
@@ -146,6 +157,9 @@ class DisInstance:
         nbrs = self.graph.neighbors(v)
         self.touched |= nbrs
         self.touched.add(v)
+        d = self.graph.deg(v)
+        if d > 1:
+            self.floor -= d - 1
         self.graph.remove_vertex(v)
         self.r.discard(v)
         if v in self.w:
@@ -207,6 +221,24 @@ class DisInstance:
             f"DisInstance(n={len(self.graph)}, |W|={len(self.w)},"
             f" |R|={len(self.r)}, k={self.k})"
         )
+
+
+def rank_cut(need: int, degs: Iterable[int], k: int) -> bool:
+    """True when no k of degs, largest first, minus one each, reach need.
+
+    need is (a lower bound on) a graph's cycle rank m - n + c and degs are
+    the degrees of its deletable vertices. Deleting a vertex of degree d
+    lowers m - n + c by at most max(d - 1, 0), a forest has m - n + c = 0
+    and degrees only fall as vertices go, so a cut proves that no k of those
+    vertices break every cycle.
+    """
+    return cover_count(need, sorted(degs, reverse=True)[:max(k, 0)]) is None
+
+
+def floor_cut(inst: DisInstance) -> bool:
+    """rank_cut on inst's floor, budget and F - R; records the budget as floor_k."""
+    inst.floor_k = inst.k
+    return inst.floor > 0 and rank_cut(inst.floor, map(inst.graph.deg, inst.f_free), inst.k)
 
 
 def validate_instance(inst: DisInstance) -> list[str]:
@@ -314,9 +346,9 @@ def measure(inst: DisInstance) -> Measure:
     Nice vertices and tents are settled in the sense that the base case
     handles them in polynomial time, so each one prepays a unit of measure.
 
-    rho is read off the W-partition the instance keeps. The settled kinds
-    are updated from inst.last at inst.touched alone, the result is stored
-    as inst.last, and touched is cleared. Since a settled kind reads only
+    rho is read off the W-partition the instance keeps. inst.settled is
+    updated in place at inst.touched alone, the result is stored as
+    inst.last, and touched is cleared. Since a settled kind reads only
     the vertex's own facts and every move marks each vertex whose facts it
     changed, only the touched vertices can have gained or lost a kind, and
     eta and tau move by their old and new kinds. A new instance has every
@@ -329,7 +361,7 @@ def measure(inst: DisInstance) -> Measure:
         if prev.k != inst.k:
             inst.last = replace(prev, k=inst.k)
         return inst.last
-    settled = dict(prev.settled)
+    settled = inst.settled
     eta, tau = prev.eta, prev.tau
     for v in touched:
         old, new = settled.pop(v, None), _settled_kind(inst, v)
@@ -337,7 +369,7 @@ def measure(inst: DisInstance) -> Measure:
             settled[v] = new
         eta += (new is Kind.NICE) - (old is Kind.NICE)
         tau += (new is Kind.TENT) - (old is Kind.TENT)
-    inst.last = Measure(inst.k, len(inst.comps), eta, tau, settled)
+    inst.last = Measure(inst.k, len(inst.comps), eta, tau)
     return inst.last
 
 

@@ -7,18 +7,21 @@ outside Z are peeled off the root until none is left, once for all guesses.
 Every guess Z' of the solution part inside Z is built from that root
 instance by taking Z' and protecting Z minus Z' into the undeletable
 forest W. A guess is skipped when Z minus Z' holds a cycle, or Z' meets a
-restricted vertex or is not independent. The disjoint engine answers each
-guess exactly, so the first feasible guess settles the decision and a full
-scan settles minimization.
+restricted vertex or is not independent. A guess that passes these tests
+is rejected before its instance is built when the engine's cycle-rank cut
+would reject its root, read off the shared root: m - n + c of the root is
+counted once, and taking Z' lowers it by at most deg - 1 per vertex. The
+disjoint engine answers each other guess exactly, so the first feasible
+guess settles the decision and a full scan settles minimization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .branching import DisjointResult, _better, fib, solve_disjoint
+from .branching import BranchNode, DisjointResult, _better, fib, solve_disjoint
 from .fvs import min_fvs
-from .instance import DisInstance, InternalSolverError, check_solution
+from .instance import DisInstance, InternalSolverError, check_solution, rank_cut
 from .multigraph import MultiGraph
 
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
@@ -62,15 +65,27 @@ def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
 
 
 def _run_guess(
-    root: DisInstance, z: set[int], z_prime: tuple[int, ...], keep_trace: bool
+    root: DisInstance, z: set[int], z_prime: tuple[int, ...], keep_trace: bool, rank: int
 ) -> GuessRecord:
-    """Take Z' into the solution, protect Z minus Z' and solve the rest."""
+    """Take Z' into the solution, protect Z minus Z' and solve the rest.
+
+    rank is m - n + c of the root. The guess root's cycle-rank cut is
+    checked on the root before it is cloned, and a guess it cuts gets the
+    record of a guess whose engine root was cut.
+    """
+    g = root.graph
     w = z.difference(z_prime)
     # Z' is taken while W is empty, so it would take a restricted vertex
     # exactly when it meets R or its own neighbours; a skip copies nothing
-    blocked = root.r.union(*map(root.graph.neighbors, z_prime))
-    if not root.graph.is_forest(w) or not blocked.isdisjoint(z_prime):
+    blocked = root.r.union(*map(g.neighbors, z_prime))
+    if not g.is_forest(w) or not blocked.isdisjoint(z_prime):
         return GuessRecord(z_prime, "skipped")
+    # taking Z' lowers m - n + c by at most deg - 1 per vertex; F - R of the
+    # guess is what lies outside Z, R and N(Z'), whose degrees stay as they are
+    need = rank - sum(max(g.deg(v) - 1, 0) for v in z_prime)
+    if need > 0 and rank_cut(need, map(g.deg, g.vertices - z - blocked), root.k - len(z_prime)):
+        trace = BranchNode("reject", answer="no") if keep_trace else None
+        return GuessRecord(z_prime, "no", nodes=1, trace=trace)
     inst = root.clone()
     for v in z_prime:
         inst.take(v)
@@ -136,13 +151,14 @@ def solve_ifvs(
     while peel := [v for v in h.low_degree_vertices() if v not in z]:
         for v in peel:
             root.delete_vertex(v)
+    rank = h.num_edges - len(h) + h.component_count()
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)) + 1)
     best: set[int] | None = None
     records: list[GuessRecord] = []
     for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
-        rec = _run_guess(root, z, z_prime, keep_traces)
+        rec = _run_guess(root, z, z_prime, keep_traces, rank)
         records.append(rec)
         if rec.status != "yes":
             continue

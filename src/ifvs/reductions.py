@@ -16,7 +16,9 @@ cash in the offset.
 Rule catalogue, by what each one does:
   1  delete any vertex with at most one incident edge occurrence
   2  bypass one of two adjacent degree-2 vertices outside W
-  3  reject when the budget or the measure went negative
+  3  reject when the budget or the measure went negative, or, once a
+     take has lowered the budget, when the budget cannot pay for the
+     floor on the cycle rank (instance.floor_cut)
   4  reject when a restricted vertex double-links one W-component
   5  take a deletable vertex that double-links one W-component
   6  promote a restricted vertex with generalized degree or tent degree
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import DisInstance, InternalSolverError, Measure, _classify, measure
+from .instance import DisInstance, InternalSolverError, Measure, _classify, floor_cut, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -75,9 +77,10 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 # A rule returns None and leaves inst untouched when it does not apply. When
 # it fires it reduces inst in place, or rejects without touching it. m is the
 # measure of inst as passed in; because a rule that does not fire changes
-# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu,
-# rules 4 and 5 read the instance's W-components and rule 6 classifies R
-# itself.
+# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu and
+# the floor; when it checks the floor it notes the budget as floor_k, which
+# only its own next try reads. Rules 4 and 5 read the instance's
+# W-components and rule 6 classifies R itself, one vertex at a time.
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
@@ -112,6 +115,7 @@ def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
     other = next(x for x in g.neighbors(drop) if x != keep)
     inst.delete_vertex(drop)  # marks keep and other, the ends of the new edge
     g.add_edge(keep, other)
+    inst.floor += 1  # a bypass keeps m - n + c, so the floor gets its unit back
     if other not in inst.w and g.multiplicity(keep, other) >= 2:
         raise InternalSolverError("bypass created a parallel edge inside F")
     return "reduced", drop
@@ -119,6 +123,9 @@ def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
 
 def _rule3(inst: DisInstance, m: Measure) -> Fired | None:
     if inst.k < 0 or m.mu < 0:
+        return "reject", None
+    # the floor is checked again only once a take has lowered the budget
+    if inst.k < inst.floor_k and floor_cut(inst):
         return "reject", None
     return None
 
@@ -139,9 +146,8 @@ def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
 
 
 def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
-    classes = _classify(inst, inst.r)
     for v in sorted(inst.r):
-        c = classes[v]
+        c = _classify(inst, (v,))[v]
         if c.gdeg >= 1 or c.tdeg >= 1:
             # rule 4 fires first on a double link, so the move merges
             # distinct W-components and cannot close a cycle inside W

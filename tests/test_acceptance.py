@@ -120,6 +120,7 @@ def dis_sweep():
         "fixpoint_rejections": [],
         "fixpoint_mu_negative": [],
         "cycle_rank_cuts": [],
+        "tight_rejections": [],
     }
     for seed in range(DIS_SWEEP_SIZE):
         inst = random_dis_instance(seed)
@@ -150,11 +151,15 @@ def dis_sweep():
                 agg["leaf_violations"].append(seed)
         if want is not None:
             agg["yes_instances"] += 1
-            # the cut may not fire even at the tightest budget that fits
+            # neither the cut nor the fixpoint, whose rule 3 checks the
+            # floor the cut set after every take, may reject at the
+            # tightest budget that fits
             tight = inst.clone()
             tight.k = len(want)
             if cycle_rank_cut(tight):
                 agg["cycle_rank_cuts"].append(seed)
+            elif reduce_to_fixpoint(tight).rejected:
+                agg["tight_rejections"].append(seed)
             red = reduce_to_fixpoint(inst)
             if red.rejected:
                 agg["fixpoint_rejections"].append(seed)
@@ -202,11 +207,12 @@ def test_criterion_04_base_leaves_within_fibonacci_cap(graph_sweep, dis_sweep, c
 
 
 def test_criterion_05_feasible_fixpoints_have_nonnegative_measure(dis_sweep, capsys):
-    wrong = ("fixpoint_rejections", "fixpoint_mu_negative", "cycle_rank_cuts")
+    wrong = ("fixpoint_rejections", "fixpoint_mu_negative", "cycle_rank_cuts", "tight_rejections")
     bad = sum(len(dis_sweep[key]) for key in wrong)
+    rejections = len(dis_sweep["fixpoint_rejections"]) + len(dis_sweep["tight_rejections"])
     detail = (
         f"{dis_sweep['yes_instances']} feasible instances, "
-        f"{len(dis_sweep['fixpoint_rejections'])} wrong rejections, "
+        f"{rejections} wrong rejections, "
         f"{len(dis_sweep['fixpoint_mu_negative'])} negative measures, "
         f"{len(dis_sweep['cycle_rank_cuts'])} cycle-rank cuts at the optimum's size"
     )

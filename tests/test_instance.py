@@ -16,6 +16,7 @@ from ifvs.instance import (
 )
 from ifvs.multigraph import MultiGraph
 from ifvs.generators import gadget_tent_branch, random_dis_instance
+from ifvs.reductions import _rule2
 
 from helpers import assert_measure_is_fresh, assert_partition_is_fresh, complete, cycle, path
 
@@ -212,10 +213,11 @@ def test_measure_keeps_the_last_measure():
     inst, _ = gadget_tent_branch()
     m = measure(inst)
     assert inst.last is m and measure(inst) is m
+    settled = inst.settled
     inst.k -= 1  # a budget change alone keeps the analysis
     m1 = measure(inst)
     assert (m1.k, m1.rho, m1.eta, m1.tau) == (m.k - 1, m.rho, m.eta, m.tau)
-    assert m1.settled is m.settled
+    assert inst.settled is settled and settled
     assert measure(inst) is m1
 
 
@@ -276,11 +278,34 @@ def _partition(inst) -> set[frozenset[int]]:
     return {frozenset(comp) for comp in inst.comps.values()}
 
 
+def _rank(g: MultiGraph) -> int:
+    return g.num_edges - len(g) + g.component_count()
+
+
+def test_the_floor_falls_by_degree_minus_one_and_a_clone_keeps_it():
+    g = complete(4)  # m - n + c = 3
+    inst = DisInstance(g, set(), set(), 2, validate=False)
+    assert inst.floor == 0 and inst.floor_k == 2  # 0 bounds every graph
+    inst.floor = _rank(g)
+    inst.delete_vertex(0)  # degree 3: the rank drops by exactly 2
+    assert inst.floor == 1 == _rank(g)
+    other = inst.clone()
+    other.take(1)  # degree 2
+    assert (other.floor, other.k, other.floor_k) == (0, 1, 2)
+    assert inst.floor == 1
+    inst.delete_vertex(1)
+    inst.delete_vertex(2)  # degree 1: no change
+    assert inst.floor == 0
+
+
 @given(
     st.integers(0, 10**6),
     st.lists(
         st.tuples(
-            st.sampled_from(("take", "protect", "restrict", "delete_vertex", "delete_w", "clone")),
+            st.sampled_from((
+                "take", "protect", "restrict", "delete_vertex", "delete_w",
+                "delete_deg2", "bypass", "clone",
+            )),
             st.integers(0, 10**6),
         ),
         max_size=16,
@@ -289,18 +314,31 @@ def _partition(inst) -> set[frozenset[int]]:
 @settings(max_examples=200, deadline=None)
 def test_w_partition_follows_every_move(seed, moves):
     # delete_w deletes a W-vertex, which splits its component when it is an
-    # inner vertex; the engine never does that, but delete_vertex allows it
+    # inner vertex; the engine never does that, but delete_vertex allows it.
+    # The floor starts exact, as each engine node sets it, and stays a lower
+    # bound on m - n + c through every move, a rule-2 bypass included
     inst = random_dis_instance(seed)
+    inst.floor = _rank(inst.graph)
     kept = []  # (instance, its partition) at each clone; the clone moves on
     for move, pick in moves:
-        verts = sorted(inst.w if move == "delete_w" else inst.graph.vertices)
+        g = inst.graph
+        if move == "delete_w":
+            verts = sorted(inst.w)
+        elif move == "delete_deg2":
+            verts = sorted(v for v in g.vertices if g.deg(v) >= 2)
+        else:
+            verts = sorted(g.vertices)
         if move == "clone":
             kept.append((inst, _partition(inst)))
             inst = inst.clone()
+        elif move == "bypass":
+            _rule2(inst, inst.last)  # the rule reads no measure
         elif verts:
-            _move(inst, "delete_vertex" if move == "delete_w" else move, verts[pick % len(verts)])
+            name = "delete_vertex" if move.startswith("delete") else move
+            _move(inst, name, verts[pick % len(verts)])
         assert_partition_is_fresh(inst)
         assert measure(inst).rho == len(inst.graph.components(inst.w))
+        assert inst.floor <= _rank(inst.graph)
         for orig, part in kept:
             assert _partition(orig) == part
             assert_partition_is_fresh(orig)

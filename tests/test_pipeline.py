@@ -6,15 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifvs.branching import fib
+from ifvs import instance, pipeline
+from ifvs.branching import (
+    BranchNode,
+    DisjointResult,
+    DisjointStats,
+    cycle_rank_cut,
+    fib,
+    solve_disjoint,
+)
 from ifvs.fvs import min_fvs
-from ifvs.generators import planted_ifvs, random_multigraph
+from ifvs.generators import planted_ifvs, random_dis_instance, random_multigraph
 from ifvs.instance import check_solution
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_ifvs, oracle_min_ifvs
 from ifvs.pipeline import (
     BOUND_BASE,
     GOLDEN_RATIO,
+    GuessRecord,
     leaf_bound,
     solve_ifvs,
     subdivide_once,
@@ -235,3 +244,86 @@ def test_decision_mode_finds_any_witness(seed):
     else:
         assert res.status == "yes"
         assert check_solution(g, res.solution, k)
+
+
+def _sparse(seed: int, count: int, ratio: float) -> MultiGraph:
+    n = 20 + seed * 21 // count  # n = 20..40 over the seeds
+    return random_multigraph(n, int(ratio * n), seed, loops=False, multi=False)
+
+
+def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
+    # the engine is stubbed out, so every guess is tried at no search cost;
+    # a tried guess that never reaches the stub was cut before its clone
+    reached = []
+    runs = []
+    run_guess = pipeline._run_guess
+
+    def stub(inst):
+        reached.append(inst)
+        return DisjointResult(None, BranchNode("reject", answer="no"), DisjointStats(1))
+
+    def recording(root, z, z_prime, keep_trace, rank):
+        before = len(reached)
+        rec = run_guess(root, z, z_prime, keep_trace, rank)
+        runs.append((root, rec, len(reached) > before))
+        return rec
+
+    monkeypatch.setattr(pipeline, "solve_disjoint", stub)
+    monkeypatch.setattr(pipeline, "_run_guess", recording)
+    cut = 0
+    for seed in range(30):
+        g = _sparse(seed, 30, 1.6)
+        z = min_fvs(g)
+        solve_ifvs(g, len(z), fvs_override=z, keep_traces=True)
+        for root, rec, engine in runs:
+            if rec.status == "skipped" or engine:
+                continue
+            cut += 1
+            # the record of a guess whose engine root was cut
+            trace = BranchNode("reject", answer="no")
+            assert rec == GuessRecord(rec.z_prime, "no", nodes=1, trace=trace)
+            inst = root.clone()
+            for v in rec.z_prime:
+                inst.take(v)
+            for v in sorted(z.difference(rec.z_prime)):
+                inst.protect(v)
+            assert cycle_rank_cut(inst), (seed, rec.z_prime)
+        runs.clear()
+    assert cut > 100
+
+
+def _answers() -> tuple[list, int]:
+    """Statuses and solutions of minimize runs and decisions at opt and
+    opt - 1 on sparse random graphs, and of the disjoint engine at k and
+    k - 1; plus the engine nodes they took."""
+    out, nodes = [], 0
+    for seed in range(60):
+        g = _sparse(seed, 60, 1.2)
+        runs = [solve_ifvs(g, len(g), minimize=True)]
+        if runs[0].solution is not None:
+            opt = len(runs[0].solution)
+            runs += [solve_ifvs(g, opt), solve_ifvs(g, opt - 1)]
+        out += [(res.status, res.solution) for res in runs]
+        nodes += sum(res.stats["branch_nodes"] for res in runs)
+    for seed in range(300):
+        inst = random_dis_instance(seed)
+        for k in (inst.k - 1, inst.k):
+            if k < 0:
+                continue
+            inst.k = k
+            res = solve_disjoint(inst)
+            out.append(res.solution)
+            nodes += res.stats.nodes
+    return out, nodes
+
+
+def test_the_cycle_rank_cuts_change_no_answer(monkeypatch):
+    # every site of the bound (the guess check, each engine node and rule
+    # 3) goes through rank_cut; with it never cutting, every search runs in
+    # full and must answer the same, down to the solution it returns
+    answers, nodes = _answers()
+    for mod in (instance, pipeline):
+        monkeypatch.setattr(mod, "rank_cut", lambda need, degs, k: False)
+    uncut, uncut_nodes = _answers()
+    assert answers == uncut
+    assert nodes < uncut_nodes

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifvs.branching import cycle_rank_cut
 from ifvs.generators import (
     gadget_promotion,
     gadget_shield,
@@ -291,3 +292,21 @@ def test_forced_vertices_reappear_in_solutions():
             assert inst.taken <= site_solution, seed
             checked += 1
     assert checked >= 30
+
+
+def test_rule3_rejects_by_the_floor_only_after_a_take_and_only_a_no():
+    # cycle_rank_cut sets the floor exactly, as at each engine node; rule 3
+    # then checks it again each time a take has lowered the budget
+    floor_rejects = 0
+    for seed in range(400):
+        inst = random_dis_instance(seed)
+        if cycle_rank_cut(inst):
+            continue
+        orig, k0 = inst.clone(), inst.k
+        red = reduce_to_fixpoint(inst)
+        last = red.events[-1] if red.rejected else None
+        if last and last.rule == 3 and inst.k >= 0 and last.mu_before >= 0:
+            floor_rejects += 1
+            assert inst.k < k0 and 5 in {ev.rule for ev in red.events}, seed
+            assert oracle_disjoint(orig) is None, seed
+    assert floor_rejects > 0
