@@ -145,13 +145,18 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
     node fixpoint; the engine hard-checks the drop guarantees and raises
     InternalSolverError on any accounting violation.
 
-    inst is left as it was, its taken included. The search clones it once,
-    with an empty taken, so a solution holds vertices of inst's graph only.
-    Each node reduces its own instance in place and clones it for its
-    delete child; the to-W child, built once the delete subtree is done,
-    reuses it. A solved leaf answers with its instance's taken, every
-    vertex taken on its path from the root, plus its base-case deletions.
+    inst is left as it was, its taken included; the search runs on a clone.
     """
+    return search_disjoint(inst.clone())
+
+
+def search_disjoint(inst: DisInstance) -> DisjointResult:
+    """solve_disjoint on inst itself, which the caller gives up; its taken
+    is cleared first. Each node reduces its instance in place and clones it
+    for its delete child; the to-W child reuses it once the delete subtree
+    is done. A solved leaf answers with its taken plus its base-case deletions.
+    """
+    inst.taken.clear()
     root_budget = [None]
 
     def recurse(cur: DisInstance, depth: int) -> tuple[set[int] | None, BranchNode]:
@@ -208,9 +213,7 @@ def solve_disjoint(inst: DisInstance) -> DisjointResult:
         )
         return _better(del_sol, w_sol), node
 
-    start = inst.clone()
-    start.taken.clear()
-    solution, root = recurse(start, 1)
+    solution, root = recurse(inst, 1)
     nodes = list(root.walk())
     stats = DisjointStats(len(nodes), sum(node.kind == "base" for node in nodes), root.mu)
     return DisjointResult(solution, root, stats)

@@ -1,7 +1,7 @@
 """Undirected multigraph with explicit edge multiplicities and loops."""
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, ItemsView
 
 
 class MultiGraph:
@@ -99,6 +99,10 @@ class MultiGraph:
     def neighbors(self, v: int) -> set[int]:
         """Distinct adjacent vertices, excluding v itself."""
         return {u for u in self._adj[v] if u != v}
+
+    def incident(self, v: int) -> ItemsView[int, int]:
+        """(neighbor, multiplicity) pairs of v's edges, a loop as (v, m)."""
+        return self._adj[v].items()
 
     def deg(self, v: int) -> int:
         """Total incident edge occurrences; a loop contributes 2."""

@@ -8,20 +8,21 @@ Every guess Z' of the solution part inside Z is built from that root
 instance by taking Z' and protecting Z minus Z' into the undeletable
 forest W. A guess is skipped when Z minus Z' holds a cycle, or Z' meets a
 restricted vertex or is not independent. A guess that passes these tests
-is rejected before its instance is built when the engine's cycle-rank cut
-would reject its root, read off the shared root: m - n + c of the root is
-counted once, and taking Z' lowers it by at most deg - 1 per vertex. The
-disjoint engine answers each other guess exactly, so the first feasible
-guess settles the decision and a full scan settles minimization.
+is refuted before its instance is built when a cycle of its undeletable
+part, the vertices that part forces into every solution, or the cycle-rank
+cut show on the shared root that it has no solution (see _run_guess). The
+engine answers each other guess exactly on its one clone, so the first
+feasible guess settles the decision and a full scan settles minimization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .branching import BranchNode, DisjointResult, _better, fib, solve_disjoint
+from .branching import BranchNode, DisjointResult, _better, fib, search_disjoint
+from .branching import solve_disjoint  # noqa: F401  perfbench/spans.py wraps this name
 from .fvs import min_fvs
-from .instance import DisInstance, InternalSolverError, check_solution, rank_cut
+from .instance import DisInstance, InternalSolverError, check_solution, measure, rank_cut
 from .multigraph import MultiGraph
 
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
@@ -64,14 +65,68 @@ def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
     }
 
 
+def _forced(g: MultiGraph, keep: set[int], free: set[int]) -> set[int] | None:
+    """Vertices of free with two edge occurrences into one tree of G[keep],
+    or None when G[keep] has a cycle. Reads only the edges out of keep."""
+    todo, forced = set(keep), set()
+    while todo:
+        stack, size, inner, seen = [todo.pop()], 0, 0, set()  # seen: hit by this tree
+        while stack:
+            v = stack.pop()
+            size += 1
+            for u, m in g.incident(v):
+                if u in keep:
+                    inner += m
+                    if u in todo:
+                        todo.remove(u)
+                        stack.append(u)
+                elif u in free:
+                    if m > 1 or u in seen:
+                        forced.add(u)
+                    seen.add(u)
+        if inner > 2 * (size - 1):  # inner counts each edge from both ends
+            return None
+    return forced
+
+
+def _refuted(
+    g: MultiGraph, z: set[int], z_prime: tuple[int, ...], blocked: set[int], rank: int, k: int
+) -> bool:
+    """True when guess Z' has no solution; see _run_guess."""
+    keep = blocked | z.difference(z_prime)  # U
+    free = g.vertices - z - keep  # deletable, not yet forced
+    need = rank - sum(max(g.deg(v) - 1, 0) for v in z_prime)
+    k -= len(z_prime)
+    while not (need > 0 and rank_cut(need, map(g.deg, free), k)):
+        forced = _forced(g, keep, free)
+        if forced is None:
+            return True
+        if not forced:
+            return False
+        nbrs = set().union(*map(g.neighbors, forced))
+        k -= len(forced)
+        if k < 0 or not nbrs.isdisjoint(forced):
+            return True
+        need -= sum(max(g.deg(x) - 1, 0) for x in forced)
+        free -= forced | nbrs
+        keep |= nbrs
+    return True
+
+
 def _run_guess(
     root: DisInstance, z: set[int], z_prime: tuple[int, ...], keep_trace: bool, rank: int
 ) -> GuessRecord:
     """Take Z' into the solution, protect Z minus Z' and solve the rest.
 
-    rank is m - n + c of the root. The guess root's cycle-rank cut is
-    checked on the root before it is cloned, and a guess it cuts gets the
-    record of a guess whose engine root was cut.
+    rank is m - n + c of the root. A guess that _refuted shows to have no
+    solution S, before the root is cloned, gets the record of a guess whose
+    engine root was cut. Each S avoids U = W ∪ R ∪ N(Z'), so G[U] is a
+    forest, and a vertex outside Z ∪ U with two edge occurrences into one
+    tree of G[U] is in S. These forced vertices are taken in rounds: they
+    must be pairwise non-adjacent and fit the budget, and their neighbours
+    join U. Each round starts with the rank cut on the vertices still
+    deletable, whose root degrees are still theirs; taking a vertex of
+    degree d lowers m - n + c by at most d - 1.
     """
     g = root.graph
     w = z.difference(z_prime)
@@ -80,10 +135,7 @@ def _run_guess(
     blocked = root.r.union(*map(g.neighbors, z_prime))
     if not g.is_forest(w) or not blocked.isdisjoint(z_prime):
         return GuessRecord(z_prime, "skipped")
-    # taking Z' lowers m - n + c by at most deg - 1 per vertex; F - R of the
-    # guess is what lies outside Z, R and N(Z'), whose degrees stay as they are
-    need = rank - sum(max(g.deg(v) - 1, 0) for v in z_prime)
-    if need > 0 and rank_cut(need, map(g.deg, g.vertices - z - blocked), root.k - len(z_prime)):
+    if _refuted(g, z, z_prime, blocked, rank, root.k):
         trace = BranchNode("reject", answer="no") if keep_trace else None
         return GuessRecord(z_prime, "no", nodes=1, trace=trace)
     inst = root.clone()
@@ -91,7 +143,7 @@ def _run_guess(
         inst.take(v)
     for v in sorted(w):
         inst.protect(v)
-    res: DisjointResult = solve_disjoint(inst)
+    res: DisjointResult = search_disjoint(inst)
     return GuessRecord(
         z_prime,
         "yes" if res.feasible else "no",
@@ -152,6 +204,7 @@ def solve_ifvs(
         for v in peel:
             root.delete_vertex(v)
     rank = h.num_edges - len(h) + h.component_count()
+    measure(root)  # nothing is settled yet; guesses re-measure what they mark
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)) + 1)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import combinations
@@ -17,9 +18,9 @@ from ifvs.branching import (
 )
 from ifvs.fvs import min_fvs
 from ifvs.generators import planted_ifvs, random_dis_instance, random_multigraph
-from ifvs.instance import check_solution
+from ifvs.instance import DisInstance, check_solution
 from ifvs.multigraph import MultiGraph
-from ifvs.oracle import oracle_ifvs, oracle_min_ifvs
+from ifvs.oracle import oracle_disjoint, oracle_ifvs, oracle_min_ifvs
 from ifvs.pipeline import (
     BOUND_BASE,
     GOLDEN_RATIO,
@@ -251,60 +252,137 @@ def _sparse(seed: int, count: int, ratio: float) -> MultiGraph:
     return random_multigraph(n, int(ratio * n), seed, loops=False, multi=False)
 
 
+def _built(root, z: set[int], z_prime: tuple[int, ...]):
+    """The instance the pipeline builds for guess z_prime from root."""
+    inst = root.clone()
+    for v in z_prime:
+        inst.take(v)
+    for v in sorted(z.difference(z_prime)):
+        inst.protect(v)
+    return inst
+
+
 def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
     # the engine is stubbed out, so every guess is tried at no search cost;
-    # a tried guess that never reaches the stub was cut before its clone
+    # a tried guess that never reaches the stub was cut before its clone.
+    # A cut by the first rank check alone is one the engine root's
+    # cycle-rank cut makes too; a cut by a cycle through the undeletable
+    # part or by forced takes is one of a guess with no solution at all
     reached = []
     runs = []
-    run_guess = pipeline._run_guess
+    ranks = []
+    run_guess, cut_rank = pipeline._run_guess, pipeline.rank_cut
 
     def stub(inst):
         reached.append(inst)
         return DisjointResult(None, BranchNode("reject", answer="no"), DisjointStats(1))
 
+    def spy(need, degs, k):
+        ranks.append(cut_rank(need, degs, k))
+        return ranks[-1]
+
     def recording(root, z, z_prime, keep_trace, rank):
         before = len(reached)
+        ranks.clear()
         rec = run_guess(root, z, z_prime, keep_trace, rank)
-        runs.append((root, rec, len(reached) > before))
+        runs.append((root, rec, len(reached) > before, ranks == [True]))
         return rec
 
-    monkeypatch.setattr(pipeline, "solve_disjoint", stub)
+    monkeypatch.setattr(pipeline, "search_disjoint", stub)
+    monkeypatch.setattr(pipeline, "rank_cut", spy)
     monkeypatch.setattr(pipeline, "_run_guess", recording)
-    cut = 0
+    cut = refuted = 0
     for seed in range(30):
         g = _sparse(seed, 30, 1.6)
         z = min_fvs(g)
         solve_ifvs(g, len(z), fvs_override=z, keep_traces=True)
-        for root, rec, engine in runs:
+        for root, rec, engine, by_rank in runs:
             if rec.status == "skipped" or engine:
                 continue
             cut += 1
             # the record of a guess whose engine root was cut
             trace = BranchNode("reject", answer="no")
             assert rec == GuessRecord(rec.z_prime, "no", nodes=1, trace=trace)
-            inst = root.clone()
-            for v in rec.z_prime:
-                inst.take(v)
-            for v in sorted(z.difference(rec.z_prime)):
-                inst.protect(v)
-            assert cycle_rank_cut(inst), (seed, rec.z_prime)
+            inst = _built(root, z, rec.z_prime)
+            if by_rank:
+                assert cycle_rank_cut(inst), (seed, rec.z_prime)
+                continue
+            refuted += 1
+            if len(inst.f_free) <= 12:
+                assert oracle_disjoint(inst) is None, (seed, rec.z_prime)
+            assert solve_disjoint(inst).solution is None, (seed, rec.z_prime)
         runs.clear()
     assert cut > 100
+    assert refuted > 100
 
 
-def _answers() -> tuple[list, int]:
+def _refutation_case(edges, z: set[int], z_prime: tuple[int, ...], k: int):
+    """The record of guess z_prime under Z = z, and its built instance; the
+    graphs have no loops and nothing to peel, so g itself is the root."""
+    g = MultiGraph()
+    for u, v in edges:
+        g.add_edge(u, v)
+    res = solve_ifvs(g, k, minimize=True, fvs_override=z, keep_traces=True)
+    rec = next(rec for rec in res.guesses if rec.z_prime == z_prime)
+    return rec, _built(DisInstance(g, set(), set(), k, validate=False), z, z_prime)
+
+
+# W-singletons 6, 7, 8 hang off vertex 4, which gives the rank check the
+# degree it needs without closing a cycle
+_FAN = [(4, 6), (4, 7), (4, 8)]
+
+
+@pytest.mark.parametrize("edges, z, z_prime, k", [
+    # Z' = {3}: its restricted neighbour 2 closes the triangle 0-1-2 with W
+    pytest.param(
+        [(0, 1), (0, 2), (1, 2), (2, 3)] + _FAN, {0, 1, 3, 6, 7, 8}, (3,), 2, id="u-cycle"
+    ),
+    # 1 and 2 each have a double edge into W-vertex 0, so both are forced
+    pytest.param([(0, 1), (0, 1), (0, 2), (0, 2)] + _FAN, {0, 6, 7, 8}, (), 1, id="overrun"),
+    pytest.param([(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)], {0}, (), 2, id="adjacent"),
+    # 1 is forced, and the cycle 4-6-5-7 is then left with no budget
+    pytest.param([(0, 1), (0, 1), (5, 6), (5, 7)] + _FAN, {0, 6, 7, 8}, (), 1, id="rank-after"),
+])
+def test_hopeless_guesses_are_refuted_before_their_clone(edges, z, z_prime, k):
+    rec, inst = _refutation_case(edges, z, z_prime, k)
+    # a guess that reached the engine would carry its root's reduction events
+    trace = BranchNode("reject", answer="no")
+    assert rec == GuessRecord(z_prime, "no", nodes=1, trace=trace)
+    assert oracle_disjoint(inst) is None
+    assert not cycle_rank_cut(inst)  # not a cut of the rank check alone
+
+
+def test_a_feasible_guess_with_a_forced_take_is_not_refuted():
+    # the rank-after case with one more unit of budget: 1 is forced, then
+    # 4 or 5 breaks the cycle 4-6-5-7
+    edges = [(0, 1), (0, 1), (5, 6), (5, 7)] + _FAN
+    rec, inst = _refutation_case(edges, {0, 6, 7, 8}, (), 2)
+    assert rec.status == "yes" and rec.solution == {1, 4}
+    assert oracle_disjoint(inst) == {1, 4}
+
+
+def _answers() -> tuple[list, int, int]:
     """Statuses and solutions of minimize runs and decisions at opt and
     opt - 1 on sparse random graphs, and of the disjoint engine at k and
-    k - 1; plus the engine nodes they took."""
-    out, nodes = [], 0
-    for seed in range(60):
-        g = _sparse(seed, 60, 1.2)
-        runs = [solve_ifvs(g, len(g), minimize=True)]
-        if runs[0].solution is not None:
-            opt = len(runs[0].solution)
-            runs += [solve_ifvs(g, opt), solve_ifvs(g, opt - 1)]
-        out += [(res.status, res.solution) for res in runs]
-        nodes += sum(res.stats["branch_nodes"] for res in runs)
+    k - 1; plus the engine nodes they took and the guesses that reached
+    the engine."""
+    out, nodes, searches = [], 0, []
+    search = pipeline.search_disjoint
+
+    def counted(inst):
+        searches.append(1)
+        return search(inst)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "search_disjoint", counted)
+        for seed in range(60):
+            g = _sparse(seed, 60, 1.2)
+            runs = [solve_ifvs(g, len(g), minimize=True)]
+            if runs[0].solution is not None:
+                opt = len(runs[0].solution)
+                runs += [solve_ifvs(g, opt), solve_ifvs(g, opt - 1)]
+            out += [(res.status, res.solution) for res in runs]
+            nodes += sum(res.stats["branch_nodes"] for res in runs)
     for seed in range(300):
         inst = random_dis_instance(seed)
         for k in (inst.k - 1, inst.k):
@@ -314,16 +392,35 @@ def _answers() -> tuple[list, int]:
             res = solve_disjoint(inst)
             out.append(res.solution)
             nodes += res.stats.nodes
-    return out, nodes
+    return out, nodes, len(searches)
+
+
+@functools.cache
+def _unpatched_answers() -> tuple[list, int, int]:
+    """_answers() with every cut in place, shared by the tests below; each
+    calls it before it patches anything."""
+    return _answers()
 
 
 def test_the_cycle_rank_cuts_change_no_answer(monkeypatch):
     # every site of the bound (the guess check, each engine node and rule
     # 3) goes through rank_cut; with it never cutting, every search runs in
     # full and must answer the same, down to the solution it returns
-    answers, nodes = _answers()
+    answers, nodes, _ = _unpatched_answers()
     for mod in (instance, pipeline):
         monkeypatch.setattr(mod, "rank_cut", lambda need, degs, k: False)
-    uncut, uncut_nodes = _answers()
+    uncut, uncut_nodes, _ = _answers()
     assert answers == uncut
     assert nodes < uncut_nodes
+
+
+def test_the_forced_take_refutation_changes_no_answer(monkeypatch):
+    # with no cycle through the undeletable part and no forced vertex ever
+    # found, the guess check is the rank check alone: more guesses reach
+    # the engine, and every answer, down to the solution, stays the same
+    answers, nodes, searches = _unpatched_answers()
+    monkeypatch.setattr(pipeline, "_forced", lambda g, keep, free: set())
+    uncut, uncut_nodes, uncut_searches = _answers()
+    assert answers == uncut
+    assert nodes <= uncut_nodes
+    assert searches < uncut_searches
