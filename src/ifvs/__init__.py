@@ -20,7 +20,6 @@ from .instance import (
     InstanceError,
     InternalSolverError,
     Kind,
-    Measure,
     VertexClass,
     check_solution,
     classification,
@@ -53,7 +52,6 @@ __all__ = [
     "InstanceError",
     "InternalSolverError",
     "Kind",
-    "Measure",
     "MultiGraph",
     "ParityInstance",
     "ParityPair",

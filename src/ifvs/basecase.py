@@ -67,15 +67,15 @@ def build_parity(inst: DisInstance) -> ParityInstance:
     instance's W-components become ground nodes 0 to rho - 1, numbered by
     their smallest vertex.
     """
-    m = measure(inst)
-    unsettled = inst.f - inst.settled.keys()
+    measure(inst)
+    unsettled = inst.f - inst.settled
     if unsettled:
         raise InternalSolverError(
             f"base case reached with non-settled vertices {sorted(unsettled)}"
         )
     g, comps, comp_of = inst.graph, inst.comps, inst.comp_of
     node = {c: i for i, c in enumerate(sorted(comps, key=lambda c: min(comps[c])))}
-    next_node = m.rho
+    next_node = len(comps)
     pairs = []
     for v in sorted(inst.f):
         targets = sorted(node[comp_of[u]]

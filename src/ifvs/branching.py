@@ -167,7 +167,7 @@ def search_disjoint(inst: DisInstance) -> DisjointResult:
             return None, BranchNode(
                 "reject", reductions=red.events, answer="no",
             )
-        mu = measure(cur).mu
+        mu = measure(cur)
         if root_budget[0] is None:
             root_budget[0] = mu
         elif depth > root_budget[0] + 1:

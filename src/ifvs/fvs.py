@@ -140,19 +140,6 @@ def cover_count(need: int, degs: list[int]) -> int | None:
     return count if need <= 0 else None
 
 
-def _cycle_rank_bound(g: MultiGraph) -> int:
-    """Fewest vertices whose degrees can cover the cycle rank.
-
-    On a loop-free graph, deleting a vertex of degree d removes d edges and
-    one vertex and adds at most d - 1 components, so m - n + c drops by at
-    most d - 1. A forest has m - n + c = 0, so any FVS S has sum over S of
-    (deg - 1) >= m - n + c >= m - n + 1 when g is non-empty. The bound is
-    the fewest largest-degree vertices reaching that sum, which all of a
-    reduced g's vertices do.
-    """
-    return cover_count(*_rank_and_degrees(g))
-
-
 def _rank_and_degrees(g: MultiGraph) -> tuple[int, list[int]]:
     """m - n + 1 of a loop-free g (0 when g is empty), and its degrees
     largest first."""

@@ -9,7 +9,7 @@ only has to break the cycles that cross between them.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .fvs import cover_count
@@ -41,20 +41,6 @@ class VertexClass:
     tdeg: int
 
 
-@dataclass(frozen=True)
-class Measure:
-    """mu = k + rho - eta - tau; eta and tau count the settled vertices."""
-
-    k: int
-    rho: int
-    eta: int
-    tau: int
-
-    @property
-    def mu(self) -> int:
-        return self.k + self.rho - (self.eta + self.tau)
-
-
 class DisInstance:
     """Mutable disjoint-solve state; a search clones it only where it forks.
 
@@ -74,15 +60,12 @@ class DisInstance:
     component when made and leaves it only by deletion, so labels never
     clash.
 
-    last is the Measure that measure returned when the instance was last
-    measured, settled maps each nice vertex and tent to its kind as then
-    measured, and touched collects every vertex whose facts a move changed
-    since then: its edges, its W-degree, its R-membership or its place in F.
-    So deleting or protecting a vertex marks it and its neighbors, and
-    measure looks again at the marked vertices alone. A new instance holds
-    the empty measure with nothing settled and every vertex touched. A
-    clone copies touched and settled and shares last, which is never
-    mutated, so it continues from the same measure.
+    settled holds the nice vertices and tents as last measured, and
+    touched collects every vertex whose facts a move changed since then:
+    its edges, its W-degree, its R-membership or its place in F. So
+    deleting or protecting a vertex marks it and its neighbors, and measure
+    looks again at the marked vertices alone. A new instance has nothing
+    settled and every vertex touched; a clone copies both sets.
 
     floor is a lower bound on the cycle rank m - n + c of the graph, and
     floor_k the budget at which floor_cut last checked it. Deleting a
@@ -93,7 +76,7 @@ class DisInstance:
 
     __slots__ = (
         "graph", "w", "r", "k", "taken", "comps", "comp_of",
-        "touched", "last", "settled", "floor", "floor_k",
+        "touched", "settled", "floor", "floor_k",
     )
 
     def __init__(
@@ -114,8 +97,7 @@ class DisInstance:
         for comp in graph.components(self.w):
             self._add_component(comp)
         self.touched: set[int] = graph.vertices  # a fresh set
-        self.last = Measure(0, 0, 0, 0)
-        self.settled: dict[int, Kind] = {}
+        self.settled: set[int] = set()
         self.floor = 0
         self.floor_k = k
         if validate:
@@ -133,8 +115,7 @@ class DisInstance:
         inst.comps = {c: set(comp) for c, comp in self.comps.items()}
         inst.comp_of = dict(self.comp_of)
         inst.touched = set(self.touched)
-        inst.last = self.last
-        inst.settled = dict(self.settled)
+        inst.settled = set(self.settled)
         inst.floor = self.floor
         inst.floor_k = self.floor_k
         return inst
@@ -328,49 +309,36 @@ def classify(inst: DisInstance, v: int) -> VertexClass:
     return _classify(inst, (v,))[v]
 
 
-def _settled_kind(inst: DisInstance, v: int) -> Kind | None:
-    """NICE or TENT when v is nice or a tent, else None.
+def _is_settled(inst: DisInstance, v: int) -> bool:
+    """True when v is nice or a tent.
 
     Both kinds read only v's own facts: v is in F minus R, every neighbor of
     v is in W, and v has two (nice) or three (tent) edge occurrences into W.
     """
     g, w = inst.graph, inst.w
-    if v not in g or v in w or v in inst.r or not g.neighbors(v) <= w:
-        return None
-    return _SETTLED.get(g.deg_x(v, w))
+    return (v in g and v not in w and v not in inst.r and g.neighbors(v) <= w
+            and g.deg_x(v, w) in _SETTLED)
 
 
-def measure(inst: DisInstance) -> Measure:
-    """Branching measure: budget plus W-components minus settled vertices.
+def measure(inst: DisInstance) -> int:
+    """Branching measure mu = k + rho - (eta + tau).
 
-    Nice vertices and tents are settled in the sense that the base case
+    k is the budget, rho the number of W-components and eta + tau the
+    number of settled vertices, the nice vertices and tents: the base case
     handles them in polynomial time, so each one prepays a unit of measure.
 
     rho is read off the W-partition the instance keeps. inst.settled is
-    updated in place at inst.touched alone, the result is stored as
-    inst.last, and touched is cleared. Since a settled kind reads only
-    the vertex's own facts and every move marks each vertex whose facts it
-    changed, only the touched vertices can have gained or lost a kind, and
-    eta and tau move by their old and new kinds. A new instance has every
-    vertex touched, so its first measure looks at all of them. The result
-    equals a measure taken from scratch.
+    brought up to date at inst.touched alone, which is then cleared: a
+    settled kind reads only the vertex's own facts and every move marks
+    each vertex whose facts it changed, so only the touched vertices can
+    have become or stopped being settled. A new instance has every vertex
+    touched, so its first measure looks at all of them. The result equals
+    a measure taken from scratch.
     """
     touched, inst.touched = inst.touched, set()
-    prev = inst.last
-    if not touched:
-        if prev.k != inst.k:
-            inst.last = replace(prev, k=inst.k)
-        return inst.last
-    settled = inst.settled
-    eta, tau = prev.eta, prev.tau
-    for v in touched:
-        old, new = settled.pop(v, None), _settled_kind(inst, v)
-        if new is not None:
-            settled[v] = new
-        eta += (new is Kind.NICE) - (old is Kind.NICE)
-        tau += (new is Kind.TENT) - (old is Kind.TENT)
-    inst.last = Measure(inst.k, len(inst.comps), eta, tau)
-    return inst.last
+    inst.settled -= touched
+    inst.settled.update(v for v in touched if _is_settled(inst, v))
+    return inst.k + len(inst.comps) - len(inst.settled)
 
 
 def check_solution(g: MultiGraph, s: set[int], k: int) -> bool:

@@ -4,8 +4,8 @@ Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
 smallest pair), so a fixpoint run is reproducible. reduce_to_fixpoint
 reduces the instance it is given in place, through DisInstance moves that
-record the vertices they touch, so each measure the fixpoint takes updates
-the instance's last one at those vertices. Rule 5 takes its vertex into
+record the vertices they touch, so each measure the fixpoint takes looks
+again at those vertices alone. Rule 5 takes its vertex into
 the solution, which the instance records, so a fixpoint returns only its
 events and verdict. apply_rule runs a single rule on a clone for callers
 that need the input kept. Rules never grow the measure when observed
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import DisInstance, InternalSolverError, Measure, _classify, floor_cut, measure
+from .instance import DisInstance, InternalSolverError, _classify, floor_cut, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -75,17 +75,17 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 
 # -- individual rules ------------------------------------------------------
 # A rule returns None and leaves inst untouched when it does not apply. When
-# it fires it reduces inst in place, or rejects without touching it. m is the
-# measure of inst as passed in; because a rule that does not fire changes
-# nothing, one m serves every rule tried in a step. Rule 3 reads m.mu and
-# the floor; when it checks the floor it notes the budget as floor_k, which
+# it fires it reduces inst in place, or rejects without touching it. mu is
+# the measure of inst as passed in; because a rule that does not fire
+# changes nothing, one mu serves every rule tried in a step. Rule 3 reads mu
+# and the floor; when it checks the floor it notes the budget as floor_k, which
 # only its own next try reads. Rules 4 and 5 read the instance's
 # W-components and rule 6 classifies R itself, one vertex at a time.
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
 
-def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
+def _rule1(inst: DisInstance, mu: int) -> Fired | None:
     v = min(inst.graph.low_degree_vertices(), default=None)
     if v is None:
         return None
@@ -93,7 +93,7 @@ def _rule1(inst: DisInstance, m: Measure) -> Fired | None:
     return "reduced", v
 
 
-def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
+def _rule2(inst: DisInstance, mu: int) -> Fired | None:
     # an F-vertex with an F-neighbour is never nice, so no class test is needed
     g = inst.graph
     best = None
@@ -121,8 +121,8 @@ def _rule2(inst: DisInstance, m: Measure) -> Fired | None:
     return "reduced", drop
 
 
-def _rule3(inst: DisInstance, m: Measure) -> Fired | None:
-    if inst.k < 0 or m.mu < 0:
+def _rule3(inst: DisInstance, mu: int) -> Fired | None:
+    if inst.k < 0 or mu < 0:
         return "reject", None
     # the floor is checked again only once a take has lowered the budget
     if inst.k < inst.floor_k and floor_cut(inst):
@@ -130,14 +130,14 @@ def _rule3(inst: DisInstance, m: Measure) -> Fired | None:
     return None
 
 
-def _rule4(inst: DisInstance, m: Measure) -> Fired | None:
+def _rule4(inst: DisInstance, mu: int) -> Fired | None:
     for v in sorted(inst.r):
         if _double_link(inst, v):
             return "reject", v
     return None
 
 
-def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
+def _rule5(inst: DisInstance, mu: int) -> Fired | None:
     for v in sorted(inst.f_free):
         if _double_link(inst, v):
             inst.take(v)
@@ -145,7 +145,7 @@ def _rule5(inst: DisInstance, m: Measure) -> Fired | None:
     return None
 
 
-def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
+def _rule6(inst: DisInstance, mu: int) -> Fired | None:
     for v in sorted(inst.r):
         c = _classify(inst, (v,))[v]
         if c.gdeg >= 1 or c.tdeg >= 1:
@@ -156,7 +156,7 @@ def _rule6(inst: DisInstance, m: Measure) -> Fired | None:
     return None
 
 
-def _rule7(inst: DisInstance, m: Measure) -> Fired | None:
+def _rule7(inst: DisInstance, mu: int) -> Fired | None:
     g = inst.graph
     blocked = inst.w | inst.r
     for v in sorted(inst.f_free):
@@ -188,14 +188,14 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
     if rule_id not in _RULES:
         raise ValueError(f"unknown rule id {rule_id}")
     out = inst.clone()
-    m0 = measure(out)
-    fired = _RULES[rule_id](out, m0)
+    mu = measure(out)
+    fired = _RULES[rule_id](out, mu)
     if fired is None:
         return ReductionOutcome("unchanged", inst, rule_id)
     status, pivot = fired
     if status == "reject":
-        return ReductionOutcome(status, None, rule_id, pivot, m0.mu, m0.mu)
-    return ReductionOutcome(status, out, rule_id, pivot, m0.mu, measure(out).mu)
+        return ReductionOutcome(status, None, rule_id, pivot, mu, mu)
+    return ReductionOutcome(status, out, rule_id, pivot, mu, measure(out))
 
 
 def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
@@ -204,26 +204,25 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
     Reduces inst in place: the caller gives it up, and clones first to keep
     it; the vertices rule 5 takes land in inst.taken. Returns the ordered
     event trace and whether a rule rejected; on a rejection the trace still
-    carries everything up to and including the rejecting event. inst
-    continues from its last measure and is measured once on entry and once
-    after each firing; that one value is the event's mu_after, the next
-    event's mu_before and what every rule of the next step reads. The
-    reduced instance keeps its final measure, so measure returns it without
-    work.
+    carries everything up to and including the rejecting event. inst is
+    measured once on entry and once after each firing; that one value is
+    the event's mu_after, the next event's mu_before and what every rule of
+    the next step reads. The reduced instance has nothing left touched, so
+    measuring it again costs no classification.
     """
     events: list[ReductionEvent] = []
-    m = measure(inst)
+    mu = measure(inst)
     while True:
         for rule_id in RULE_IDS:
-            fired = _RULES[rule_id](inst, m)
+            fired = _RULES[rule_id](inst, mu)
             if fired is not None:
                 break
         else:
             return FixpointResult(events, False)
         status, pivot = fired
         if status == "reject":
-            events.append(ReductionEvent(rule_id, pivot, m.mu, m.mu))
+            events.append(ReductionEvent(rule_id, pivot, mu, mu))
             return FixpointResult(events, True)
-        m_after = measure(inst)
-        events.append(ReductionEvent(rule_id, pivot, m.mu, m_after.mu))
-        m = m_after
+        mu_after = measure(inst)
+        events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
+        mu = mu_after

@@ -163,7 +163,7 @@ def dis_sweep():
             red = reduce_to_fixpoint(inst)
             if red.rejected:
                 agg["fixpoint_rejections"].append(seed)
-            elif measure(inst).mu < 0:
+            elif measure(inst) < 0:
                 agg["fixpoint_mu_negative"].append(seed)
     return agg
 
@@ -244,7 +244,7 @@ def test_criterion_06_rules_preserve_answers_and_measure(capsys):
             # keeps the measure it started from
             reduced = inst.clone()
             red = reduce_to_fixpoint(reduced)
-            if not red.rejected and measure(reduced).mu > measure(inst).mu:
+            if not red.rejected and measure(reduced) > measure(inst):
                 bad.append(("measure-up", rule, seed))
     detail = f"7 rules x 1000 sites, {applications} applications, {len(bad)} violations"
     _report(6, not bad, detail, capsys)

@@ -102,13 +102,13 @@ def test_branch_to_w_protects_and_unrestricts():
 
 def test_gadget_children_drop_measure_at_fixpoint():
     inst, site = gadget_tent_branch()
-    mu = measure(inst).mu
+    mu = measure(inst)
     drops = {}
     for name, move in (("delete", DisInstance.take), ("to_w", DisInstance.protect)):
         child = inst.clone()
         move(child, site)
         reduce_to_fixpoint(child)
-        drops[name] = mu - measure(child).mu
+        drops[name] = mu - measure(child)
     assert drops["delete"] >= 2
     assert drops["to_w"] >= 1
 
@@ -201,9 +201,9 @@ def test_base_leaves_stay_under_the_fibonacci_cap(seed):
 
 
 def test_every_node_reads_a_fresh_measure():
-    # a branch child continues from its parent's measure and a guess from
-    # the pipeline root's, so a clone that lost its touched vertices or its
-    # last measure shows up here; the random disjoint instances and rule
+    # a branch child continues from its parent's settled vertices and a
+    # guess from the pipeline root's, so a clone that lost its touched or
+    # settled vertices shows up here; the random disjoint instances and rule
     # sites hardly branch, so pipeline guesses supply the branch children
     trees = []
     with checking_every_measure() as reads:

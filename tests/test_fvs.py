@@ -2,10 +2,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifvs.fvs import (
-    _cycle_rank_bound,
     _delete,
+    _rank_and_degrees,
     _reduce,
     _shortest_cycle,
+    cover_count,
     fvs_at_most,
     min_fvs,
 )
@@ -118,7 +119,7 @@ def _deepening_fvs(g: MultiGraph) -> set[int]:
             return None
         if not len(h):
             return acc
-        if _cycle_rank_bound(h) > budget:
+        if cover_count(*_rank_and_degrees(h)) > budget:
             return None
         cyc = _shortest_cycle(h)
         rest = h.copy()
@@ -133,7 +134,7 @@ def _deepening_fvs(g: MultiGraph) -> set[int]:
 
     h = g.copy()
     _reduce(h, forced := [])
-    start = max(_cycle_rank_bound(h), pack(h.copy()))
+    start = max(cover_count(*_rank_and_degrees(h)), pack(h.copy()))
     for k in range(start, len(h) + 1):
         res = search(h.copy(), k, list(forced), ())
         if res is not None:
@@ -230,7 +231,7 @@ def test_forced_plus_cycle_rank_bound_never_exceeds_optimum():
         opt = len(brute_min_fvs(g))
         h = g.copy()
         _reduce(h, forced := [])
-        bound = len(forced) + _cycle_rank_bound(h)
+        bound = len(forced) + cover_count(*_rank_and_degrees(h))
         assert bound <= opt, seed
         tight += bound == opt
     assert tight > 0  # the bound is not vacuous on this family

@@ -7,7 +7,6 @@ from ifvs.instance import (
     InstanceError,
     InternalSolverError,
     Kind,
-    Measure,
     check_solution,
     classification,
     classify,
@@ -18,7 +17,15 @@ from ifvs.multigraph import MultiGraph
 from ifvs.generators import gadget_tent_branch, random_dis_instance
 from ifvs.reductions import _rule2
 
-from helpers import assert_measure_is_fresh, assert_partition_is_fresh, complete, cycle, path
+from helpers import (
+    assert_measure_is_fresh,
+    assert_partition_is_fresh,
+    complete,
+    cycle,
+    path,
+    reference_measure,
+    reference_settled,
+)
 
 
 def test_validate_flags_each_problem():
@@ -118,13 +125,6 @@ def test_protect_clears_r_and_raises_on_a_w_cycle():
         DisInstance(loop, {0}, set(), 1, validate=False).protect(1)
 
 
-def test_measure_formula():
-    m = Measure(k=2, rho=3, eta=1, tau=0)
-    assert m.mu == 4
-    assert Measure(0, 0, 0, 0).mu == 0
-    assert Measure(1, 2, 2, 2).mu == -1
-
-
 def test_classification_on_reduced_gadget():
     inst, _site = gadget_tent_branch()
     cls = classification(inst)
@@ -206,19 +206,19 @@ def test_moves_mark_what_they_touch():
     inst.restrict({3})
     assert inst.touched == {3}
     other = inst.clone()
-    assert other.touched == {3} and other.last is inst.last
+    assert other.touched == {3}
 
 
-def test_measure_keeps_the_last_measure():
+def test_a_budget_change_alone_moves_the_measure_by_as_much():
     inst, _ = gadget_tent_branch()
-    m = measure(inst)
-    assert inst.last is m and measure(inst) is m
-    settled = inst.settled
-    inst.k -= 1  # a budget change alone keeps the analysis
-    m1 = measure(inst)
-    assert (m1.k, m1.rho, m1.eta, m1.tau) == (m.k - 1, m.rho, m.eta, m.tau)
-    assert inst.settled is settled and settled
-    assert measure(inst) is m1
+    mu = measure(inst)
+    settled = set(inst.settled)
+    assert settled
+    inst.k -= 2  # no move: nothing is touched, so nothing is looked at again
+    assert inst.touched == set()
+    assert measure(inst) == mu - 2
+    assert inst.touched == set()
+    assert inst.settled == settled
 
 
 def _move(inst, move: str, v: int) -> None:
@@ -271,7 +271,7 @@ def test_deleting_an_inner_w_vertex_splits_its_component():
     inst.delete_vertex(0)
     inst.delete_vertex(1)  # empties a component
     assert_partition_is_fresh(inst)
-    assert measure(inst).rho == 1
+    assert len(inst.comps) == 1
 
 
 def _partition(inst) -> set[frozenset[int]]:
@@ -332,12 +332,12 @@ def test_w_partition_follows_every_move(seed, moves):
             kept.append((inst, _partition(inst)))
             inst = inst.clone()
         elif move == "bypass":
-            _rule2(inst, inst.last)  # the rule reads no measure
+            _rule2(inst, 0)  # the rule reads no measure
         elif verts:
             name = "delete_vertex" if move.startswith("delete") else move
             _move(inst, name, verts[pick % len(verts)])
         assert_partition_is_fresh(inst)
-        assert measure(inst).rho == len(inst.graph.components(inst.w))
+        assert measure(inst) == reference_measure(inst)
         assert inst.floor <= _rank(inst.graph)
         for orig, part in kept:
             assert _partition(orig) == part
@@ -346,9 +346,10 @@ def test_w_partition_follows_every_move(seed, moves):
 
 def test_measure_of_gadget():
     inst, _ = gadget_tent_branch()
-    m = measure(inst)
-    assert (m.k, m.rho, m.eta, m.tau) == (3, 5, 4, 0)
-    assert m.mu == 4
+    kinds = list(reference_settled(inst).values())
+    assert (inst.k, len(inst.comps), kinds.count(Kind.NICE), kinds.count(Kind.TENT)) == (3, 5, 4, 0)
+    assert measure(inst) == 4
+    assert inst.settled == reference_settled(inst).keys()
 
 
 def test_check_solution_accepts_only_independent_fvs():

@@ -60,3 +60,12 @@ def test_make_suite_rejects_unusable_arguments_before_writing(tmp_path, args):
     assert b"Traceback" not in run.stderr
     assert b"error:" in run.stderr
     assert not out.exists()
+
+
+def test_trace_digests_match_the_pinned_ones():
+    # every answer, measure and reduction event of the corpus is pinned, and
+    # the corpus reaches every rule and every pivot case
+    run = _run(ROOT / "scripts" / "trace_digest.py")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode() == (ROOT / "tests" / "trace_digests.txt").read_text()
+    assert b"rules fired: 1 2 3 4 5 6 7 - pivot cases: A B C" in run.stderr
