@@ -60,6 +60,14 @@ class DisInstance:
     component when made and leaves it only by deletion, so labels never
     clash.
 
+    wdeg maps every vertex to its edge occurrences into W, which the
+    measure, the classification and the rules read in place of the
+    neighbor sets. A new instance counts them once (all zeros when W is
+    empty) and a clone copies them; after that only the moves change them:
+    protect adds v's edges to its neighbors' counts, deleting a W-vertex
+    takes them away again, and bypass counts the new edge. No rule edits
+    graph, w or floor directly.
+
     settled holds the nice vertices and tents as last measured, and
     touched collects every vertex whose facts a move changed since then:
     its edges, its W-degree, its R-membership or its place in F. So
@@ -75,7 +83,7 @@ class DisInstance:
     """
 
     __slots__ = (
-        "graph", "w", "r", "k", "taken", "comps", "comp_of",
+        "graph", "w", "r", "k", "taken", "comps", "comp_of", "wdeg",
         "touched", "settled", "floor", "floor_k",
     )
 
@@ -96,6 +104,10 @@ class DisInstance:
         self.comp_of: dict[int, int] = {}
         for comp in graph.components(self.w):
             self._add_component(comp)
+        self.wdeg = dict.fromkeys(graph.vertices, 0)
+        for x in self.w.intersection(self.wdeg):  # validation flags the rest
+            for u, m in graph.incident(x):
+                self.wdeg[u] += m
         self.touched: set[int] = graph.vertices  # a fresh set
         self.settled: set[int] = set()
         self.floor = 0
@@ -114,6 +126,7 @@ class DisInstance:
         inst.taken = set(self.taken)
         inst.comps = {c: set(comp) for c, comp in self.comps.items()}
         inst.comp_of = dict(self.comp_of)
+        inst.wdeg = dict(self.wdeg)
         inst.touched = set(self.touched)
         inst.settled = set(self.settled)
         inst.floor = self.floor
@@ -141,26 +154,31 @@ class DisInstance:
         d = self.graph.deg(v)
         if d > 1:
             self.floor -= d - 1
-        self.graph.remove_vertex(v)
-        self.r.discard(v)
         if v in self.w:
+            for u, m in self.graph.incident(v):
+                self.wdeg[u] -= m
             self.w.remove(v)
             label = self.comp_of.pop(v)
             comp = self.comps[label]
             comp.remove(v)
             if len(nbrs & self.w) >= 2:  # an inner vertex: its tree falls apart
                 del self.comps[label]
-                for piece in self.graph.components(comp):
+                for piece in self.graph.components(comp):  # v is outside comp
                     self._add_component(piece)
             elif not comp:
                 del self.comps[label]
+        del self.wdeg[v]
+        self.graph.remove_vertex(v)
+        self.r.discard(v)
 
     def take(self, v: int) -> None:
         """Put v into the solution: delete it, add it to taken, pay one unit of budget.
 
         Its neighbors outside W become restricted, so the solution stays
-        independent. The caller makes sure v itself is not restricted.
+        independent. Taking a vertex of W or R is a solver bug.
         """
+        if v in self.w or v in self.r:
+            raise InternalSolverError(f"taking {v}, which is in W or R")
         self.restrict(self.graph.neighbors(v) - self.w)
         self.delete_vertex(v)
         self.taken.add(v)
@@ -181,8 +199,10 @@ class DisInstance:
         nbrs = g.neighbors(v)
         labels = {comp_of[u] for u in nbrs if u in comp_of}
         # each edge occurrence into W must reach a component of its own
-        if g.multiplicity(v, v) or g.deg_x(v, self.w) != len(labels):
+        if g.multiplicity(v, v) or self.wdeg[v] != len(labels):
             raise InternalSolverError(f"protecting {v} closed a W-cycle")
+        for u, m in g.incident(v):
+            self.wdeg[u] += m
         self.r.discard(v)
         self.w.add(v)
         self.touched |= nbrs
@@ -196,6 +216,24 @@ class DisInstance:
                 comp_of[u] = label
         comp.add(v)
         comp_of[v] = label
+
+    def bypass(self, drop: int, keep: int) -> None:
+        """Replace the path keep - drop - other by the edge keep - other.
+
+        drop and keep are adjacent F-vertices and drop has degree 2, so
+        other is its one other neighbor. m - n + c is kept, so the floor
+        gets back the unit delete_vertex took. A parallel edge inside F
+        would be an F-cycle, which is a solver bug.
+        """
+        g = self.graph
+        other = next(x for x in g.neighbors(drop) if x != keep)
+        self.delete_vertex(drop)  # marks keep and other, the ends of the new edge
+        g.add_edge(keep, other)
+        self.floor += 1
+        if other in self.w:
+            self.wdeg[keep] += 1
+        elif g.multiplicity(keep, other) >= 2:
+            raise InternalSolverError("bypass created a parallel edge inside F")
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -252,13 +290,13 @@ def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClas
     so all of F costs one pass over the edges and a few targets cost their
     two-hop F-neighbourhood.
     """
-    g, w, r = inst.graph, inst.w, inst.r
+    g, w, r, wdeg = inst.graph, inst.w, inst.r, inst.wdeg
     facts: dict[int, tuple[int, int, set[int]]] = {}  # deg, deg_w, F-neighbors
 
     def learn(vs: Iterable[int]) -> None:
         for v in vs:
             if v not in facts:
-                facts[v] = (g.deg(v), g.deg_x(v, w), g.neighbors(v) - w)
+                facts[v] = (g.deg(v), wdeg[v], g.neighbors(v) - w)
 
     targets = list(targets)
     learn(targets)
@@ -314,10 +352,12 @@ def _is_settled(inst: DisInstance, v: int) -> bool:
 
     Both kinds read only v's own facts: v is in F minus R, every neighbor of
     v is in W, and v has two (nice) or three (tent) edge occurrences into W.
+    The middle test holds exactly when v's W-degree is its whole degree,
+    so the test costs O(1) on the cached counts.
     """
-    g, w = inst.graph, inst.w
-    return (v in g and v not in w and v not in inst.r and g.neighbors(v) <= w
-            and g.deg_x(v, w) in _SETTLED)
+    dw = inst.wdeg.get(v)
+    return (dw in _SETTLED and v not in inst.w and v not in inst.r
+            and dw == inst.graph.deg(v))
 
 
 def measure(inst: DisInstance) -> int:

@@ -108,6 +108,10 @@ class MultiGraph:
         """Total incident edge occurrences; a loop contributes 2."""
         return self._deg[v]
 
+    def degrees(self) -> ItemsView[int, int]:
+        """(vertex, deg) pairs of every vertex, read off the cached degrees."""
+        return self._deg.items()
+
     def low_degree_vertices(self) -> list[int]:
         """Vertices with at most one incident edge occurrence."""
         return list(self._low)

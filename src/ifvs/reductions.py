@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import DisInstance, InternalSolverError, _classify, floor_cut, measure
+from .instance import DisInstance, _classify, floor_cut, measure
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -63,6 +63,8 @@ class FixpointResult:
 
 def _double_link(inst: DisInstance, v: int) -> bool:
     """Does v send two or more edge occurrences into one W-component?"""
+    if inst.wdeg[v] < 2:
+        return False
     seen: dict[int, int] = {}
     for u in inst.graph.neighbors(v):
         if u in inst.w:
@@ -80,7 +82,10 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 # changes nothing, one mu serves every rule tried in a step. Rule 3 reads mu
 # and the floor; when it checks the floor it notes the budget as floor_k, which
 # only its own next try reads. Rules 4 and 5 read the instance's
-# W-components and rule 6 classifies R itself, one vertex at a time.
+# W-degrees and W-components; rule 6 promotes an R-vertex with a W-edge
+# on its W-degree alone and classifies only the R-vertices without one.
+# Rule 2's bypass is a DisInstance move too, so no rule edits the graph,
+# W or the floor directly.
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
@@ -95,29 +100,21 @@ def _rule1(inst: DisInstance, mu: int) -> Fired | None:
 
 def _rule2(inst: DisInstance, mu: int) -> Fired | None:
     # an F-vertex with an F-neighbour is never nice, so no class test is needed
-    g = inst.graph
+    g, w = inst.graph, inst.w
     best = None
-    for u in inst.f:
-        if g.deg(u) != 2:
+    for u, d in g.degrees():
+        if d != 2 or u in w:
             continue
-        for v in g.neighbors(u):
-            if v <= u or v in inst.w or g.deg(v) != 2:
+        for v, _ in g.incident(u):
+            if v <= u or v in w or g.deg(v) != 2:
                 continue
-            pair = (u, v)
-            if best is None or pair < best:
-                best = pair
+            if best is None or (u, v) < best:
+                best = u, v
     if best is None:
         return None
     u, v = best  # u < v; drop the restricted one if exactly one is, else u
     drop, keep = (v, u) if v in inst.r and u not in inst.r else (u, v)
-    # the dropped vertex has exactly two edge occurrences: one to its partner,
-    # one to some other vertex (a double edge inside F would be an F-cycle)
-    other = next(x for x in g.neighbors(drop) if x != keep)
-    inst.delete_vertex(drop)  # marks keep and other, the ends of the new edge
-    g.add_edge(keep, other)
-    inst.floor += 1  # a bypass keeps m - n + c, so the floor gets its unit back
-    if other not in inst.w and g.multiplicity(keep, other) >= 2:
-        raise InternalSolverError("bypass created a parallel edge inside F")
+    inst.bypass(drop, keep)
     return "reduced", drop
 
 
@@ -147,12 +144,14 @@ def _rule5(inst: DisInstance, mu: int) -> Fired | None:
 
 def _rule6(inst: DisInstance, mu: int) -> Fired | None:
     for v in sorted(inst.r):
-        c = _classify(inst, (v,))[v]
-        if c.gdeg >= 1 or c.tdeg >= 1:
-            # rule 4 fires first on a double link, so the move merges
-            # distinct W-components and cannot close a cycle inside W
-            inst.protect(v)
-            return "reduced", v
+        if not inst.wdeg[v]:  # gdeg counts the W-edges too
+            c = _classify(inst, (v,))[v]
+            if c.gdeg < 1 and c.tdeg < 1:
+                continue
+        # rule 4 fires first on a double link, so the move merges
+        # distinct W-components and cannot close a cycle inside W
+        inst.protect(v)
+        return "reduced", v
     return None
 
 

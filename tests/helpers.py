@@ -87,13 +87,22 @@ def reference_measure(inst, settled=None) -> int:
     return inst.k + len(inst.graph.components(inst.w)) - len(settled)
 
 
+def assert_wdeg_is_fresh(inst) -> None:
+    """The instance's cached W-degrees are those counted from scratch, kept
+    for exactly the vertices of its graph."""
+    g = inst.graph
+    assert inst.wdeg == {v: g.deg_x(v, inst.w) for v in g.vertices}
+
+
 def assert_partition_is_fresh(inst) -> None:
     """The instance's W-partition is the components of G[W], as sets, and
-    comp_of labels every W-vertex with the component that holds it."""
+    comp_of labels every W-vertex with the component that holds it; its
+    W-degrees are fresh too (assert_wdeg_is_fresh)."""
     fresh = {frozenset(comp) for comp in inst.graph.components(inst.w)}
     assert {frozenset(comp) for comp in inst.comps.values()} == fresh
     assert len(inst.comps) == len(fresh)
     assert inst.comp_of == {v: c for c, comp in inst.comps.items() for v in comp}
+    assert_wdeg_is_fresh(inst)
 
 
 def assert_measure_is_fresh(mu: int, inst) -> None:

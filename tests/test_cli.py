@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifvs.branching import CASE_A, PivotChoice
 from ifvs.cli import main
 from ifvs.formats import (
     emit_dis,
@@ -109,6 +110,19 @@ def test_unexpected_exception_maps_to_exit_three(c5_file, monkeypatch, capsys):
     rc = main(["solve", "--input", c5_file, "--k", "1"])
     assert rc == 3
     assert "internal error: RecursionError" in capsys.readouterr().err
+
+
+def test_taking_a_vertex_of_w_maps_to_exit_three(tmp_path, monkeypatch, capsys):
+    # no valid run takes a W-vertex; a pivot picked from W stands in for a
+    # bug that would, and take must refuse it rather than corrupt W
+    inst, _site = gadget_tent_branch()
+    p = tmp_path / "tent.dis"
+    p.write_text(emit_dis(inst))
+    monkeypatch.setattr(
+        "ifvs.branching.select_pivot", lambda cur: PivotChoice(min(cur.w), CASE_A)
+    )
+    assert main(["solve", "--input", str(p)]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_solve_dis_file_and_budget_override(tmp_path, capsys):

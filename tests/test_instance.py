@@ -22,6 +22,7 @@ from helpers import (
     assert_partition_is_fresh,
     complete,
     cycle,
+    instance_facts,
     path,
     reference_measure,
     reference_settled,
@@ -84,6 +85,15 @@ def test_take_restricts_f_neighbors_but_not_w_neighbors_and_pays_one():
     assert 1 not in inst.graph
     assert inst.w == {0} and inst.r == {2}
     assert inst.k == 1
+
+
+def test_take_refuses_a_vertex_of_w_or_r():
+    inst = DisInstance(path(3), {0}, {2}, 2)  # 0-1-2
+    for v in (0, 2):
+        before = instance_facts(inst)
+        with pytest.raises(InternalSolverError, match="in W or R"):
+            inst.take(v)
+        assert instance_facts(inst) == before and inst.taken == set()
 
 
 def test_take_records_the_vertex_and_no_other_move_does():
@@ -298,6 +308,31 @@ def test_the_floor_falls_by_degree_minus_one_and_a_clone_keeps_it():
     assert inst.floor == 0
 
 
+def test_bypass_joins_the_ends_and_keeps_the_cycle_rank():
+    g = cycle(5)  # 0-1-2-3-4-0
+    inst = DisInstance(g, {0}, set(), 1)
+    inst.floor = _rank(g)
+    measure(inst)
+    inst.bypass(2, 3)  # the other end, 1, is in F
+    assert 2 not in g and g.multiplicity(1, 3) == 1
+    assert inst.floor == _rank(g) == 1
+    assert inst.touched == {1, 2, 3}
+    assert (inst.wdeg[1], inst.wdeg[3]) == (1, 0)
+    inst.touched.clear()
+    inst.bypass(1, 3)  # the other end, 0, is in W: 3 gains a W-edge
+    assert 1 not in g and g.multiplicity(0, 3) == 1
+    assert inst.floor == _rank(g) == 1
+    assert inst.touched == {0, 1, 3}
+    assert inst.wdeg[3] == 1
+    inst.bypass(4, 3)  # a second edge into W is a double link, no F-cycle
+    assert g.multiplicity(0, 3) == 2 and inst.wdeg[3] == 2
+    assert inst.floor == _rank(g) == 1
+    assert_partition_is_fresh(inst)
+    tri = DisInstance(cycle(3), set(), set(), 1, validate=False)
+    with pytest.raises(InternalSolverError, match="parallel edge inside F"):
+        tri.bypass(0, 1)
+
+
 @given(
     st.integers(0, 10**6),
     st.lists(
@@ -319,7 +354,7 @@ def test_w_partition_follows_every_move(seed, moves):
     # bound on m - n + c through every move, a rule-2 bypass included
     inst = random_dis_instance(seed)
     inst.floor = _rank(inst.graph)
-    kept = []  # (instance, its partition) at each clone; the clone moves on
+    kept = []  # (instance, its partition, its W-degrees) at each clone; the clone moves on
     for move, pick in moves:
         g = inst.graph
         if move == "delete_w":
@@ -329,7 +364,7 @@ def test_w_partition_follows_every_move(seed, moves):
         else:
             verts = sorted(g.vertices)
         if move == "clone":
-            kept.append((inst, _partition(inst)))
+            kept.append((inst, _partition(inst), dict(inst.wdeg)))
             inst = inst.clone()
         elif move == "bypass":
             _rule2(inst, 0)  # the rule reads no measure
@@ -339,8 +374,8 @@ def test_w_partition_follows_every_move(seed, moves):
         assert_partition_is_fresh(inst)
         assert measure(inst) == reference_measure(inst)
         assert inst.floor <= _rank(inst.graph)
-        for orig, part in kept:
-            assert _partition(orig) == part
+        for orig, part, wdeg in kept:
+            assert _partition(orig) == part and orig.wdeg == wdeg
             assert_partition_is_fresh(orig)
 
 

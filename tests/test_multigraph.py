@@ -148,7 +148,7 @@ def _assert_degrees_match_adjacency(g: MultiGraph) -> None:
         v: sum(g.multiplicity(v, u) for u in g.neighbors(v)) + 2 * g.multiplicity(v, v)
         for v in g.vertices
     }
-    assert {v: g.deg(v) for v in g.vertices} == degs
+    assert {v: g.deg(v) for v in g.vertices} == degs == dict(g.degrees())
     assert sorted(g.low_degree_vertices()) == sorted(v for v, d in degs.items() if d <= 1)
     assert g.num_edges == sum(m for _u, _v, m in g.edge_items())
     assert g.component_count() == len(g.components())
