@@ -77,7 +77,7 @@ class DisjointStats:
 @dataclass
 class DisjointResult:
     solution: set[int] | None
-    trace: BranchNode
+    trace: BranchNode | None  # None when no trace was asked for
     stats: DisjointStats
 
     @property
@@ -137,70 +137,77 @@ def _better(a: set[int] | None, b: set[int] | None) -> set[int] | None:
     return a if (len(a), sorted(a)) <= (len(b), sorted(b)) else b
 
 
-def solve_disjoint(inst: DisInstance) -> DisjointResult:
+def solve_disjoint(inst: DisInstance, trace: bool = True) -> DisjointResult:
     """Minimum valid deletion set of a disjoint instance, with trace.
 
     Returns solution None when no independent set of at most k deletable
     vertices breaks all cycles. The recorded trace carries measures at every
     node fixpoint; the engine hard-checks the drop guarantees and raises
-    InternalSolverError on any accounting violation.
+    InternalSolverError on any accounting violation. With trace False the
+    search records no trace and the result's trace is None.
 
     inst is left as it was, its taken included; the search runs on a clone.
     """
-    return search_disjoint(inst.clone())
+    return search_disjoint(inst.clone(), trace)
 
 
-def search_disjoint(inst: DisInstance) -> DisjointResult:
+def search_disjoint(inst: DisInstance, trace: bool = True) -> DisjointResult:
     """solve_disjoint on inst itself, which the caller gives up; its taken
     is cleared first. Each node reduces its instance in place and clones it
     for its delete child; the to-W child reuses it once the delete subtree
     is done. A solved leaf answers with its taken plus its base-case deletions.
+
+    A node returns its solution, its measure (None for a reject leaf), which
+    is all the drop checks read, and its BranchNode when trace is on; the
+    stats are counted as the nodes are made. Without trace no BranchNode and
+    no reduction event is built.
     """
     inst.taken.clear()
-    root_budget = [None]
+    stats = DisjointStats()
 
-    def recurse(cur: DisInstance, depth: int) -> tuple[set[int] | None, BranchNode]:
+    def recurse(
+        cur: DisInstance, depth: int
+    ) -> tuple[set[int] | None, int | None, BranchNode | None]:
+        stats.nodes += 1
         if cycle_rank_cut(cur):
-            return None, BranchNode("reject", answer="no")
-        red = reduce_to_fixpoint(cur)
+            return None, None, BranchNode("reject", answer="no") if trace else None
+        red = reduce_to_fixpoint(cur, trace)
         if red.rejected:
-            return None, BranchNode(
-                "reject", reductions=red.events, answer="no",
-            )
+            node = BranchNode("reject", reductions=red.events, answer="no") if trace else None
+            return None, None, node
         mu = measure(cur)
-        if root_budget[0] is None:
-            root_budget[0] = mu
-        elif depth > root_budget[0] + 1:
+        if stats.mu0 is None:
+            stats.mu0 = mu
+        elif depth > stats.mu0 + 1:
             raise InternalSolverError(
-                f"depth {depth} exceeds root measure budget {root_budget[0]}"
+                f"depth {depth} exceeds root measure budget {stats.mu0}"
             )
         pivot = select_pivot(cur)
         if pivot is None:
+            stats.base_leaves += 1
             base = solve_base(cur)
             node = BranchNode(
                 "base", mu=mu, reductions=red.events,
                 answer="yes" if base is not None else "no",
-            )
-            if base is None:
-                return None, node
-            return cur.taken | base, node
+            ) if trace else None
+            return (None if base is None else cur.taken | base), mu, node
 
         child = cur.clone()
         child.take(pivot.vertex)
-        del_sol, del_node = recurse(child, depth + 1)
+        del_sol, del_mu, del_node = recurse(child, depth + 1)
         cur.protect(pivot.vertex)
-        w_sol, w_node = recurse(cur, depth + 1)
+        w_sol, w_mu, w_node = recurse(cur, depth + 1)
 
         # rejected children count as an unbounded drop; real children must
         # drop at least 1 each and at least one side must drop 2 or more
         drops = []
-        for child in (del_node, w_node):
-            if child.mu is not None:
-                if child.mu >= mu:
+        for child_mu in (del_mu, w_mu):
+            if child_mu is not None:
+                if child_mu >= mu:
                     raise InternalSolverError(
-                        f"child measure {child.mu} did not drop below {mu}"
+                        f"child measure {child_mu} did not drop below {mu}"
                     )
-                drops.append(mu - child.mu)
+                drops.append(mu - child_mu)
         if len(drops) == 2 and max(drops) < 2:
             raise InternalSolverError(
                 f"branch at measure {mu} dropped only {drops}; need one drop >= 2"
@@ -210,12 +217,10 @@ def search_disjoint(inst: DisInstance) -> DisjointResult:
             "branch", mu=mu, pivot=pivot.vertex, case=pivot.case,
             children=[("delete", del_node), ("to_w", w_node)],
             reductions=red.events,
-        )
-        return _better(del_sol, w_sol), node
+        ) if trace else None
+        return _better(del_sol, w_sol), mu, node
 
-    solution, root = recurse(inst, 1)
-    nodes = list(root.walk())
-    stats = DisjointStats(len(nodes), sum(node.kind == "base" for node in nodes), root.mu)
+    solution, _, root = recurse(inst, 1)
     return DisjointResult(solution, root, stats)
 
 

@@ -11,16 +11,18 @@ class MultiGraph:
     contributes 2 to deg(v). Vertex ids come from a monotone counter and are
     never reused after deletion, so ids stay stable for the lifetime of a
     solver run. Every edit keeps the degrees in _deg, the vertices of
-    degree at most one in _low and the edge occurrence count in _m up to
-    date, so deg, low_degree_vertices and num_edges cost no scan.
+    degree at most one in _low, those of degree exactly two in _two and the
+    edge occurrence count in _m up to date, so deg, low_degree_vertices,
+    degree_two_vertices and num_edges cost no scan.
     """
 
-    __slots__ = ("_adj", "_deg", "_low", "_m", "_next_id")
+    __slots__ = ("_adj", "_deg", "_low", "_two", "_m", "_next_id")
 
     def __init__(self, vertices: Iterable[int] = ()) -> None:
         self._adj: dict[int, dict[int, int]] = {}
         self._deg: dict[int, int] = {}
         self._low: set[int] = set()
+        self._two: set[int] = set()
         self._m = 0
         self._next_id = 0
         for v in vertices:
@@ -52,19 +54,28 @@ class MultiGraph:
             self._adj[v][u] = self._adj[v].get(u, 0) + mult
         self._deg[v] += mult  # a loop adds 2 to deg(u)
         self._m += mult
-        for x in (u, v):
-            if self._deg[x] > 1:
+        for x in (u, v):  # degrees only grow here
+            d = self._deg[x]
+            if d > 1:
                 self._low.discard(x)
+                if d == 2:
+                    self._two.add(x)
+                else:
+                    self._two.discard(x)
 
     def remove_vertex(self, v: int) -> None:
         del self._deg[v]
         self._low.discard(v)
+        self._two.discard(v)
         for u, m in self._adj.pop(v).items():
             self._m -= m
             if u != v:
                 del self._adj[u][v]
-                self._deg[u] -= m
-                if self._deg[u] <= 1:
+                d = self._deg[u] = self._deg[u] - m  # degrees only fall here
+                if d == 2:
+                    self._two.add(u)
+                elif d < 2:
+                    self._two.discard(u)
                     self._low.add(u)
 
     def copy(self) -> MultiGraph:
@@ -72,6 +83,7 @@ class MultiGraph:
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         g._deg = dict(self._deg)
         g._low = set(self._low)
+        g._two = set(self._two)
         g._m = self._m
         g._next_id = self._next_id
         return g
@@ -108,13 +120,17 @@ class MultiGraph:
         """Total incident edge occurrences; a loop contributes 2."""
         return self._deg[v]
 
-    def degrees(self) -> ItemsView[int, int]:
-        """(vertex, deg) pairs of every vertex, read off the cached degrees."""
-        return self._deg.items()
+    def low_degree_vertices(self) -> set[int]:
+        """Vertices with at most one incident edge occurrence.
 
-    def low_degree_vertices(self) -> list[int]:
-        """Vertices with at most one incident edge occurrence."""
-        return list(self._low)
+        This and degree_two_vertices return the cached set itself, which
+        every edit changes: copy it before editing the graph while iterating.
+        """
+        return self._low
+
+    def degree_two_vertices(self) -> set[int]:
+        """Vertices with exactly two incident edge occurrences."""
+        return self._two
 
     def deg_x(self, v: int, x: Iterable[int]) -> int:
         """Edge occurrences from v into the vertex set x.
@@ -130,6 +146,16 @@ class MultiGraph:
         if v in xs:
             d += nbrs.get(v, 0)
         return d
+
+    def smallest_edge_within(self, x: set[int]) -> tuple[int, int] | None:
+        """Lexicographically smallest (u, v), u < v, of an edge with both
+        ends in x, a set of vertices of the graph; None when there is none."""
+        adj, best = self._adj, None
+        for u in x:
+            for v in adj[u]:
+                if u < v and v in x and (best is None or (u, v) < best):
+                    best = u, v
+        return best
 
     def edge_items(self) -> list[tuple[int, int, int]]:
         """Sorted (u, v, mult) with u <= v, each undirected edge once."""

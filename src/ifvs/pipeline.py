@@ -143,14 +143,14 @@ def _run_guess(
         inst.take(v)
     for v in sorted(w):
         inst.protect(v)
-    res: DisjointResult = search_disjoint(inst)
+    res: DisjointResult = search_disjoint(inst, keep_trace)
     return GuessRecord(
         z_prime,
         "yes" if res.feasible else "no",
         mu0=res.stats.mu0,
         nodes=res.stats.nodes,
         base_leaves=res.stats.base_leaves,
-        trace=res.trace if keep_trace else None,
+        trace=res.trace,
         solution=res.solution,
     )
 

@@ -79,13 +79,20 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 # A rule returns None and leaves inst untouched when it does not apply. When
 # it fires it reduces inst in place, or rejects without touching it. mu is
 # the measure of inst as passed in; because a rule that does not fire
-# changes nothing, one mu serves every rule tried in a step. Rule 3 reads mu
+# changes nothing, one mu serves every rule tried in a step. Rules 1 and 2
+# never read it, so an untraced fixpoint passes them None. Rule 3 reads mu
 # and the floor; when it checks the floor it notes the budget as floor_k, which
 # only its own next try reads. Rules 4 and 5 read the instance's
 # W-degrees and W-components; rule 6 promotes an R-vertex with a W-edge
 # on its W-degree alone and classifies only the R-vertices without one.
 # Rule 2's bypass is a DisInstance move too, so no rule edits the graph,
 # W or the floor directly.
+#
+# Each rule tries only the vertices that can fire it and still takes its
+# smallest site: rule 1 the graph's low-degree set, rule 2 its degree-2
+# set, rules 4 and 5 the vertices of W-degree 2 or more (a double link
+# needs two W-edges), and rule 7 the free neighbours of free degree-2
+# vertices (every free neighbour of its site has degree 2).
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
@@ -100,16 +107,8 @@ def _rule1(inst: DisInstance, mu: int) -> Fired | None:
 
 def _rule2(inst: DisInstance, mu: int) -> Fired | None:
     # an F-vertex with an F-neighbour is never nice, so no class test is needed
-    g, w = inst.graph, inst.w
-    best = None
-    for u, d in g.degrees():
-        if d != 2 or u in w:
-            continue
-        for v, _ in g.incident(u):
-            if v <= u or v in w or g.deg(v) != 2:
-                continue
-            if best is None or (u, v) < best:
-                best = u, v
+    g = inst.graph
+    best = g.smallest_edge_within(g.degree_two_vertices() - inst.w)
     if best is None:
         return None
     u, v = best  # u < v; drop the restricted one if exactly one is, else u
@@ -135,7 +134,8 @@ def _rule4(inst: DisInstance, mu: int) -> Fired | None:
 
 
 def _rule5(inst: DisInstance, mu: int) -> Fired | None:
-    for v in sorted(inst.f_free):
+    w, r = inst.w, inst.r
+    for v in sorted(v for v, d in inst.wdeg.items() if d > 1 and v not in w and v not in r):
         if _double_link(inst, v):
             inst.take(v)
             return "reduced", v
@@ -158,9 +158,11 @@ def _rule6(inst: DisInstance, mu: int) -> Fired | None:
 def _rule7(inst: DisInstance, mu: int) -> Fired | None:
     g = inst.graph
     blocked = inst.w | inst.r
-    for v in sorted(inst.f_free):
+    two = g.degree_two_vertices()
+    cands = {v for u in two - blocked for v, _ in g.incident(u)} - blocked
+    for v in sorted(cands):
         nbrs = g.neighbors(v) - blocked
-        if nbrs and all(g.deg(u) == 2 for u in nbrs):
+        if nbrs and nbrs <= two:
             inst.restrict(nbrs)
             return "reduced", v
     return None
@@ -197,22 +199,26 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
     return ReductionOutcome(status, out, rule_id, pivot, mu, measure(out))
 
 
-def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
+def reduce_to_fixpoint(inst: DisInstance, trace: bool = True) -> FixpointResult:
     """Apply the lowest-numbered applicable rule until none fires.
 
     Reduces inst in place: the caller gives it up, and clones first to keep
     it; the vertices rule 5 takes land in inst.taken. Returns the ordered
     event trace and whether a rule rejected; on a rejection the trace still
-    carries everything up to and including the rejecting event. inst is
-    measured once on entry and once after each firing; that one value is
-    the event's mu_after, the next event's mu_before and what every rule of
-    the next step reads. The reduced instance has nothing left touched, so
-    measuring it again costs no classification.
+    carries everything up to and including the rejecting event. With trace,
+    inst is measured once on entry and once after each firing; that one
+    value is the event's mu_after, the next event's mu_before and what every
+    rule of the next step reads. Without it no event is recorded and inst is
+    measured only in a step that reaches rule 3, just before rule 3 reads
+    it, since rules 1 and 2 read no measure. Either way the reduced instance
+    has nothing left touched, so measuring it again costs no classification.
     """
     events: list[ReductionEvent] = []
-    mu = measure(inst)
+    mu = measure(inst) if trace else None
     while True:
         for rule_id in RULE_IDS:
+            if mu is None and rule_id == 3:
+                mu = measure(inst)
             fired = _RULES[rule_id](inst, mu)
             if fired is not None:
                 break
@@ -220,8 +226,12 @@ def reduce_to_fixpoint(inst: DisInstance) -> FixpointResult:
             return FixpointResult(events, False)
         status, pivot = fired
         if status == "reject":
-            events.append(ReductionEvent(rule_id, pivot, mu, mu))
+            if trace:
+                events.append(ReductionEvent(rule_id, pivot, mu, mu))
             return FixpointResult(events, True)
-        mu_after = measure(inst)
-        events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
-        mu = mu_after
+        if trace:
+            mu_after = measure(inst)
+            events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
+            mu = mu_after
+        else:
+            mu = None

@@ -133,3 +133,53 @@ def checking_every_measure():
         for mod in (reductions, branching, basecase):
             mp.setattr(mod, "measure", patched(mod.__name__))
         yield reads
+
+
+# -- full-scan references of the rules that scan only their candidates -------
+# Each returns the pivot the rule fires at on inst, or None when it does not
+# fire, found by scanning every vertex in id order as the rules once did.
+
+
+def _double_links(inst, v) -> bool:
+    seen = Counter()
+    for u in inst.graph.neighbors(v) & inst.w:
+        seen[inst.comp_of[u]] += inst.graph.multiplicity(v, u)
+    return any(m >= 2 for m in seen.values())
+
+
+def full_scan_rule2(inst) -> int | None:
+    g, w = inst.graph, inst.w
+    best = None
+    for u in g.vertices:
+        if g.deg(u) != 2 or u in w:
+            continue
+        for v in g.neighbors(u):
+            if v <= u or v in w or g.deg(v) != 2:
+                continue
+            if best is None or (u, v) < best:
+                best = u, v
+    if best is None:
+        return None
+    u, v = best
+    return v if v in inst.r and u not in inst.r else u
+
+
+def full_scan_rule4(inst) -> int | None:
+    return next((v for v in sorted(inst.r) if _double_links(inst, v)), None)
+
+
+def full_scan_rule5(inst) -> int | None:
+    return next((v for v in sorted(inst.f_free) if _double_links(inst, v)), None)
+
+
+def full_scan_rule7(inst) -> int | None:
+    g = inst.graph
+    blocked = inst.w | inst.r
+    for v in sorted(inst.f_free):
+        nbrs = g.neighbors(v) - blocked
+        if nbrs and all(g.deg(u) == 2 for u in nbrs):
+            return v
+    return None
+
+
+FULL_SCANS = {2: full_scan_rule2, 4: full_scan_rule4, 5: full_scan_rule5, 7: full_scan_rule7}

@@ -148,8 +148,13 @@ def _assert_degrees_match_adjacency(g: MultiGraph) -> None:
         v: sum(g.multiplicity(v, u) for u in g.neighbors(v)) + 2 * g.multiplicity(v, v)
         for v in g.vertices
     }
-    assert {v: g.deg(v) for v in g.vertices} == degs == dict(g.degrees())
-    assert sorted(g.low_degree_vertices()) == sorted(v for v, d in degs.items() if d <= 1)
+    assert {v: g.deg(v) for v in g.vertices} == degs
+    assert g.low_degree_vertices() == {v for v, d in degs.items() if d <= 1}
+    assert g.degree_two_vertices() == {v for v, d in degs.items() if d == 2}
+    for x in (g.degree_two_vertices(), g.vertices):
+        assert g.smallest_edge_within(x) == min(
+            ((u, v) for u, v, _ in g.edge_items() if u < v and {u, v} <= x), default=None
+        )
     assert g.num_edges == sum(m for _u, _v, m in g.edge_items())
     assert g.component_count() == len(g.components())
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -14,6 +15,7 @@ from ifvs.branching import (
     DisjointStats,
     cycle_rank_cut,
     fib,
+    search_disjoint,
     solve_disjoint,
 )
 from ifvs.fvs import min_fvs
@@ -273,7 +275,7 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
     ranks = []
     run_guess, cut_rank = pipeline._run_guess, pipeline.rank_cut
 
-    def stub(inst):
+    def stub(inst, trace=True):
         reached.append(inst)
         return DisjointResult(None, BranchNode("reject", answer="no"), DisjointStats(1))
 
@@ -369,9 +371,9 @@ def _answers() -> tuple[list, int, int]:
     out, nodes, searches = [], 0, []
     search = pipeline.search_disjoint
 
-    def counted(inst):
+    def counted(inst, trace=True):
         searches.append(1)
-        return search(inst)
+        return search(inst, trace)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "search_disjoint", counted)
@@ -424,3 +426,48 @@ def test_the_forced_take_refutation_changes_no_answer(monkeypatch):
     assert answers == uncut
     assert nodes <= uncut_nodes
     assert searches < uncut_searches
+
+
+def _untraced_view(res):
+    """A solve_ifvs result with every guess's trace dropped."""
+    guesses = [dataclasses.replace(rec, trace=None) for rec in res.guesses]
+    return res.status, res.solution, res.stats, guesses
+
+
+def test_a_trace_changes_no_answer_and_no_count():
+    # without a trace the engine builds no node and no event, and counts
+    # its nodes, base leaves and root measure as it goes; a traced run must
+    # report the same, and those same counts are read off its trees
+    runs = []
+    for seed in range(20):
+        n = 14 + seed % 8
+        g = random_multigraph(n, int(1.4 * n), seed)  # loops and parallel edges
+        opt = solve_ifvs(g, n, minimize=True).solution
+        ks = (len(opt) - 1, len(opt)) if opt else (n // 2,)
+        runs += [(g, k, False) for k in ks] + [(g, n, True)]
+    for seed in range(6):
+        base = random_multigraph(12 + seed % 3, 18 + seed % 3, seed)
+        runs.append((subdivide_once(base), 60, True))
+    # sparse loop-free graphs, whose guesses branch
+    runs += [(_sparse(seed, 20, 1.6), 40, True) for seed in range(10, 14)]
+    branches = 0
+    for g, k, minimize in runs:
+        traced = solve_ifvs(g, k, minimize, keep_traces=True)
+        untraced = solve_ifvs(g, k, minimize)
+        assert all(rec.trace is None for rec in untraced.guesses)
+        assert _untraced_view(untraced) == _untraced_view(traced), (k, minimize)
+        for rec in traced.guesses:
+            nodes = list(rec.trace.walk()) if rec.trace else []
+            assert rec.nodes == len(nodes)
+            branches += sum(node.kind == "branch" for node in nodes)
+    assert branches >= 50
+    for seed in range(300):
+        inst = random_dis_instance(seed)
+        traced = search_disjoint(inst.clone())
+        untraced = search_disjoint(inst, trace=False)
+        assert untraced.trace is None
+        assert (untraced.solution, untraced.stats) == (traced.solution, traced.stats), seed
+        nodes = list(traced.trace.walk())
+        assert traced.stats == DisjointStats(
+            len(nodes), sum(node.kind == "base" for node in nodes), traced.trace.mu
+        ), seed

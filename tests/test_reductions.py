@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifvs import reductions
 from ifvs.branching import cycle_rank_cut
 from ifvs.generators import (
     gadget_promotion,
@@ -15,6 +16,7 @@ from ifvs.oracle import oracle_disjoint
 from ifvs.reductions import RULE_IDS, apply_rule, reduce_to_fixpoint
 
 from helpers import (
+    FULL_SCANS,
     assert_measure_is_fresh,
     checking_every_measure,
     instance_facts,
@@ -261,6 +263,65 @@ def test_incremental_measure_matches_on_every_rule_site(rule):
     for seed in range(30):
         red, checked = _fixpoint_checking_every_step(rule_site_instance(rule, seed))
         assert checked == 1 + len(red.events) - red.rejected, (rule, seed)
+
+
+def _fixpoint_corpus():
+    return [random_dis_instance(seed) for seed in range(150)] + [
+        rule_site_instance(rule, seed) for rule in RULE_IDS for seed in range(15)
+    ]
+
+
+def test_an_untraced_fixpoint_measures_only_where_rule_3_reads_it(monkeypatch):
+    # once per step that reaches rule 3, each read fresh; the traced run of
+    # the same instance measures after every firing, so the untraced one
+    # skips exactly the measures after the firings of rules 1 and 2
+    rule3 = reductions._RULES[3]
+    steps = []
+
+    def counted(inst, mu):
+        steps.append(mu)
+        return rule3(inst, mu)
+
+    untraced = traced = 0
+    for inst in _fixpoint_corpus():
+        twin = inst.clone()
+        with checking_every_measure() as reads:
+            red = reduce_to_fixpoint(twin)
+        with checking_every_measure() as lazy_reads:
+            monkeypatch.setitem(reductions._RULES, 3, counted)
+            lazy = reduce_to_fixpoint(inst, trace=False)
+            monkeypatch.setitem(reductions._RULES, 3, rule3)
+        assert lazy.events == [] and lazy.rejected == red.rejected
+        assert instance_facts(inst) == instance_facts(twin) and inst.taken == twin.taken
+        assert None not in steps
+        assert lazy_reads["ifvs.reductions"] == len(steps)
+        early = sum(ev.rule in (1, 2) for ev in red.events)
+        assert len(steps) == reads["ifvs.reductions"] - early
+        untraced += len(steps)
+        traced += reads["ifvs.reductions"]
+        steps.clear()
+    assert untraced < traced / 2
+
+
+def test_the_candidate_scans_fire_where_a_full_scan_does(monkeypatch):
+    # at every step of every fixpoint, rules 2, 4, 5 and 7 fire, or not,
+    # at the site a scan of every vertex in id order picks
+    fires = {rule: 0 for rule in FULL_SCANS}
+
+    def checking(rule, fn):
+        def run(inst, mu):
+            want = FULL_SCANS[rule](inst)
+            fired = fn(inst, mu)
+            assert (None if fired is None else fired[1]) == want, rule
+            fires[rule] += fired is not None
+            return fired
+        return run
+
+    for rule, fn in FULL_SCANS.items():
+        monkeypatch.setitem(reductions._RULES, rule, checking(rule, reductions._RULES[rule]))
+    for inst in _fixpoint_corpus():
+        reduce_to_fixpoint(inst, trace=False)
+    assert min(fires.values()) >= 10, fires
 
 
 @given(st.integers(0, 10**6))
