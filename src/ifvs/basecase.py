@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .instance import DisInstance, InternalSolverError, measure
+from .instance import DisInstance, InternalSolverError
 
 REFERENCE_MAX_PAIRS = 20
 REFERENCE_MAX_TENTS = 13
@@ -60,14 +60,13 @@ class ParityResult:
 def build_parity(inst: DisInstance) -> ParityInstance:
     """Encode a base-case instance as parity pairs.
 
-    The settled vertices are inst.settled as measure(inst) leaves them,
+    The settled vertices are inst.settled, which the moves keep up to date,
     and every vertex of F must be settled, else the leaf is no base case. A
     settled vertex is in F minus R with all of its neighbors in W, and its
     two (nice) or three (tent) edges into W tell the two kinds apart. The
     instance's W-components become ground nodes 0 to rho - 1, numbered by
     their smallest vertex.
     """
-    measure(inst)
     unsettled = inst.f - inst.settled
     if unsettled:
         raise InternalSolverError(

@@ -16,7 +16,7 @@ import time
 import traceback
 from pathlib import Path
 
-from .branching import BranchNode, solve_disjoint
+from .branching import BranchNode, search_disjoint
 from .formats import (
     ParseError,
     emit_dis,
@@ -122,7 +122,7 @@ def _cmd_solve(args) -> int:
     if _is_dis_file(text):
         if args.fvs:
             raise ParseError("--fvs applies to graph input only")
-        res = solve_disjoint(_dis_instance(text, args.k), bool(args.trace))
+        res = search_disjoint(_dis_instance(text, args.k), bool(args.trace))
         status = "yes" if res.solution is not None else "no"
         stats = {"branch_nodes": res.stats.nodes, "max_mu": res.stats.mu0}
         if args.trace:

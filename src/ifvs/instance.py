@@ -61,19 +61,20 @@ class DisInstance:
     clash.
 
     wdeg maps every vertex to its edge occurrences into W, which the
-    measure, the classification and the rules read in place of the
+    settled test, the classification and the rules read in place of the
     neighbor sets. A new instance counts them once (all zeros when W is
     empty) and a clone copies them; after that only the moves change them:
     protect adds v's edges to its neighbors' counts, deleting a W-vertex
     takes them away again, and bypass counts the new edge. No rule edits
     graph, w or floor directly.
 
-    settled holds the nice vertices and tents as last measured, and
-    touched collects every vertex whose facts a move changed since then:
-    its edges, its W-degree, its R-membership or its place in F. So
-    deleting or protecting a vertex marks it and its neighbors, and measure
-    looks again at the marked vertices alone. A new instance has nothing
-    settled and every vertex touched; a clone copies both sets.
+    settled holds the nice vertices and tents. A settled kind reads only
+    the vertex's own facts (its edges, its W-degree, its R-membership and
+    its place in F), so each move re-tests exactly the vertices whose facts
+    it changed: deleting or protecting a vertex drops it and re-tests its
+    neighbors, restrict drops its vertices, and bypass re-tests the ends of
+    its new edge. A new instance tests every vertex once and a clone copies
+    the set.
 
     floor is a lower bound on the cycle rank m - n + c of the graph, and
     floor_k the budget at which floor_cut last checked it. Deleting a
@@ -84,7 +85,7 @@ class DisInstance:
 
     __slots__ = (
         "graph", "w", "r", "k", "taken", "comps", "comp_of", "wdeg",
-        "touched", "settled", "floor", "floor_k",
+        "settled", "floor", "floor_k",
     )
 
     def __init__(
@@ -108,8 +109,7 @@ class DisInstance:
         for x in self.w.intersection(self.wdeg):  # validation flags the rest
             for u, m in graph.incident(x):
                 self.wdeg[u] += m
-        self.touched: set[int] = graph.vertices  # a fresh set
-        self.settled: set[int] = set()
+        self.settled = {v for v in graph.vertices if _is_settled(self, v)}
         self.floor = 0
         self.floor_k = k
         if validate:
@@ -127,7 +127,6 @@ class DisInstance:
         inst.comps = {c: set(comp) for c, comp in self.comps.items()}
         inst.comp_of = dict(self.comp_of)
         inst.wdeg = dict(self.wdeg)
-        inst.touched = set(self.touched)
         inst.settled = set(self.settled)
         inst.floor = self.floor
         inst.floor_k = self.floor_k
@@ -147,10 +146,17 @@ class DisInstance:
         for u in comp:
             self.comp_of[u] = label
 
+    def _resettle(self, vs: Iterable[int]) -> None:
+        """Re-test whether each vertex of vs is settled."""
+        for u in vs:
+            if _is_settled(self, u):
+                self.settled.add(u)
+            else:
+                self.settled.discard(u)
+
     def delete_vertex(self, v: int) -> None:
         nbrs = self.graph.neighbors(v)
-        self.touched |= nbrs
-        self.touched.add(v)
+        self.settled.discard(v)
         d = self.graph.deg(v)
         if d > 1:
             self.floor -= d - 1
@@ -170,6 +176,7 @@ class DisInstance:
         del self.wdeg[v]
         self.graph.remove_vertex(v)
         self.r.discard(v)
+        self._resettle(nbrs)
 
     def take(self, v: int) -> None:
         """Put v into the solution: delete it, add it to taken, pay one unit of budget.
@@ -187,7 +194,7 @@ class DisInstance:
     def restrict(self, vs: set[int]) -> None:
         """Keep the vertices vs out of the solution."""
         self.r |= vs
-        self.touched |= vs
+        self.settled -= vs
 
     def protect(self, v: int) -> None:
         """Put v into W for good, merging the W-components it has edges to.
@@ -205,8 +212,8 @@ class DisInstance:
             self.wdeg[u] += m
         self.r.discard(v)
         self.w.add(v)
-        self.touched |= nbrs
-        self.touched.add(v)
+        self.settled.discard(v)
+        self._resettle(nbrs)
         label = max(labels, key=lambda c: len(self.comps[c]), default=v)
         comp = self.comps.setdefault(label, set())
         for c in labels - {label}:
@@ -227,13 +234,14 @@ class DisInstance:
         """
         g = self.graph
         other = next(x for x in g.neighbors(drop) if x != keep)
-        self.delete_vertex(drop)  # marks keep and other, the ends of the new edge
+        self.delete_vertex(drop)
         g.add_edge(keep, other)
         self.floor += 1
         if other in self.w:
             self.wdeg[keep] += 1
         elif g.multiplicity(keep, other) >= 2:
             raise InternalSolverError("bypass created a parallel edge inside F")
+        self._resettle((keep, other))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -288,7 +296,8 @@ def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClas
     own F-neighbors are potentially nice. The degrees and F-neighbors of a
     vertex are looked up once, and only for the vertices those tests reach,
     so all of F costs one pass over the edges and a few targets cost their
-    two-hop F-neighbourhood.
+    two-hop F-neighbourhood. Nice vertices and tents are read off
+    inst.settled, so _is_settled stays their one definition.
     """
     g, w, r, wdeg = inst.graph, inst.w, inst.r, inst.wdeg
     facts: dict[int, tuple[int, int, set[int]]] = {}  # deg, deg_w, F-neighbors
@@ -316,7 +325,7 @@ def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClas
         _, dw, fn = facts[v]
         if v in r:
             kind = Kind.PLAIN
-        elif not fn and dw in _SETTLED:
+        elif v in inst.settled:
             kind = _SETTLED[dw]
         elif v in p_nice:
             kind = Kind.P_NICE
@@ -366,18 +375,9 @@ def measure(inst: DisInstance) -> int:
     k is the budget, rho the number of W-components and eta + tau the
     number of settled vertices, the nice vertices and tents: the base case
     handles them in polynomial time, so each one prepays a unit of measure.
-
-    rho is read off the W-partition the instance keeps. inst.settled is
-    brought up to date at inst.touched alone, which is then cleared: a
-    settled kind reads only the vertex's own facts and every move marks
-    each vertex whose facts it changed, so only the touched vertices can
-    have become or stopped being settled. A new instance has every vertex
-    touched, so its first measure looks at all of them. The result equals
-    a measure taken from scratch.
+    The moves keep the W-partition and the settled set up to date, so this
+    is a read that changes nothing and equals a measure taken from scratch.
     """
-    touched, inst.touched = inst.touched, set()
-    inst.settled -= touched
-    inst.settled.update(v for v in touched if _is_settled(inst, v))
     return inst.k + len(inst.comps) - len(inst.settled)
 
 

@@ -22,7 +22,7 @@ from itertools import chain, combinations
 from .branching import BranchNode, DisjointResult, _better, fib, search_disjoint
 from .branching import solve_disjoint  # noqa: F401  perfbench/spans.py wraps this name
 from .fvs import min_fvs
-from .instance import DisInstance, InternalSolverError, check_solution, measure, rank_cut
+from .instance import DisInstance, InternalSolverError, check_solution, rank_cut
 from .multigraph import MultiGraph
 
 GOLDEN_RATIO = (1 + 5 ** 0.5) / 2
@@ -204,7 +204,6 @@ def solve_ifvs(
         for v in peel:
             root.delete_vertex(v)
     rank = h.num_edges - len(h) + h.component_count()
-    measure(root)  # nothing is settled yet; guesses re-measure what they mark
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)) + 1)

@@ -4,14 +4,14 @@ Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
 smallest pair), so a fixpoint run is reproducible. reduce_to_fixpoint
 reduces the instance it is given in place, through DisInstance moves that
-record the vertices they touch, so each measure the fixpoint takes looks
-again at those vertices alone. Rule 5 takes its vertex into
-the solution, which the instance records, so a fixpoint returns only its
-events and verdict. apply_rule runs a single rule on a clone for callers
-that need the input kept. Rules never grow the measure when observed
-fixpoint to fixpoint; rule 6 may raise it transiently because moving an
-isolated restricted vertex into W adds a W-component before later rules
-cash in the offset.
+keep the instance's W-partition and settled set up to date, so reading
+the measure costs O(1) wherever rule 3 or a trace needs it. Rule 5 takes
+its vertex into the solution, which the instance records, so a fixpoint
+returns only its events and verdict. apply_rule runs a single rule on a
+clone for callers that need the input kept. Rules never grow the measure
+when observed fixpoint to fixpoint; rule 6 may raise it transiently
+because moving an isolated restricted vertex into W adds a W-component
+before later rules cash in the offset.
 
 Rule catalogue, by what each one does:
   1  delete any vertex with at most one incident edge occurrence
@@ -77,14 +77,12 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 
 # -- individual rules ------------------------------------------------------
 # A rule returns None and leaves inst untouched when it does not apply. When
-# it fires it reduces inst in place, or rejects without touching it. mu is
-# the measure of inst as passed in; because a rule that does not fire
-# changes nothing, one mu serves every rule tried in a step. Rules 1 and 2
-# never read it, so an untraced fixpoint passes them None. Rule 3 reads mu
-# and the floor; when it checks the floor it notes the budget as floor_k, which
-# only its own next try reads. Rules 4 and 5 read the instance's
-# W-degrees and W-components; rule 6 promotes an R-vertex with a W-edge
-# on its W-degree alone and classifies only the R-vertices without one.
+# it fires it reduces inst in place, or rejects without touching it. Rule 3
+# is the one rule that reads the measure, and it reads the floor; when it
+# checks the floor it notes the budget as floor_k, which only its own next
+# try reads. Rules 4 and 5 read the instance's W-degrees and W-components;
+# rule 6 promotes an R-vertex with a W-edge on its W-degree alone and
+# classifies only the R-vertices without one.
 # Rule 2's bypass is a DisInstance move too, so no rule edits the graph,
 # W or the floor directly.
 #
@@ -97,7 +95,7 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 Fired = tuple[str, int | None]  # (status, pivot)
 
 
-def _rule1(inst: DisInstance, mu: int) -> Fired | None:
+def _rule1(inst: DisInstance) -> Fired | None:
     v = min(inst.graph.low_degree_vertices(), default=None)
     if v is None:
         return None
@@ -105,7 +103,7 @@ def _rule1(inst: DisInstance, mu: int) -> Fired | None:
     return "reduced", v
 
 
-def _rule2(inst: DisInstance, mu: int) -> Fired | None:
+def _rule2(inst: DisInstance) -> Fired | None:
     # an F-vertex with an F-neighbour is never nice, so no class test is needed
     g = inst.graph
     best = g.smallest_edge_within(g.degree_two_vertices() - inst.w)
@@ -117,8 +115,8 @@ def _rule2(inst: DisInstance, mu: int) -> Fired | None:
     return "reduced", drop
 
 
-def _rule3(inst: DisInstance, mu: int) -> Fired | None:
-    if inst.k < 0 or mu < 0:
+def _rule3(inst: DisInstance) -> Fired | None:
+    if measure(inst) < 0 or inst.k < 0:
         return "reject", None
     # the floor is checked again only once a take has lowered the budget
     if inst.k < inst.floor_k and floor_cut(inst):
@@ -126,14 +124,14 @@ def _rule3(inst: DisInstance, mu: int) -> Fired | None:
     return None
 
 
-def _rule4(inst: DisInstance, mu: int) -> Fired | None:
+def _rule4(inst: DisInstance) -> Fired | None:
     for v in sorted(inst.r):
         if _double_link(inst, v):
             return "reject", v
     return None
 
 
-def _rule5(inst: DisInstance, mu: int) -> Fired | None:
+def _rule5(inst: DisInstance) -> Fired | None:
     w, r = inst.w, inst.r
     for v in sorted(v for v, d in inst.wdeg.items() if d > 1 and v not in w and v not in r):
         if _double_link(inst, v):
@@ -142,7 +140,7 @@ def _rule5(inst: DisInstance, mu: int) -> Fired | None:
     return None
 
 
-def _rule6(inst: DisInstance, mu: int) -> Fired | None:
+def _rule6(inst: DisInstance) -> Fired | None:
     for v in sorted(inst.r):
         if not inst.wdeg[v]:  # gdeg counts the W-edges too
             c = _classify(inst, (v,))[v]
@@ -155,7 +153,7 @@ def _rule6(inst: DisInstance, mu: int) -> Fired | None:
     return None
 
 
-def _rule7(inst: DisInstance, mu: int) -> Fired | None:
+def _rule7(inst: DisInstance) -> Fired | None:
     g = inst.graph
     blocked = inst.w | inst.r
     two = g.degree_two_vertices()
@@ -190,7 +188,7 @@ def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
         raise ValueError(f"unknown rule id {rule_id}")
     out = inst.clone()
     mu = measure(out)
-    fired = _RULES[rule_id](out, mu)
+    fired = _RULES[rule_id](out)
     if fired is None:
         return ReductionOutcome("unchanged", inst, rule_id)
     status, pivot = fired
@@ -206,32 +204,23 @@ def reduce_to_fixpoint(inst: DisInstance, trace: bool = True) -> FixpointResult:
     it; the vertices rule 5 takes land in inst.taken. Returns the ordered
     event trace and whether a rule rejected; on a rejection the trace still
     carries everything up to and including the rejecting event. With trace,
-    inst is measured once on entry and once after each firing; that one
-    value is the event's mu_after, the next event's mu_before and what every
-    rule of the next step reads. Without it no event is recorded and inst is
-    measured only in a step that reaches rule 3, just before rule 3 reads
-    it, since rules 1 and 2 read no measure. Either way the reduced instance
-    has nothing left touched, so measuring it again costs no classification.
+    inst is measured on entry and after each firing, for the events'
+    mu_before and mu_after; without it the fixpoint records no event and
+    reads no measure of its own.
     """
     events: list[ReductionEvent] = []
     mu = measure(inst) if trace else None
     while True:
         for rule_id in RULE_IDS:
-            if mu is None and rule_id == 3:
-                mu = measure(inst)
-            fired = _RULES[rule_id](inst, mu)
+            fired = _RULES[rule_id](inst)
             if fired is not None:
                 break
         else:
             return FixpointResult(events, False)
         status, pivot = fired
-        if status == "reject":
-            if trace:
-                events.append(ReductionEvent(rule_id, pivot, mu, mu))
-            return FixpointResult(events, True)
         if trace:
-            mu_after = measure(inst)
+            mu_after = mu if status == "reject" else measure(inst)
             events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
             mu = mu_after
-        else:
-            mu = None
+        if status == "reject":
+            return FixpointResult(events, True)

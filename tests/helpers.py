@@ -4,8 +4,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from ifvs import basecase, branching, reductions
-from ifvs.instance import Kind, classification, measure
+from ifvs import branching, reductions
+from ifvs.instance import Kind, measure
 from ifvs.multigraph import MultiGraph
 from ifvs.reductions import RULE_IDS, apply_rule
 
@@ -73,18 +73,23 @@ def branch_drops_ok(node) -> bool:
 
 
 def reference_settled(inst) -> dict:
-    """The settled vertices of inst read off the classification of all of F."""
-    return {v: c.kind for v, c in classification(inst).items()
-            if c.kind in (Kind.NICE, Kind.TENT)}
+    """The settled vertices of inst found from scratch: the vertices of F - R
+    with no loop and no neighbor outside W, two (nice) or three (tent) of
+    whose edge occurrences go into W."""
+    g, w = inst.graph, inst.w
+    kinds = {2: Kind.NICE, 3: Kind.TENT}
+    out = {}
+    for v in inst.f_free:
+        d = g.deg_x(v, w)
+        if d in kinds and g.neighbors(v) <= w and not g.multiplicity(v, v):
+            out[v] = kinds[d]
+    return out
 
 
-def reference_measure(inst, settled=None) -> int:
+def reference_measure(inst) -> int:
     """The measure of inst built without measure: k plus the W-components
-    found from scratch minus the settled vertices (reference_settled unless
-    given)."""
-    if settled is None:
-        settled = reference_settled(inst)
-    return inst.k + len(inst.graph.components(inst.w)) - len(settled)
+    found from scratch minus the settled vertices found from scratch."""
+    return inst.k + len(inst.graph.components(inst.w)) - len(reference_settled(inst))
 
 
 def assert_wdeg_is_fresh(inst) -> None:
@@ -97,27 +102,35 @@ def assert_wdeg_is_fresh(inst) -> None:
 def assert_partition_is_fresh(inst) -> None:
     """The instance's W-partition is the components of G[W], as sets, and
     comp_of labels every W-vertex with the component that holds it; its
-    W-degrees are fresh too (assert_wdeg_is_fresh)."""
+    W-degrees (assert_wdeg_is_fresh) and its settled set are fresh too."""
     fresh = {frozenset(comp) for comp in inst.graph.components(inst.w)}
     assert {frozenset(comp) for comp in inst.comps.values()} == fresh
     assert len(inst.comps) == len(fresh)
     assert inst.comp_of == {v: c for c, comp in inst.comps.items() for v in comp}
     assert_wdeg_is_fresh(inst)
+    assert inst.settled == reference_settled(inst).keys()
 
 
 def assert_measure_is_fresh(mu: int, inst) -> None:
-    settled = reference_settled(inst)
-    assert mu == reference_measure(inst, settled)
-    assert inst.settled == settled.keys()
+    assert mu == reference_measure(inst)
     assert_partition_is_fresh(inst)
+
+
+def fixpoint_reads(events, rejected: bool) -> int:
+    """The measures a traced fixpoint with these events reads: one on entry
+    and one after every firing but a rejection, for the events, plus one at
+    each try of rule 3, which every step tries unless rule 1 or 2 fires.
+    A node the cycle-rank cut rejects runs no fixpoint: no events, 0 reads."""
+    rule3_tries = sum(ev.rule >= 3 for ev in events) + (not rejected)
+    return 1 + len(events) - rejected + rule3_tries
 
 
 @contextmanager
 def checking_every_measure():
     """Check every measure the engine reads against reference_measure.
 
-    Patches measure where the reductions, the branching and the base case
-    look it up, and yields a Counter of the checked reads per module.
+    Patches measure where the reductions and the branching look it up, and
+    yields a Counter of the checked reads per module.
     """
     reads = Counter()
 
@@ -130,7 +143,7 @@ def checking_every_measure():
         return checked
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in (reductions, branching, basecase):
+        for mod in (reductions, branching):
             mp.setattr(mod, "measure", patched(mod.__name__))
         yield reads
 

@@ -24,7 +24,6 @@ from helpers import (
     cycle,
     instance_facts,
     path,
-    reference_measure,
     reference_settled,
 )
 
@@ -197,26 +196,30 @@ def test_classify_single_vertex_and_w_rejection():
         assert {v: classify(inst, v) for v in inst.f} == full, seed
 
 
-def test_moves_mark_what_they_touch():
-    g = path(5)  # 0-1-2-3-4
-    inst = DisInstance(g, {0}, set(), 2)
-    assert inst.touched == {0, 1, 2, 3, 4}  # never measured
-    measure(inst)
-    assert inst.touched == set()
-    inst.delete_vertex(4)
-    assert inst.touched == {3, 4}
-    measure(inst)
-    assert inst.touched == set()
-    inst.take(2)  # restricts 1 and 3, its neighbors outside W
-    assert inst.touched == {1, 2, 3}
-    inst.touched.clear()
-    inst.protect(1)  # 0's and 1's W-degrees change
-    assert inst.touched == {0, 1}
-    inst.touched.clear()
-    inst.restrict({3})
-    assert inst.touched == {3}
+def test_moves_keep_the_settled_set():
+    # W is four one-vertex components: 6 is nice and 7 a tent; 4 has two
+    # W-edges and the F-neighbor 5, and 8 one W-edge and the F-neighbor 9
+    g = MultiGraph(range(10))
+    for u, v in ((4, 0), (4, 1), (4, 5), (5, 2), (6, 2), (6, 3),
+                 (7, 0), (7, 1), (7, 3), (8, 2), (8, 9), (9, 3)):
+        g.add_edge(u, v)
+    inst = DisInstance(g, {0, 1, 2, 3}, set(), 3)
+    assert inst.settled == {6, 7}
+    inst.delete_vertex(5)  # 4 keeps only its W-edges
+    assert inst.settled == {4, 6, 7}
+    inst.protect(9)  # 8 gains a W-edge
+    assert inst.settled == {4, 6, 7, 8}
+    inst.restrict({6})
+    assert inst.settled == {4, 7, 8}
+    inst.delete_vertex(0)  # 4 keeps one edge; the tent 7 turns nice
+    assert inst.settled == {7, 8}
     other = inst.clone()
-    assert other.touched == {3}
+    inst.protect(7)
+    assert inst.settled == {8} and other.settled == {7, 8}
+    inst.take(8)
+    assert inst.settled == set()
+    assert_partition_is_fresh(inst)
+    assert_partition_is_fresh(other)
 
 
 def test_a_budget_change_alone_moves_the_measure_by_as_much():
@@ -224,10 +227,8 @@ def test_a_budget_change_alone_moves_the_measure_by_as_much():
     mu = measure(inst)
     settled = set(inst.settled)
     assert settled
-    inst.k -= 2  # no move: nothing is touched, so nothing is looked at again
-    assert inst.touched == set()
-    assert measure(inst) == mu - 2
-    assert inst.touched == set()
+    inst.k -= 2  # no move: the settled set stays as it is
+    assert measure(inst) == measure(inst) == mu - 2
     assert inst.settled == settled
 
 
@@ -258,9 +259,9 @@ def _move(inst, move: str, v: int) -> None:
 )
 @settings(max_examples=200, deadline=None)
 def test_measure_after_any_moves_matches_a_fresh_one(seed, moves):
-    # measure looks only at the vertices the moves marked, so a move that
-    # fails to mark a vertex whose own facts it changed shows up here;
-    # measuring only after some moves lets the marks of several pile up
+    # the moves keep the settled set, so a move that fails to re-test a
+    # vertex whose own facts it changed shows up here, at the next measure
+    # however many moves later it comes
     inst = random_dis_instance(seed)
     assert_measure_is_fresh(measure(inst), inst)
     for move, pick, measure_now in moves:
@@ -312,21 +313,20 @@ def test_bypass_joins_the_ends_and_keeps_the_cycle_rank():
     g = cycle(5)  # 0-1-2-3-4-0
     inst = DisInstance(g, {0}, set(), 1)
     inst.floor = _rank(g)
-    measure(inst)
     inst.bypass(2, 3)  # the other end, 1, is in F
     assert 2 not in g and g.multiplicity(1, 3) == 1
     assert inst.floor == _rank(g) == 1
-    assert inst.touched == {1, 2, 3}
     assert (inst.wdeg[1], inst.wdeg[3]) == (1, 0)
-    inst.touched.clear()
+    assert_partition_is_fresh(inst)
     inst.bypass(1, 3)  # the other end, 0, is in W: 3 gains a W-edge
     assert 1 not in g and g.multiplicity(0, 3) == 1
     assert inst.floor == _rank(g) == 1
-    assert inst.touched == {0, 1, 3}
-    assert inst.wdeg[3] == 1
+    assert inst.wdeg[3] == 1 and inst.settled == set()
+    assert_partition_is_fresh(inst)
     inst.bypass(4, 3)  # a second edge into W is a double link, no F-cycle
     assert g.multiplicity(0, 3) == 2 and inst.wdeg[3] == 2
     assert inst.floor == _rank(g) == 1
+    assert inst.settled == {3}  # both of its edges now go into W
     assert_partition_is_fresh(inst)
     tri = DisInstance(cycle(3), set(), set(), 1, validate=False)
     with pytest.raises(InternalSolverError, match="parallel edge inside F"):
@@ -350,11 +350,12 @@ def test_bypass_joins_the_ends_and_keeps_the_cycle_rank():
 def test_w_partition_follows_every_move(seed, moves):
     # delete_w deletes a W-vertex, which splits its component when it is an
     # inner vertex; the engine never does that, but delete_vertex allows it.
-    # The floor starts exact, as each engine node sets it, and stays a lower
+    # The settled set is checked with no measure between the moves. The
+    # floor starts exact, as each engine node sets it, and stays a lower
     # bound on m - n + c through every move, a rule-2 bypass included
     inst = random_dis_instance(seed)
     inst.floor = _rank(inst.graph)
-    kept = []  # (instance, its partition, its W-degrees) at each clone; the clone moves on
+    kept = []  # (instance, partition, W-degrees, settled set) at each clone; the clone moves on
     for move, pick in moves:
         g = inst.graph
         if move == "delete_w":
@@ -364,18 +365,17 @@ def test_w_partition_follows_every_move(seed, moves):
         else:
             verts = sorted(g.vertices)
         if move == "clone":
-            kept.append((inst, _partition(inst), dict(inst.wdeg)))
+            kept.append((inst, _partition(inst), dict(inst.wdeg), set(inst.settled)))
             inst = inst.clone()
         elif move == "bypass":
-            _rule2(inst, 0)  # the rule reads no measure
+            _rule2(inst)
         elif verts:
             name = "delete_vertex" if move.startswith("delete") else move
             _move(inst, name, verts[pick % len(verts)])
         assert_partition_is_fresh(inst)
-        assert measure(inst) == reference_measure(inst)
         assert inst.floor <= _rank(inst.graph)
-        for orig, part, wdeg in kept:
-            assert _partition(orig) == part and orig.wdeg == wdeg
+        for orig, part, wdeg, settled in kept:
+            assert _partition(orig) == part and orig.wdeg == wdeg and orig.settled == settled
             assert_partition_is_fresh(orig)
 
 

@@ -19,6 +19,7 @@ from helpers import (
     FULL_SCANS,
     assert_measure_is_fresh,
     checking_every_measure,
+    fixpoint_reads,
     instance_facts,
     lowest_applicable_rule,
     reference_measure,
@@ -229,9 +230,8 @@ def test_fixpoint_never_raises_the_measure(seed):
     mu_raw = reference_measure(inst)
     red = reduce_to_fixpoint(inst)
     if not red.rejected:
-        # the last step's measure left nothing touched, so measuring the
-        # reduced instance again classifies no vertex
-        assert inst.touched == set()
+        # the moves kept the settled set, so the reduced instance's is fresh
+        # with no measure between; assert_measure_is_fresh checks it
         mu = measure(inst)
         assert_measure_is_fresh(mu, inst)
         assert mu <= mu_raw
@@ -240,8 +240,8 @@ def test_fixpoint_never_raises_the_measure(seed):
 def _fixpoint_checking_every_step(inst):
     """Run reduce_to_fixpoint, checking each measure it takes.
 
-    The entry measure and the one after every firing must equal a reference
-    built from the classification and the W-components, down to its settled
+    The entry measure, the one after every firing and the one at each try
+    of rule 3 must equal a reference built from scratch, down to its settled
     vertices and W-components. Returns the fixpoint result and the number of
     measures checked.
     """
@@ -254,15 +254,14 @@ def _fixpoint_checking_every_step(inst):
 @settings(max_examples=150)
 def test_incremental_measure_matches_a_fresh_one_after_every_firing(seed):
     red, checked = _fixpoint_checking_every_step(random_dis_instance(seed))
-    # the entry, then every firing but a rejection
-    assert checked == 1 + len(red.events) - red.rejected
+    assert checked == fixpoint_reads(red.events, red.rejected)
 
 
 @pytest.mark.parametrize("rule", RULE_IDS)
 def test_incremental_measure_matches_on_every_rule_site(rule):
     for seed in range(30):
         red, checked = _fixpoint_checking_every_step(rule_site_instance(rule, seed))
-        assert checked == 1 + len(red.events) - red.rejected, (rule, seed)
+        assert checked == fixpoint_reads(red.events, red.rejected), (rule, seed)
 
 
 def _fixpoint_corpus():
@@ -272,35 +271,29 @@ def _fixpoint_corpus():
 
 
 def test_an_untraced_fixpoint_measures_only_where_rule_3_reads_it(monkeypatch):
-    # once per step that reaches rule 3, each read fresh; the traced run of
-    # the same instance measures after every firing, so the untraced one
-    # skips exactly the measures after the firings of rules 1 and 2
+    # once per try of rule 3, each read fresh; the traced run of the same
+    # instance reads on entry and after every firing as well
     rule3 = reductions._RULES[3]
-    steps = []
+    tries = 0
 
-    def counted(inst, mu):
-        steps.append(mu)
-        return rule3(inst, mu)
+    def counted(inst):
+        nonlocal tries
+        tries += 1
+        return rule3(inst)
 
-    untraced = traced = 0
+    monkeypatch.setitem(reductions._RULES, 3, counted)
     for inst in _fixpoint_corpus():
         twin = inst.clone()
         with checking_every_measure() as reads:
             red = reduce_to_fixpoint(twin)
+        assert reads["ifvs.reductions"] == fixpoint_reads(red.events, red.rejected)
+        tries = 0
         with checking_every_measure() as lazy_reads:
-            monkeypatch.setitem(reductions._RULES, 3, counted)
             lazy = reduce_to_fixpoint(inst, trace=False)
-            monkeypatch.setitem(reductions._RULES, 3, rule3)
         assert lazy.events == [] and lazy.rejected == red.rejected
         assert instance_facts(inst) == instance_facts(twin) and inst.taken == twin.taken
-        assert None not in steps
-        assert lazy_reads["ifvs.reductions"] == len(steps)
-        early = sum(ev.rule in (1, 2) for ev in red.events)
-        assert len(steps) == reads["ifvs.reductions"] - early
-        untraced += len(steps)
-        traced += reads["ifvs.reductions"]
-        steps.clear()
-    assert untraced < traced / 2
+        rule3_tries = sum(ev.rule >= 3 for ev in red.events) + (not red.rejected)
+        assert lazy_reads["ifvs.reductions"] == tries == rule3_tries
 
 
 def test_the_candidate_scans_fire_where_a_full_scan_does(monkeypatch):
@@ -309,9 +302,9 @@ def test_the_candidate_scans_fire_where_a_full_scan_does(monkeypatch):
     fires = {rule: 0 for rule in FULL_SCANS}
 
     def checking(rule, fn):
-        def run(inst, mu):
+        def run(inst):
             want = FULL_SCANS[rule](inst)
-            fired = fn(inst, mu)
+            fired = fn(inst)
             assert (None if fired is None else fired[1]) == want, rule
             fires[rule] += fired is not None
             return fired
