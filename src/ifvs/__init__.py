@@ -1,9 +1,9 @@
 """Exact independent feedback vertex set solving.
 
 The public surface is the pipeline entry point plus the building blocks it
-is made of: the disjoint branching engine, the reduction rules, the matroid
-parity base case, and the brute force oracles the tests measure everything
-against.
+is made of: the disjoint branching engine, the reduction fixpoint, the
+matroid parity base case, and the brute force oracles the tests measure
+everything against.
 """
 from .basecase import (
     ParityInstance,
@@ -19,11 +19,7 @@ from .instance import (
     DisInstance,
     InstanceError,
     InternalSolverError,
-    Kind,
-    VertexClass,
     check_solution,
-    classification,
-    classify,
     measure,
     validate_instance,
 )
@@ -37,7 +33,7 @@ from .pipeline import (
     solve_ifvs,
     subdivide_once,
 )
-from .reductions import ReductionOutcome, apply_rule, reduce_to_fixpoint
+from .reductions import reduce_to_fixpoint
 from .fvs import fvs_at_most, min_fvs
 
 __version__ = "0.1.0"
@@ -51,20 +47,14 @@ __all__ = [
     "GOLDEN_RATIO",
     "InstanceError",
     "InternalSolverError",
-    "Kind",
     "MultiGraph",
     "ParityInstance",
     "ParityPair",
     "ParityResult",
-    "ReductionOutcome",
     "SolveResult",
-    "VertexClass",
-    "apply_rule",
     "brute_min_fvs",
     "build_parity",
     "check_solution",
-    "classification",
-    "classify",
     "fvs_at_most",
     "leaf_bound",
     "matroid_parity_max",

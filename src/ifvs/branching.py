@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .basecase import solve_base
-from .instance import DisInstance, InternalSolverError, Kind, classification, floor_cut, measure
+from .instance import DisInstance, InternalSolverError, floor_cut, measure, pivot_degrees
 from .reductions import ReductionEvent, reduce_to_fixpoint
 
 CASE_A = "A"
@@ -88,22 +88,21 @@ class DisjointResult:
 def select_pivot(inst: DisInstance) -> PivotChoice | None:
     """Deterministic pivot choice on a reduced instance.
 
-    Scans F for vertices that are not nice, tent, or potentially nice and
-    returns the smallest id in the earliest nonempty case. Returns None when
-    the instance is a base case. A pivot inside R would mean rule 6 was
-    still applicable, which the engine treats as an internal error.
+    Scans the vertices of F that pivot_degrees keeps (none nice, a tent or
+    potentially nice) and returns the smallest id in the earliest nonempty
+    case. Returns None when the instance is a base case. A pivot inside R
+    would mean rule 6 was still applicable, which the engine treats as an
+    internal error.
     """
-    classes = classification(inst)
+    degs = pivot_degrees(inst, inst.f)
     best = {CASE_A: None, CASE_B: None, CASE_C: None}
-    for v in sorted(classes):
-        c = classes[v]
-        if c.kind in (Kind.NICE, Kind.TENT, Kind.P_NICE):
-            continue
-        if best[CASE_A] is None and c.gdeg >= 3:
+    for v in sorted(degs):
+        gdeg, tdeg = degs[v]
+        if best[CASE_A] is None and gdeg >= 3:
             best[CASE_A] = v
-        if best[CASE_B] is None and c.gdeg >= 1 and c.tdeg >= 1:
+        if best[CASE_B] is None and gdeg >= 1 and tdeg >= 1:
             best[CASE_B] = v
-        if best[CASE_C] is None and c.tdeg >= 2:
+        if best[CASE_C] is None and tdeg >= 2:
             best[CASE_C] = v
     for case in (CASE_A, CASE_B, CASE_C):
         v = best[case]

@@ -268,8 +268,9 @@ def rule_site_instance(rule: int, seed: int) -> DisInstance:
     """Instance on which the given rule is the lowest applicable one.
 
     Randomized sizes and budgets around a pinned site. The per-rule safety
-    suite feeds these to apply_rule and compares oracle answers before and
-    after; lowest_applicable_rule in the tests double-checks the contract.
+    suite fires the rule on a clone of each and compares oracle answers
+    before and after; lowest_applicable_rule in the tests double-checks the
+    contract.
     """
     rng = random.Random(seed)
     if rule == 1:

@@ -9,8 +9,6 @@ only has to break the cycles that cross between them.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
-from enum import Enum
 
 from .fvs import cover_count
 from .multigraph import MultiGraph
@@ -22,23 +20,6 @@ class InstanceError(ValueError):
 
 class InternalSolverError(RuntimeError):
     """A solver self-check failed; indicates a bug, not a bad input."""
-
-
-class Kind(Enum):
-    NICE = "nice"
-    TENT = "tent"
-    P_NICE = "p-nice"
-    P_TENT = "p-tent"
-    PLAIN = "plain"
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    kind: Kind
-    deg_w: int
-    ndeg: int
-    gdeg: int
-    tdeg: int
 
 
 class DisInstance:
@@ -61,14 +42,14 @@ class DisInstance:
     clash.
 
     wdeg maps every vertex to its edge occurrences into W, which the
-    settled test, the classification and the rules read in place of the
+    settled test, pivot_degrees and the rules read in place of the
     neighbor sets. A new instance counts them once (all zeros when W is
     empty) and a clone copies them; after that only the moves change them:
     protect adds v's edges to its neighbors' counts, deleting a W-vertex
     takes them away again, and bypass counts the new edge. No rule edits
     graph, w or floor directly.
 
-    settled holds the nice vertices and tents. A settled kind reads only
+    settled holds the nice vertices and tents. The settled test reads only
     the vertex's own facts (its edges, its W-degree, its R-membership and
     its place in F), so each move re-tests exactly the vertices whose facts
     it changed: deleting or protecting a vertex drops it and re-tests its
@@ -285,19 +266,17 @@ def validate_instance(inst: DisInstance) -> list[str]:
     return problems
 
 
-_SETTLED = {2: Kind.NICE, 3: Kind.TENT}  # by the W-degree of a settled vertex
+def pivot_degrees(inst: DisInstance, targets: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """(generalized degree, tent degree) of each F-vertex of targets that can pivot.
 
-
-def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClass]:
-    """Classes of the F-vertices in targets.
-
-    A class reads the vertex's own degrees, whether its F-neighbors are
-    potentially nice or potentially tents, and for the latter whether their
-    own F-neighbors are potentially nice. The degrees and F-neighbors of a
-    vertex are looked up once, and only for the vertices those tests reach,
-    so all of F costs one pass over the edges and a few targets cost their
-    two-hop F-neighbourhood. Nice vertices and tents are read off
-    inst.settled, so _is_settled stays their one definition.
+    The generalized degree counts a vertex's W-edges and its potentially
+    nice F-neighbors (F - R, degree 2, one W-edge), the tent degree its
+    F-neighbors that are potential tents (F - R, degree 3, generalized
+    degree 2). Settled targets (read off inst.settled) and potentially nice
+    ones never pivot and are left out; R-vertices never are. The degrees and F-neighbors of a vertex are
+    looked up once, and only for the vertices those tests reach, so all of
+    F costs one pass over the edges and a few targets cost their two-hop
+    F-neighbourhood.
     """
     g, w, r, wdeg = inst.graph, inst.w, inst.r, inst.wdeg
     facts: dict[int, tuple[int, int, set[int]]] = {}  # deg, deg_w, F-neighbors
@@ -319,41 +298,8 @@ def _classify(inst: DisInstance, targets: Iterable[int]) -> dict[int, VertexClas
     p_nice = {v for v, (d, dw, _) in facts.items() if d == 2 and dw == 1 and v not in r}
     gdeg = {v: facts[v][1] + len(facts[v][2] & p_nice) for v in tent_cands.union(targets)}
     p_tent = {u for u in tent_cands if gdeg[u] == 2}
-
-    out = {}
-    for v in targets:
-        _, dw, fn = facts[v]
-        if v in r:
-            kind = Kind.PLAIN
-        elif v in inst.settled:
-            kind = _SETTLED[dw]
-        elif v in p_nice:
-            kind = Kind.P_NICE
-        elif v in p_tent:
-            kind = Kind.P_TENT
-        else:
-            kind = Kind.PLAIN
-        out[v] = VertexClass(kind, dw, gdeg[v] - dw, gdeg[v], len(fn & p_tent))
-    return out
-
-
-def classification(inst: DisInstance) -> dict[int, VertexClass]:
-    """Classify every vertex of F.
-
-    Kinds are mutually exclusive. Vertices in R are always plain since the
-    four special kinds require membership in F minus R; their degree fields
-    are still filled in because the reduction triggers need them.
-    """
-    return _classify(inst, inst.f)
-
-
-def classify(inst: DisInstance, v: int) -> VertexClass:
-    """Classify a single vertex of F. Vertices in W are not classified."""
-    if v in inst.w:
-        raise ValueError(f"vertex {v} is in W and has no class")
-    if v not in inst.graph:
-        raise ValueError(f"vertex {v} not in graph")
-    return _classify(inst, (v,))[v]
+    return {v: (gdeg[v], len(facts[v][2] & p_tent)) for v in targets
+            if v not in p_nice and v not in inst.settled}
 
 
 def _is_settled(inst: DisInstance, v: int) -> bool:
@@ -365,7 +311,7 @@ def _is_settled(inst: DisInstance, v: int) -> bool:
     so the test costs O(1) on the cached counts.
     """
     dw = inst.wdeg.get(v)
-    return (dw in _SETTLED and v not in inst.w and v not in inst.r
+    return (dw in (2, 3) and v not in inst.w and v not in inst.r
             and dw == inst.graph.deg(v))
 
 

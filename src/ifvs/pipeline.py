@@ -61,7 +61,6 @@ def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
         "branch_nodes": sum(rec.nodes for rec in records),
         "max_mu": max((rec.mu0 for rec in records if rec.mu0 is not None), default=None),
         "base_leaves_max": max((rec.base_leaves for rec in records), default=0),
-        "bound_base": BOUND_BASE,
     }
 
 

@@ -7,8 +7,7 @@ reduces the instance it is given in place, through DisInstance moves that
 keep the instance's W-partition and settled set up to date, so reading
 the measure costs O(1) wherever rule 3 or a trace needs it. Rule 5 takes
 its vertex into the solution, which the instance records, so a fixpoint
-returns only its events and verdict. apply_rule runs a single rule on a
-clone for callers that need the input kept. Rules never grow the measure
+returns only its events and verdict. Rules never grow the measure
 when observed fixpoint to fixpoint; rule 6 may raise it transiently
 because moving an isolated restricted vertex into W adds a W-component
 before later rules cash in the offset.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import DisInstance, _classify, floor_cut, measure
+from .instance import DisInstance, floor_cut, measure, pivot_degrees
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
 
@@ -39,18 +38,6 @@ class ReductionEvent:
     pivot: int | None
     mu_before: int
     mu_after: int
-
-
-@dataclass
-class ReductionOutcome:
-    """Result of trying one rule: reduced, reject, or unchanged."""
-
-    status: str  # "reduced" | "reject" | "unchanged"
-    instance: DisInstance | None
-    rule_id: int
-    pivot: int | None = None
-    mu_before: int | None = None
-    mu_after: int | None = None
 
 
 @dataclass
@@ -82,7 +69,7 @@ def _double_link(inst: DisInstance, v: int) -> bool:
 # checks the floor it notes the budget as floor_k, which only its own next
 # try reads. Rules 4 and 5 read the instance's W-degrees and W-components;
 # rule 6 promotes an R-vertex with a W-edge on its W-degree alone and
-# classifies only the R-vertices without one.
+# reads pivot_degrees only for the R-vertices without one.
 # Rule 2's bypass is a DisInstance move too, so no rule edits the graph,
 # W or the floor directly.
 #
@@ -142,10 +129,9 @@ def _rule5(inst: DisInstance) -> Fired | None:
 
 def _rule6(inst: DisInstance) -> Fired | None:
     for v in sorted(inst.r):
-        if not inst.wdeg[v]:  # gdeg counts the W-edges too
-            c = _classify(inst, (v,))[v]
-            if c.gdeg < 1 and c.tdeg < 1:
-                continue
+        # a W-edge alone gives gdeg >= 1
+        if not inst.wdeg[v] and pivot_degrees(inst, (v,))[v] == (0, 0):
+            continue
         # rule 4 fires first on a double link, so the move merges
         # distinct W-components and cannot close a cycle inside W
         inst.protect(v)
@@ -175,26 +161,6 @@ _RULES = {
     6: _rule6,
     7: _rule7,
 }
-
-
-def apply_rule(inst: DisInstance, rule_id: int) -> ReductionOutcome:
-    """Try one rule at its deterministic site. Pure: inst is never mutated.
-
-    The caller is responsible for the lowest-number-first discipline;
-    reduce_to_fixpoint enforces it. Applying a high rule while a lower one
-    is applicable can void the safety argument of the high rule.
-    """
-    if rule_id not in _RULES:
-        raise ValueError(f"unknown rule id {rule_id}")
-    out = inst.clone()
-    mu = measure(out)
-    fired = _RULES[rule_id](out)
-    if fired is None:
-        return ReductionOutcome("unchanged", inst, rule_id)
-    status, pivot = fired
-    if status == "reject":
-        return ReductionOutcome(status, None, rule_id, pivot, mu, mu)
-    return ReductionOutcome(status, out, rule_id, pivot, mu, measure(out))
 
 
 def reduce_to_fixpoint(inst: DisInstance, trace: bool = True) -> FixpointResult:

@@ -5,9 +5,9 @@ from contextlib import contextmanager
 import pytest
 
 from ifvs import branching, reductions
-from ifvs.instance import Kind, measure
+from ifvs.instance import measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
-from ifvs.reductions import RULE_IDS, apply_rule
+from ifvs.reductions import RULE_IDS
 
 
 def complete(n: int) -> MultiGraph:
@@ -41,11 +41,20 @@ def petersen() -> MultiGraph:
     return g
 
 
+def fire_rule(inst, rule: int) -> tuple:
+    """Fire one rule on a clone of inst, as a fixpoint step would.
+
+    Returns (status, pivot, clone): status is "reduced", "reject" or None
+    when the rule does not apply. inst is left as it was.
+    """
+    out = inst.clone()
+    fired = reductions._RULES[rule](out)
+    status, pivot = (None, None) if fired is None else fired
+    return status, pivot, out
+
+
 def lowest_applicable_rule(inst) -> int | None:
-    for rid in RULE_IDS:
-        if apply_rule(inst.clone(), rid).status != "unchanged":
-            return rid
-    return None
+    return next((rid for rid in RULE_IDS if fire_rule(inst, rid)[0]), None)
 
 
 def instance_facts(inst) -> tuple:
@@ -77,13 +86,43 @@ def reference_settled(inst) -> dict:
     with no loop and no neighbor outside W, two (nice) or three (tent) of
     whose edge occurrences go into W."""
     g, w = inst.graph, inst.w
-    kinds = {2: Kind.NICE, 3: Kind.TENT}
+    kinds = {2: "nice", 3: "tent"}
     out = {}
     for v in inst.f_free:
         d = g.deg_x(v, w)
         if d in kinds and g.neighbors(v) <= w and not g.multiplicity(v, v):
             out[v] = kinds[d]
     return out
+
+
+def reference_pivot_degrees(inst) -> dict:
+    """pivot_degrees of F found from scratch by the definitions: a vertex of
+    F - R is potentially nice with degree 2 and one W-edge, and a potential
+    tent with degree 3 and generalized degree 2; the generalized degree is
+    the W-degree plus the potentially nice F-neighbors, the tent degree the
+    F-neighbors that are potential tents. Settled and potentially nice
+    vertices are left out."""
+    g, w, free = inst.graph, inst.w, inst.f_free
+    f_nbrs = {v: g.neighbors(v) - w for v in inst.f}
+    p_nice = {v for v in free if g.deg(v) == 2 and g.deg_x(v, w) == 1}
+    gdeg = {v: g.deg_x(v, w) + len(f_nbrs[v] & p_nice) for v in inst.f}
+    p_tent = {v for v in free if g.deg(v) == 3 and gdeg[v] == 2}
+    settled = reference_settled(inst)
+    return {v: (gdeg[v], len(f_nbrs[v] & p_tent)) for v in inst.f
+            if v not in p_nice and v not in settled}
+
+
+def reference_pivot(degs: dict) -> tuple | None:
+    """(vertex, case) of the smallest id in the earliest case that degs
+    give: A generalized degree 3 or more, B both degrees 1 or more, C tent
+    degree 2 or more; None when no vertex qualifies."""
+    cases = (("A", lambda gd, td: gd >= 3), ("B", lambda gd, td: gd >= 1 and td >= 1),
+             ("C", lambda gd, td: td >= 2))
+    for case, fits in cases:
+        vs = [v for v, (gd, td) in degs.items() if fits(gd, td)]
+        if vs:
+            return min(vs), case
+    return None
 
 
 def reference_measure(inst) -> int:
@@ -146,6 +185,32 @@ def checking_every_measure():
         for mod in (reductions, branching):
             mp.setattr(mod, "measure", patched(mod.__name__))
         yield reads
+
+
+@contextmanager
+def checking_every_pivot():
+    """Check every pivot the engine picks against the references.
+
+    Patches select_pivot where the engine looks it up: at each call,
+    pivot_degrees of F must equal reference_pivot_degrees and the choice
+    must be reference_pivot of those degrees. Yields a Counter of the
+    checked choices by case, None for a node without a pivot.
+    """
+    picks = Counter()
+    select = branching.select_pivot
+
+    def checked(inst):
+        degs = reference_pivot_degrees(inst)
+        assert pivot_degrees(inst, inst.f) == degs
+        pc = select(inst)
+        got = None if pc is None else (pc.vertex, pc.case)
+        assert got == reference_pivot(degs)
+        picks[None if pc is None else pc.case] += 1
+        return pc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(branching, "select_pivot", checked)
+        yield picks
 
 
 # -- full-scan references of the rules that scan only their candidates -------

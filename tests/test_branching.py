@@ -13,20 +13,19 @@ from ifvs.generators import (
     random_multigraph,
     rule_site_instance,
 )
-from ifvs.instance import (
-    DisInstance,
-    InternalSolverError,
-    Kind,
-    classification,
-    classify,
-    measure,
-)
+from ifvs.instance import DisInstance, InternalSolverError, measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
 from ifvs.pipeline import solve_ifvs
 from ifvs.reductions import reduce_to_fixpoint
 
-from helpers import branch_drops_ok, checking_every_measure, fixpoint_reads, instance_facts
+from helpers import (
+    branch_drops_ok,
+    checking_every_measure,
+    checking_every_pivot,
+    fixpoint_reads,
+    instance_facts,
+)
 
 
 def test_fib_fixed_values():
@@ -43,11 +42,12 @@ def test_pivot_on_reduced_gadget_is_case_b():
 
 def test_pivot_skips_settled_kinds_but_not_potential_tents():
     inst, _ = gadget_tent_branch()
-    classes = classification(inst)
+    degs = pivot_degrees(inst, inst.f)
     pc = select_pivot(inst)
-    assert classes[pc.vertex].kind in (Kind.PLAIN, Kind.P_TENT)
-    settled = [v for v, c in classes.items() if c.kind in (Kind.NICE, Kind.TENT, Kind.P_NICE)]
-    assert pc.vertex not in settled
+    # the nice vertices 10-13 and the potentially nice 5 and 6 are left out,
+    # the potential tents 4 and 8 are not
+    assert inst.f - degs.keys() == {5, 6, 10, 11, 12, 13} and {4, 8} <= degs.keys()
+    assert pc.vertex in degs and pc.vertex not in inst.settled
 
 
 def test_pivot_in_r_is_an_internal_error():
@@ -97,7 +97,7 @@ def test_branch_to_w_protects_and_unrestricts():
     child.protect(1)
     assert 1 in child.w and 1 not in child.r
     # the potentially nice neighbor of the protected vertex turns nice
-    assert classify(child, 3).kind is Kind.NICE
+    assert 3 in child.settled and 3 not in pivot_degrees(child, child.f)
 
 
 def test_gadget_children_drop_measure_at_fixpoint():
@@ -337,6 +337,18 @@ def test_deep_trees_find_valid_solutions(deep_trees):
         assert g.is_forest(g.vertices - sol)
         found += 1
     assert found >= 15
+
+
+def test_deep_trees_pivot_on_fresh_degrees(deep_trees):
+    # the random disjoint instances hardly branch, so the deep trees are
+    # where pivots are picked on nodes that branch
+    with checking_every_pivot() as picks:
+        for inst, _, res in deep_trees:
+            assert solve_disjoint(inst, trace=False).solution == res.solution
+    nodes = [node for _, _, res in deep_trees for node in res.trace.walk()]
+    assert picks[None] == sum(node.kind == "base" for node in nodes)
+    assert picks.total() - picks[None] == sum(node.kind == "branch" for node in nodes)
+    assert all(picks[case] for case in "ABC")
 
 
 def test_deep_trees_leave_the_input_and_repeat_with_fresh_measures(deep_trees):

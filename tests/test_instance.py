@@ -6,11 +6,9 @@ from ifvs.instance import (
     DisInstance,
     InstanceError,
     InternalSolverError,
-    Kind,
     check_solution,
-    classification,
-    classify,
     measure,
+    pivot_degrees,
     validate_instance,
 )
 from ifvs.multigraph import MultiGraph
@@ -136,21 +134,14 @@ def test_protect_clears_r_and_raises_on_a_w_cycle():
 
 def test_classification_on_reduced_gadget():
     inst, _site = gadget_tent_branch()
-    cls = classification(inst)
-    kinds = {v: cls[v].kind for v in sorted(cls)}
-    assert kinds == {
-        4: Kind.P_TENT,
-        5: Kind.P_NICE,
-        6: Kind.P_NICE,
-        7: Kind.PLAIN,
-        8: Kind.P_TENT,
-        10: Kind.NICE,
-        11: Kind.NICE,
-        12: Kind.NICE,
-        13: Kind.NICE,
-    }
-    assert cls[7].gdeg == 1 and cls[7].tdeg == 2
-    assert cls[4].deg_w == 0 and cls[4].ndeg == 2 and cls[4].gdeg == 2
+    degs = pivot_degrees(inst, inst.f)
+    # 5 and 6 are potentially nice and 10-13 nice, so only 4, 7 and 8 can
+    # pivot; 4 and 8 are potential tents: degree 3, no W-edge, and the two
+    # potentially nice neighbors give them generalized degree 2
+    assert inst.f == {4, 5, 6, 7, 8, 10, 11, 12, 13}
+    assert inst.settled == {10, 11, 12, 13}
+    assert degs == {4: (2, 0), 7: (1, 2), 8: (2, 0)}
+    assert inst.wdeg[4] == 0 and inst.graph.deg(4) == 3
 
 
 def test_restricted_vertices_classify_plain_but_keep_degrees():
@@ -159,9 +150,10 @@ def test_restricted_vertices_classify_plain_but_keep_degrees():
     g.add_edge(1, 2, mult=1)
     g.add_edge(2, 0)
     inst = DisInstance(g, {0}, {1}, 1)
-    cls = classification(inst)
-    assert cls[1].kind is Kind.PLAIN
-    assert cls[1].deg_w == 1
+    # 2 is potentially nice and left out; restricted 1 never is, and its
+    # W-edge and potentially nice neighbor count toward its degree
+    assert pivot_degrees(inst, inst.f) == {1: (2, 0)}
+    assert inst.wdeg[1] == 1 and inst.settled == set()
 
 
 def test_nice_requires_exactly_two_w_edges_and_no_f_neighbors():
@@ -170,30 +162,33 @@ def test_nice_requires_exactly_two_w_edges_and_no_f_neighbors():
     g.add_edge(2, 1)
     g.add_edge(3, 0)
     inst = DisInstance(g, {0, 1}, set(), 1)
-    cls = classification(inst)
-    assert cls[2].kind is Kind.NICE
-    assert cls[3].kind is Kind.PLAIN
+    assert inst.settled == {2}
+    assert pivot_degrees(inst, inst.f) == {3: (1, 0)}
     g.add_edge(2, 3)
-    cls = classification(DisInstance(g, {0, 1}, set(), 1))
-    assert cls[2].kind is Kind.PLAIN  # F-neighbor disqualifies
+    inst = DisInstance(g, {0, 1}, set(), 1)
+    assert inst.settled == set()  # F-neighbor disqualifies
+    assert pivot_degrees(inst, inst.f) == {2: (3, 0)}
 
 
 def test_w_multiplicity_counts_toward_w_degree():
     g = MultiGraph(range(2))
     g.add_edge(1, 0, mult=2)
     inst = DisInstance(g, {0}, set(), 1)
-    assert classification(inst)[1].kind is Kind.NICE
+    assert inst.settled == {1}
+    assert pivot_degrees(inst, inst.f) == {}
 
 
 def test_classify_single_vertex_and_w_rejection():
     inst, _ = gadget_tent_branch()
-    assert classify(inst, 7).kind is Kind.PLAIN
-    with pytest.raises(ValueError):
-        classify(inst, 0)
+    assert pivot_degrees(inst, (7,)) == {7: (1, 2)}
     for seed in range(40):
         inst = random_dis_instance(seed)
-        full = classification(inst)
-        assert {v: classify(inst, v) for v in inst.f} == full, seed
+        full = pivot_degrees(inst, inst.f)
+        single = {}
+        for v in inst.f:
+            single.update(pivot_degrees(inst, (v,)))
+        assert single == full, seed
+        assert inst.r <= full.keys(), seed
 
 
 def test_moves_keep_the_settled_set():
@@ -382,7 +377,7 @@ def test_w_partition_follows_every_move(seed, moves):
 def test_measure_of_gadget():
     inst, _ = gadget_tent_branch()
     kinds = list(reference_settled(inst).values())
-    assert (inst.k, len(inst.comps), kinds.count(Kind.NICE), kinds.count(Kind.TENT)) == (3, 5, 4, 0)
+    assert (inst.k, len(inst.comps), kinds.count("nice"), kinds.count("tent")) == (3, 5, 4, 0)
     assert measure(inst) == 4
     assert inst.settled == reference_settled(inst).keys()
 

@@ -10,33 +10,21 @@ from ifvs.generators import (
     random_dis_instance,
     rule_site_instance,
 )
-from ifvs.instance import DisInstance, Kind, classification, measure
+from ifvs.instance import DisInstance, measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
-from ifvs.reductions import RULE_IDS, apply_rule, reduce_to_fixpoint
+from ifvs.reductions import RULE_IDS, reduce_to_fixpoint
 
 from helpers import (
     FULL_SCANS,
     assert_measure_is_fresh,
     checking_every_measure,
+    fire_rule,
     fixpoint_reads,
     instance_facts,
     lowest_applicable_rule,
     reference_measure,
 )
-
-
-def test_apply_rule_is_pure():
-    inst = rule_site_instance(1, seed=0)
-    snapshot = (inst.graph.edge_items(), set(inst.w), set(inst.r), inst.k)
-    apply_rule(inst, 1)
-    assert (inst.graph.edge_items(), inst.w, inst.r, inst.k) == snapshot
-
-
-def test_apply_rule_rejects_unknown_id():
-    inst = rule_site_instance(1, seed=0)
-    with pytest.raises(ValueError):
-        apply_rule(inst, 8)
 
 
 @pytest.mark.parametrize("rule", RULE_IDS)
@@ -50,11 +38,11 @@ def test_rule1_deletes_smallest_low_degree_vertex_even_in_w():
     g = MultiGraph(range(3))
     g.add_edge(1, 2)
     inst = DisInstance(g, {0}, set(), 1)  # 0 is isolated and in W
-    out = apply_rule(inst, 1)
-    assert out.status == "reduced"
-    assert out.pivot == 0
-    assert 0 not in out.instance.graph
-    assert 0 not in out.instance.w
+    status, pivot, out = fire_rule(inst, 1)
+    assert status == "reduced"
+    assert pivot == 0
+    assert 0 not in out.graph
+    assert 0 not in out.w
 
 
 def test_rule2_drops_smaller_id_when_flavors_match():
@@ -62,10 +50,10 @@ def test_rule2_drops_smaller_id_when_flavors_match():
         inst = rule_site_instance(2, seed)
         if len({0, 1} & inst.r) == 1:
             continue
-        out = apply_rule(inst, 2)
-        assert out.pivot == 0
+        _, pivot, out = fire_rule(inst, 2)
+        assert pivot == 0
         # survivor inherits the dropped endpoint's other edge
-        assert out.instance.graph.multiplicity(1, 2) == 1
+        assert out.graph.multiplicity(1, 2) == 1
         break
     else:
         pytest.fail("no matching flavor in 60 seeds")
@@ -77,9 +65,9 @@ def test_rule2_drops_the_restricted_endpoint():
         if len({0, 1} & inst.r) != 1:
             continue
         restricted = next(iter({0, 1} & inst.r))
-        out = apply_rule(inst, 2)
-        assert out.pivot == restricted
-        assert restricted not in out.instance.graph
+        _, pivot, out = fire_rule(inst, 2)
+        assert pivot == restricted
+        assert restricted not in out.graph
         break
     else:
         pytest.fail("no one-restricted flavor in 60 seeds")
@@ -95,42 +83,40 @@ def test_rule2_duplicate_toward_w_feeds_rule5():
     g.add_edge(1, 2)
     inst = DisInstance(g, {2}, set(), 2)
     assert lowest_applicable_rule(inst) == 2
-    out = apply_rule(inst, 2)
-    assert out.pivot == 0
-    assert out.instance.graph.multiplicity(1, 2) == 2
-    assert lowest_applicable_rule(out.instance) == 5
-    after = apply_rule(out.instance, 5)
-    assert after.status == "reduced" and after.pivot == 1
+    _, pivot, out = fire_rule(inst, 2)
+    assert pivot == 0
+    assert out.graph.multiplicity(1, 2) == 2
+    assert lowest_applicable_rule(out) == 5
+    assert fire_rule(out, 5)[:2] == ("reduced", 1)
 
 
 def test_rule3_rejects_negative_budget_and_negative_measure():
     for seed in range(30):
         inst = rule_site_instance(3, seed)
-        out = apply_rule(inst, 3)
-        assert out.status == "reject"
+        assert fire_rule(inst, 3)[0] == "reject"
         assert inst.k < 0 or measure(inst) < 0
         assert oracle_disjoint(inst.clone()) is None
 
 
 def test_rule4_rejects_only_restricted_double_links():
     inst = rule_site_instance(4, seed=1)
-    out = apply_rule(inst, 4)
-    assert out.status == "reject"
-    assert out.pivot in inst.r
+    status, pivot, _ = fire_rule(inst, 4)
+    assert status == "reject"
+    assert pivot in inst.r
     assert oracle_disjoint(inst.clone()) is None
 
 
 def test_rule5_forces_vertex_restricts_neighbors_pays_budget():
     for seed in range(40):
         inst = rule_site_instance(5, seed)
-        out = apply_rule(inst, 5)
-        assert out.status == "reduced"
-        (v,) = out.instance.taken - inst.taken
-        assert v == out.pivot
+        status, pivot, out = fire_rule(inst, 5)
+        assert status == "reduced"
+        (v,) = out.taken - inst.taken
+        assert v == pivot
         free_nbrs = inst.graph.neighbors(v) & inst.f
-        assert out.instance.k == inst.k - 1
-        assert free_nbrs <= out.instance.r
-        assert v not in out.instance.graph
+        assert out.k == inst.k - 1
+        assert free_nbrs <= out.r
+        assert v not in out.graph
 
 
 def test_fixpoint_takes_exactly_its_rule5_pivots():
@@ -149,25 +135,26 @@ def test_fixpoint_takes_exactly_its_rule5_pivots():
 
 def test_rule6_promotes_and_keeps_w_forest():
     inst, site = gadget_promotion()
-    out = apply_rule(inst, 6)
-    assert out.pivot == site
-    assert site in out.instance.w
-    assert out.instance.graph.is_forest(out.instance.w)
-    assert (out.mu_before, out.mu_after) == (3, 1)
-    cls = classification(out.instance)
-    assert cls[3].kind is Kind.NICE and cls[4].kind is Kind.NICE
+    _, pivot, out = fire_rule(inst, 6)
+    assert pivot == site
+    assert site in out.w
+    assert out.graph.is_forest(out.w)
+    assert (measure(inst), measure(out)) == (3, 1)
+    # 3 and 4 turn nice, so they are settled and no longer have pivot degrees
+    assert {3, 4} <= out.settled
+    assert {3, 4}.isdisjoint(pivot_degrees(out, out.f))
 
 
 def test_rule7_restricts_exactly_the_degree2_free_neighbors():
     inst, site = gadget_shield()
-    out = apply_rule(inst, 7)
-    assert out.pivot == site
+    _, pivot, out = fire_rule(inst, 7)
+    assert pivot == site
     expected = {
         u
         for u in inst.graph.neighbors(site) - inst.w - inst.r
         if inst.graph.deg(u) == 2
     }
-    assert expected and out.instance.r == inst.r | expected
+    assert expected and out.r == inst.r | expected
 
 
 @pytest.mark.parametrize("rule", RULE_IDS)
@@ -175,14 +162,14 @@ def test_rules_preserve_the_exact_minimum(rule):
     checked = 0
     for seed in range(60):
         inst = rule_site_instance(rule, seed)
-        out = apply_rule(inst, rule)
+        status, _, out = fire_rule(inst, rule)
         before = oracle_disjoint(inst.clone())
-        if out.status == "reject":
+        if status == "reject":
             assert before is None, (rule, seed)
         else:
-            after = oracle_disjoint(out.instance.clone())
+            after = oracle_disjoint(out.clone())
             min_before = None if before is None else len(before)
-            min_after = None if after is None else len(after) + len(out.instance.taken)
+            min_after = None if after is None else len(after) + len(out.taken)
             assert min_before == min_after, (rule, seed)
         checked += 1
     assert checked == 60
@@ -198,14 +185,15 @@ def test_fixpoint_orders_events_lowest_rule_first():
         replay = before
         for ev in red.events:
             assert lowest_applicable_rule(replay) == ev.rule, seed
-            out = apply_rule(replay, ev.rule)
-            assert (out.pivot, out.mu_before, out.mu_after) == (
+            status, pivot, out = fire_rule(replay, ev.rule)
+            mu_after = measure(replay) if status == "reject" else measure(out)
+            assert (pivot, measure(replay), mu_after) == (
                 ev.pivot, ev.mu_before, ev.mu_after,
             ), seed
-            if out.status == "reject":
+            if status == "reject":
                 assert red.rejected
                 break
-            replay = out.instance
+            replay = out
         else:
             assert not red.rejected
             assert lowest_applicable_rule(replay) is None
