@@ -121,22 +121,38 @@ def reference_parity_max(p: ParityInstance) -> ParityResult:
     first, keep before drop, so its leaves come in descending bitmask order
     (the algebraic witness recovery drops the lowest pairs first, so both
     routes lean to the same witness). It cuts the keep subtree of a tent
-    that closes a cycle, and every node whose kept, undecided and serial
-    pairs cannot beat the best leaf; a tie never replaces the best leaf, so
-    the witness is the first maximum in that order. Runtime is exponential
-    only in the number of tent pairs.
+    that closes a cycle, and every node whose kept pairs plus the most it
+    can still keep cannot beat the best leaf; a tie never replaces the best
+    leaf, so the witness is the first maximum in that order.
+
+    The most a node can still keep is bounded by the merges left. Its kept
+    tents and the pairs it still keeps form a forest on the w W-component
+    nodes (the ground nodes but the serial pairs' middles); t kept tents
+    leave them in w - 2t components, so at most w - 2t - 1 more merges fit,
+    and a serial pair takes one of them while a tent takes two. Runtime is
+    exponential only in the number of tent pairs.
     """
     tent_idx = [i for i, pr in enumerate(p.pairs) if not pr.serial]
     serials = [(i, pr.edges[0][0], pr.edges[1][1])
                for i, pr in reversed(list(enumerate(p.pairs))) if pr.serial]
+    w = p.num_ground - len({pr.edges[0][1] for pr in p.pairs if pr.serial})
+    # most[t][left]: the most pairs a node with t kept tents and left
+    # undecided tents can end with, serial pairs filling the room first
+    most = []
+    for t in range(len(tent_idx) + 1):
+        room = max(w - 2 * t - 1, 0)
+        more = min(len(serials), room)
+        most.append([t + more + min(left, (room - more) // 2)
+                     for left in range(len(tent_idx) + 1)])
     best_nu = -1
     best_kept: list[int] = []
-    # each node is (tents left, union-find parents, kept pairs); a drop child
-    # shares its parent's lists, which no other pending node reads
+    # each node is (tents left, union-find parents, kept pairs), and until
+    # its leaf its kept pairs are tents; a drop child shares its parent's
+    # lists, which no other pending node reads
     stack = [(len(tent_idx), list(range(p.num_ground)), [])]
     while stack:
         left, parent, kept = stack.pop()
-        if len(kept) + left + len(serials) <= best_nu:
+        if most[len(kept)][left] <= best_nu:
             continue
         if left:
             i = tent_idx[left - 1]
@@ -294,7 +310,7 @@ def solve_base(inst: DisInstance) -> set[int] | None:
     parity = build_parity(inst)
     res = matroid_parity_max(parity)
     kept_origins = {parity.pairs[i].origin for i in res.kept}
-    x = set(inst.f) - kept_origins
+    x = inst.f - kept_origins
     if len(x) != len(parity.pairs) - res.nu:
         raise InternalSolverError("parity bookkeeping mismatch")
     if not inst.graph.is_forest(inst.graph.vertices - x):

@@ -134,7 +134,7 @@ def _cmd_solve(args) -> int:
         raise ParseError("graph input needs --k")
     override = None
     if args.fvs:
-        override = parse_solution(_read(args.fvs), len(g.vertices))
+        override = parse_solution(_read(args.fvs), len(g))
     res = solve_ifvs(
         g,
         args.k,
@@ -200,7 +200,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = parse_graph(_read(args.input))
-    sol = parse_solution(_read(args.solution), len(g.vertices))
+    sol = parse_solution(_read(args.solution), len(g))
     ok = check_solution(g, sol, args.k)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
@@ -239,7 +239,7 @@ def _cmd_bench(args) -> int:
         writer.writerow(
             [
                 path.name,
-                len(g.vertices),
+                len(g),
                 g.num_edges,
                 k,
                 res.stats["fvs_size"],

@@ -67,10 +67,7 @@ def _parse_common(text: str, kind: str):
         raise ParseError("missing header")
     if len(edges) != m:
         raise ParseError(f"header promises {m} edges, file has {len(edges)}")
-    g = MultiGraph(range(n))
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g, extras
+    return MultiGraph.from_edges(n, edges), extras
 
 
 def parse_graph(text: str) -> MultiGraph:
@@ -86,7 +83,7 @@ def parse_dis_instance(text: str) -> DisInstance:
     w: set[int] = set()
     r: set[int] = set()
     k = None
-    n = len(g.vertices)
+    n = len(g)
     for line_no, tok in extras:
         if tok[0] in ("W", "R"):
             if len(tok) != 2:

@@ -30,6 +30,29 @@ class MultiGraph:
 
     # -- construction ------------------------------------------------------
 
+    @classmethod
+    def from_edges(cls, n: int, edges: list[tuple[int, int]]) -> MultiGraph:
+        """Vertices 0..n-1 and one occurrence of each listed edge, every
+        endpoint in range, built in one pass exactly as MultiGraph(range(n))
+        and add_edge in list order would build it, insertion orders included."""
+        g = cls()
+        adj = g._adj = {v: {} for v in range(n)}
+        deg = [0] * n
+        for u, v in edges:
+            nbrs = adj[u]
+            nbrs[v] = nbrs.get(v, 0) + 1
+            deg[u] += 1
+            deg[v] += 1  # a loop adds 2 to deg(u)
+            if u != v:
+                nbrs = adj[v]
+                nbrs[u] = nbrs.get(u, 0) + 1
+        g._deg = dict(enumerate(deg))
+        g._low = {v for v, d in enumerate(deg) if d < 2}
+        g._two = {v for v, d in enumerate(deg) if d == 2}
+        g._m = len(edges)
+        g._next_id = n
+        return g
+
     def add_vertex(self, v: int) -> int:
         if v not in self._adj:
             self._adj[v] = {}

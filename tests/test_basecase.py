@@ -168,12 +168,14 @@ def _mask_loop_parity_max(p: ParityInstance) -> ParityResult:
     return ParityResult(best_nu, frozenset(best_kept))
 
 
-def _spread_leaf(seed: int, npairs: int, tent_share: float) -> ParityInstance:
-    """Parity leaf with one ground node per pair (at least three): each pair
-    is a tent with probability tent_share, and links distinct ground nodes,
-    as build_parity encodes the parity-batch base cases."""
+def _spread_leaf(seed: int, npairs: int, tent_share: float,
+                 ncomp: int | None = None) -> ParityInstance:
+    """Parity leaf with ncomp W-component nodes, by default one per pair (at
+    least three): each pair is a tent with probability tent_share, and links
+    distinct W-component nodes, as build_parity encodes the parity-batch base
+    cases."""
     rng = random.Random(seed)
-    ncomp = max(3, npairs)
+    ncomp = ncomp or max(3, npairs)
     pairs = []
     nxt = ncomp
     for i in range(npairs):
@@ -209,6 +211,17 @@ def test_reference_search_returns_the_mask_loop_witness():
     leaves.append(_fourteen_tent_leaf())
     for n, p in enumerate(leaves):
         assert reference_parity_max(p) == _mask_loop_parity_max(p), n
+
+
+def test_merge_room_bound_keeps_the_mask_loop_witness():
+    # few W-components leave little room for merges, so the bound cuts most
+    # of the search here; a tie must still never replace the first maximum
+    leaves = [_spread_leaf(100 * ncomp + npairs, npairs, share, ncomp)
+              for ncomp in (3, 4, 5) for npairs in (6, 11, 14) for share in (0, 0.5, 1.0)]
+    leaves.append(build_parity(_parallel_nice_instance(5, 4)))  # room 1
+    for n, p in enumerate(leaves):
+        assert reference_parity_max(p) == _mask_loop_parity_max(p), n
+    assert reference_parity_max(ParityInstance(0, [])) == ParityResult(0, frozenset())
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,11 @@ from ifvs.formats import (
     parse_graph,
     parse_solution,
 )
-from ifvs.generators import random_dis_instance, random_multigraph
+from ifvs.branching import solve_disjoint
+from ifvs.generators import base_case_instance, random_dis_instance, random_multigraph
 from ifvs.instance import DisInstance
 from ifvs.multigraph import MultiGraph
+from ifvs.pipeline import solve_ifvs
 
 
 def test_parse_minimal_graph():
@@ -121,6 +123,24 @@ def test_dis_roundtrip_random():
         back = parse_dis_instance(emit_dis(inst))
         assert back.w == inst.w and back.r == inst.r and back.k == inst.k
         assert back.graph.edge_items() == inst.graph.edge_items()
+
+
+def test_roundtrip_keeps_the_answers():
+    # a parsed file solves exactly as the instance it was written from
+    insts = [random_dis_instance(seed) for seed in range(100)]
+    insts += [base_case_instance(seed) for seed in range(60)]
+    for n, inst in enumerate(insts):
+        back = parse_dis_instance(emit_dis(inst))
+        assert back.graph.edge_items() == inst.graph.edge_items(), n
+        assert (back.w, back.r, back.k) == (inst.w, inst.r, inst.k), n
+        want, got = solve_disjoint(inst, trace=False), solve_disjoint(back, trace=False)
+        assert (got.solution, got.stats) == (want.solution, want.stats), n
+    for seed in range(30):
+        g = random_multigraph(12, 20, seed=seed)
+        back = parse_graph(emit_graph(g))
+        assert back.edge_items() == g.edge_items(), seed
+        want, got = solve_ifvs(g, 6, minimize=True), solve_ifvs(back, 6, minimize=True)
+        assert (got.status, got.solution, got.stats) == (want.status, want.solution, want.stats), seed
 
 
 def test_dis_roundtrip_renames_gaps():

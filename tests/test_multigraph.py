@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ifvs.multigraph import MultiGraph
@@ -177,3 +177,31 @@ def test_cached_degrees_follow_every_edit(edits):
         for orig, degs in originals:
             assert {v: orig.deg(v) for v in orig.vertices} == degs
             _assert_degrees_match_adjacency(orig)
+
+
+_EDGE_LISTS = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)
+        if n else st.just([]),
+    )
+)
+
+
+@given(_EDGE_LISTS)
+@example((0, []))
+@example((4, [(0, 0), (1, 2), (2, 1), (1, 2), (2, 2)]))  # loops, parallels, vertex 3 alone
+def test_from_edges_builds_what_add_edge_builds(case):
+    n, edges = case
+    want = MultiGraph(range(n))
+    for u, v in edges:
+        want.add_edge(u, v)
+    got = MultiGraph.from_edges(n, edges)
+    # the same maps with the same key orders, so every walk visits alike
+    assert [(v, list(nbrs.items())) for v, nbrs in got._adj.items()] == \
+        [(v, list(nbrs.items())) for v, nbrs in want._adj.items()]
+    assert list(got._deg.items()) == list(want._deg.items())
+    assert got._low == want._low and got._two == want._two
+    assert got.num_edges == want.num_edges == len(edges)
+    _assert_degrees_match_adjacency(got)
+    assert got.new_vertex() == n == want.new_vertex()
