@@ -88,31 +88,26 @@ class DisjointResult:
 def select_pivot(inst: DisInstance) -> PivotChoice | None:
     """Deterministic pivot choice on a reduced instance.
 
-    Scans the vertices of F that pivot_degrees keeps (none nice, a tent or
-    potentially nice) and returns the smallest id in the earliest nonempty
-    case. Returns None when the instance is a base case. A pivot inside R
-    would mean rule 6 was still applicable, which the engine treats as an
-    internal error.
+    Pairs each vertex of F that pivot_degrees keeps (none nice, a tent or
+    potentially nice) with the earliest case it fits; the least pair is the
+    smallest id in the earliest nonempty case. Returns None when the
+    instance is a base case. A pivot inside R would mean rule 6 was still
+    applicable, which the engine treats as an internal error.
     """
-    degs = pivot_degrees(inst, inst.f)
-    best = {CASE_A: None, CASE_B: None, CASE_C: None}
-    for v in sorted(degs):
-        gdeg, tdeg = degs[v]
-        if best[CASE_A] is None and gdeg >= 3:
-            best[CASE_A] = v
-        if best[CASE_B] is None and gdeg >= 1 and tdeg >= 1:
-            best[CASE_B] = v
-        if best[CASE_C] is None and tdeg >= 2:
-            best[CASE_C] = v
-    for case in (CASE_A, CASE_B, CASE_C):
-        v = best[case]
-        if v is not None:
-            if v in inst.r:
-                raise InternalSolverError(
-                    f"pivot {v} sits in R; rule 6 should have promoted it"
-                )
-            return PivotChoice(v, case)
-    return None
+    fits = []
+    for v, (gdeg, tdeg) in pivot_degrees(inst, inst.f).items():
+        if gdeg >= 3:
+            fits.append((CASE_A, v))
+        elif gdeg >= 1 and tdeg >= 1:
+            fits.append((CASE_B, v))
+        elif tdeg >= 2:
+            fits.append((CASE_C, v))
+    if not fits:
+        return None
+    case, v = min(fits)  # CASE_A < CASE_B < CASE_C as strings
+    if v in inst.r:
+        raise InternalSolverError(f"pivot {v} sits in R; rule 6 should have promoted it")
+    return PivotChoice(v, case)
 
 
 def cycle_rank_cut(inst: DisInstance) -> bool:

@@ -20,9 +20,20 @@ class OracleGuardError(ValueError):
     """Instance exceeds the enumeration size guard."""
 
 
-def _independent(g: MultiGraph, s: tuple[int, ...]) -> bool:
-    ss = set(s)
-    return all(not (g.neighbors(v) & ss) for v in s)
+def _first_forest(
+    g: MultiGraph, cands: list[int], k: int, independent: bool = True
+) -> set[int] | None:
+    """First subset of the sorted cands, by size up to k and then in
+    lexicographic order, whose deletion leaves a forest; it must be
+    independent when independent is set. None when there is none."""
+    for size in range(min(k, len(cands)) + 1):
+        for s in combinations(cands, size):
+            ss = set(s)
+            if independent and any(g.neighbors(v) & ss for v in s):
+                continue
+            if g.is_forest(g.vertices - ss):
+                return ss
+    return None
 
 
 def oracle_ifvs(g: MultiGraph, k: int) -> set[int] | None:
@@ -35,14 +46,7 @@ def oracle_ifvs(g: MultiGraph, k: int) -> set[int] | None:
     n = len(g)
     if n > ORACLE_MAX_N:
         raise OracleGuardError(f"oracle_ifvs refuses n={n} > {ORACLE_MAX_N}")
-    if k < 0:
-        return None
-    verts = sorted(g.vertices)
-    for size in range(0, min(k, n) + 1):
-        for s in combinations(verts, size):
-            if _independent(g, s) and g.is_forest(g.vertices - set(s)):
-                return set(s)
-    return None
+    return _first_forest(g, sorted(g.vertices), k)
 
 
 def oracle_min_ifvs(g: MultiGraph) -> set[int] | None:
@@ -62,14 +66,7 @@ def oracle_disjoint(inst: DisInstance) -> set[int] | None:
         raise OracleGuardError(
             f"oracle_disjoint refuses |F \\ R|={len(cand)} > {ORACLE_MAX_N}"
         )
-    if inst.k < 0:
-        return None
-    g = inst.graph
-    for size in range(0, min(inst.k, len(cand)) + 1):
-        for s in combinations(cand, size):
-            if _independent(g, s) and g.is_forest(g.vertices - set(s)):
-                return set(s)
-    return None
+    return _first_forest(inst.graph, cand, inst.k)
 
 
 def brute_min_fvs(g: MultiGraph) -> set[int]:
@@ -77,9 +74,5 @@ def brute_min_fvs(g: MultiGraph) -> set[int]:
     n = len(g)
     if n > ORACLE_MAX_N:
         raise OracleGuardError(f"brute_min_fvs refuses n={n} > {ORACLE_MAX_N}")
-    verts = sorted(g.vertices)
-    for size in range(0, n + 1):
-        for s in combinations(verts, size):
-            if g.is_forest(g.vertices - set(s)):
-                return set(s)
-    raise AssertionError("unreachable: deleting all vertices leaves a forest")
+    # deleting all vertices leaves a forest, so a set is always found
+    return _first_forest(g, sorted(g.vertices), n, independent=False)

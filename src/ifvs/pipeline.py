@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .branching import BranchNode, DisjointResult, _better, fib, search_disjoint
+from .branching import BranchNode, DisjointStats, _better, fib, search_disjoint
 from .branching import solve_disjoint  # noqa: F401  perfbench/spans.py wraps this name
 from .fvs import min_fvs
 from .instance import DisInstance, InternalSolverError, check_solution, rank_cut
@@ -33,9 +33,7 @@ BOUND_BASE = 1 + GOLDEN_RATIO ** 2  # < 3.619, the branching growth base
 class GuessRecord:
     z_prime: tuple[int, ...]
     status: str  # "yes" | "no" | "skipped"
-    mu0: int | None = None
-    nodes: int = 0
-    base_leaves: int = 0
+    stats: DisjointStats
     trace: object | None = None
     solution: set[int] | None = None
 
@@ -44,23 +42,19 @@ class GuessRecord:
 class SolveResult:
     status: str  # "yes" | "no"
     solution: set[int] | None
-    k: int
     stats: dict = field(default_factory=dict)
     guesses: list[GuessRecord] = field(default_factory=list)
-
-    @property
-    def feasible(self) -> bool:
-        return self.solution is not None
 
 
 def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
     """Solve statistics; skipped guesses carry no nodes, leaves or mu0."""
+    stats = [rec.stats for rec in records]
     return {
         "fvs_size": fvs_size,
         "guesses_tried": sum(rec.status != "skipped" for rec in records),
-        "branch_nodes": sum(rec.nodes for rec in records),
-        "max_mu": max((rec.mu0 for rec in records if rec.mu0 is not None), default=None),
-        "base_leaves_max": max((rec.base_leaves for rec in records), default=0),
+        "branch_nodes": sum(s.nodes for s in stats),
+        "max_mu": max((s.mu0 for s in stats if s.mu0 is not None), default=None),
+        "base_leaves_max": max((s.base_leaves for s in stats), default=0),
     }
 
 
@@ -133,25 +127,17 @@ def _run_guess(
     # exactly when it meets R or its own neighbours; a skip copies nothing
     blocked = root.r.union(*map(g.neighbors, z_prime))
     if not g.is_forest(w) or not blocked.isdisjoint(z_prime):
-        return GuessRecord(z_prime, "skipped")
+        return GuessRecord(z_prime, "skipped", DisjointStats())
     if _refuted(g, z, z_prime, blocked, rank, root.k):
         trace = BranchNode("reject", answer="no") if keep_trace else None
-        return GuessRecord(z_prime, "no", nodes=1, trace=trace)
+        return GuessRecord(z_prime, "no", DisjointStats(1), trace)
     inst = root.clone()
     for v in z_prime:
         inst.take(v)
     for v in sorted(w):
         inst.protect(v)
-    res: DisjointResult = search_disjoint(inst, keep_trace)
-    return GuessRecord(
-        z_prime,
-        "yes" if res.feasible else "no",
-        mu0=res.stats.mu0,
-        nodes=res.stats.nodes,
-        base_leaves=res.stats.base_leaves,
-        trace=res.trace,
-        solution=res.solution,
-    )
+    res = search_disjoint(inst, keep_trace)
+    return GuessRecord(z_prime, "yes" if res.feasible else "no", res.stats, res.trace, res.solution)
 
 
 def solve_ifvs(
@@ -181,7 +167,7 @@ def solve_ifvs(
     for v in sorted(v for v in h.vertices if h.multiplicity(v, v) > 0):
         if v in root.r or root.k == 0:
             # two loop vertices are adjacent, or there are more than k
-            return SolveResult("no", None, k, _stats(None, []))
+            return SolveResult("no", None, _stats(None, []))
         root.take(v)
 
     if fvs_override is not None:
@@ -195,7 +181,7 @@ def solve_ifvs(
         if len(z) > root.k:
             # any independent solution is also an FVS, so the minimum FVS
             # size is a lower bound; an oversized override proves nothing
-            return SolveResult("no", None, k, _stats(len(z), []))
+            return SolveResult("no", None, _stats(len(z), []))
     # a vertex of degree <= 1 lies on no cycle, and each guess's root
     # fixpoint would delete it by rule 1 before any other rule fires; Z is
     # spared, so its guesses and their skip tests stay as they are
@@ -220,7 +206,7 @@ def solve_ifvs(
     if best is not None and not check_solution(g, best, k):
         raise InternalSolverError("final candidate failed verification")
     status = "yes" if best is not None else "no"
-    return SolveResult(status, best, k, _stats(len(z), records), records)
+    return SolveResult(status, best, _stats(len(z), records), records)
 
 
 def leaf_bound(mu0: int) -> int:

@@ -96,9 +96,9 @@ def graph_sweep():
                 if rec.trace is None:
                     continue
                 _trace_checks(rec.trace, agg)
-                if rec.mu0 is not None:
+                if rec.stats.mu0 is not None:
                     agg["dis_calls"] += 1
-                    if rec.base_leaves > fib(rec.mu0 + 2):
+                    if rec.stats.base_leaves > fib(rec.stats.mu0 + 2):
                         agg["leaf_violations"].append((i, k, rec.z_prime))
         agg["graphs"] += 1
     agg["elapsed"] = time.perf_counter() - t0

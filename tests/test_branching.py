@@ -257,8 +257,10 @@ def test_solvers_leave_their_input_unchanged():
 
 
 def _pipeline_guesses(g: MultiGraph, k: int):
-    """The guesses with |Z'| <= 2 that solve_ifvs would build for loop-free
-    g at budget k, made with the public moves."""
+    """The guesses with |Z'| <= 2 that pass solve_ifvs's skip tests for
+    loop-free g at budget k, made with the public moves on the unpeeled
+    graph; solve_ifvs would first peel the vertices of degree at most one
+    outside Z, which these leave for rule 1."""
     z = min_fvs(g)
     root = DisInstance(g, set(), set(), k, validate=False)
     for z_prime in chain.from_iterable(combinations(sorted(z), n) for n in range(3)):

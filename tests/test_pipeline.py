@@ -302,7 +302,7 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
             cut += 1
             # the record of a guess whose engine root was cut
             trace = BranchNode("reject", answer="no")
-            assert rec == GuessRecord(rec.z_prime, "no", nodes=1, trace=trace)
+            assert rec == GuessRecord(rec.z_prime, "no", DisjointStats(1), trace)
             inst = _built(root, z, rec.z_prime)
             if by_rank:
                 assert cycle_rank_cut(inst), (seed, rec.z_prime)
@@ -347,7 +347,7 @@ def test_hopeless_guesses_are_refuted_before_their_clone(edges, z, z_prime, k):
     rec, inst = _refutation_case(edges, z, z_prime, k)
     # a guess that reached the engine would carry its root's reduction events
     trace = BranchNode("reject", answer="no")
-    assert rec == GuessRecord(z_prime, "no", nodes=1, trace=trace)
+    assert rec == GuessRecord(z_prime, "no", DisjointStats(1), trace)
     assert oracle_disjoint(inst) is None
     assert not cycle_rank_cut(inst)  # not a cut of the rank check alone
 
@@ -456,7 +456,7 @@ def test_a_trace_changes_no_answer_and_no_count():
         assert _untraced_view(untraced) == _untraced_view(traced), (k, minimize)
         for rec in traced.guesses:
             nodes = list(rec.trace.walk()) if rec.trace else []
-            assert rec.nodes == len(nodes)
+            assert rec.stats.nodes == len(nodes)
             branches += sum(node.kind == "branch" for node in nodes)
     assert branches >= 50
     for seed in range(300):
@@ -469,3 +469,33 @@ def test_a_trace_changes_no_answer_and_no_count():
         assert traced.stats == DisjointStats(
             len(nodes), sum(node.kind == "base" for node in nodes), traced.trace.mu
         ), seed
+
+
+def test_a_solves_stats_are_the_counts_read_off_its_trees():
+    runs = []
+    for seed in range(3):
+        base = random_multigraph(12 + seed, 18 + seed, seed)
+        runs.append((subdivide_once(base), 60, True))
+    for seed in range(3):
+        g = random_multigraph(30, 48, seed, loops=False, multi=False)
+        opt = solve_ifvs(g, 30, minimize=True).solution
+        if opt:
+            runs += [(g, len(opt) - 1, False), (g, len(opt), False)]
+    kinds = set()
+    for g, k, minimize in runs:
+        res = solve_ifvs(g, k, minimize, keep_traces=True)
+        trees = [list(rec.trace.walk()) if rec.trace else [] for rec in res.guesses]
+        assert res.stats["branch_nodes"] == sum(map(len, trees))
+        roots = [tree[0].mu for tree in trees if tree and tree[0].mu is not None]
+        assert res.stats["max_mu"] == max(roots, default=None)
+        leaves = [sum(node.kind == "base" for node in tree) for tree in trees]
+        assert res.stats["base_leaves_max"] == max(leaves, default=0)
+        tried = [rec for rec in res.guesses if rec.status != "skipped"]
+        assert res.stats["guesses_tried"] == len(tried)
+        kinds.update(
+            "skipped" if rec.status == "skipped"
+            else "cut" if rec.trace == BranchNode("reject", answer="no")
+            else rec.trace.kind
+            for rec in res.guesses
+        )
+    assert {"skipped", "cut", "branch"} <= kinds
