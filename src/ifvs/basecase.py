@@ -61,28 +61,29 @@ def build_parity(inst: DisInstance) -> ParityInstance:
     """Encode a base-case instance as parity pairs.
 
     The settled vertices are inst.settled, which the moves keep up to date,
-    and every vertex of F must be settled, else the leaf is no base case. A
-    settled vertex is in F minus R with all of its neighbors in W, and its
-    two (nice) or three (tent) edges into W tell the two kinds apart. The
-    instance's W-components become ground nodes 0 to rho - 1, numbered by
-    their smallest vertex.
+    and every vertex of F must be settled, else the leaf is no base case;
+    settled vertices lie in F, so that holds when there are as many as F
+    has vertices. A settled vertex is in F minus R with all of its
+    neighbors in W, and its two (nice) or three (tent) edges into W tell
+    the two kinds apart; its incident list is read once, for the labels of
+    the components they reach. The instance's W-components become ground
+    nodes 0 to rho - 1, numbered by their smallest vertex.
     """
-    unsettled = inst.f - inst.settled
-    if unsettled:
+    if len(inst.settled) != len(inst.graph) - len(inst.w):
         raise InternalSolverError(
-            f"base case reached with non-settled vertices {sorted(unsettled)}"
+            f"base case reached with non-settled vertices {sorted(inst.f - inst.settled)}"
         )
-    g, comps, comp_of = inst.graph, inst.comps, inst.comp_of
+    comps = inst.comps
     node = {c: i for i, c in enumerate(sorted(comps, key=lambda c: min(comps[c])))}
     next_node = len(comps)
     pairs = []
-    for v in sorted(inst.f):
-        targets = sorted(node[comp_of[u]]
-                         for u in g.neighbors(v) for _ in range(g.multiplicity(v, u)))
-        if len(set(targets)) != len(targets):
+    for v in sorted(inst.settled):
+        labels = inst.w_labels(v)
+        if labels is None:
             raise InternalSolverError(
                 f"base case vertex {v} double-links a W-component"
             )
+        targets = sorted(node[c] for c in labels)
         if len(targets) == 2:
             c1, c2 = targets
             pairs.append(ParityPair(v, ((c1, next_node), (next_node, c2)), serial=True))
@@ -306,11 +307,15 @@ def matroid_parity_max(p: ParityInstance) -> ParityResult:
 
 
 def solve_base(inst: DisInstance) -> set[int] | None:
-    """Minimum deletion set of a base-case instance, None when over budget."""
+    """Minimum deletion set of a base-case instance, None when over budget.
+
+    build_parity checks that F is the settled set, so the deletions are
+    the settled vertices whose pairs are not kept.
+    """
     parity = build_parity(inst)
     res = matroid_parity_max(parity)
     kept_origins = {parity.pairs[i].origin for i in res.kept}
-    x = inst.f - kept_origins
+    x = inst.settled - kept_origins
     if len(x) != len(parity.pairs) - res.nu:
         raise InternalSolverError("parity bookkeeping mismatch")
     if not inst.graph.is_forest(inst.graph.vertices - x):

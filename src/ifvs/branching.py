@@ -90,12 +90,15 @@ def select_pivot(inst: DisInstance) -> PivotChoice | None:
 
     Pairs each vertex of F that pivot_degrees keeps (none nice, a tent or
     potentially nice) with the earliest case it fits; the least pair is the
-    smallest id in the earliest nonempty case. Returns None when the
-    instance is a base case. A pivot inside R would mean rule 6 was still
-    applicable, which the engine treats as an internal error.
+    smallest id in the earliest nonempty case. Settled vertices never pivot
+    and have no F-neighbours, so they are no target and no target's
+    neighbour; pivot_degrees gets only the rest of F, which is empty at a
+    base-case leaf. Returns None when the instance is a base case. A pivot
+    inside R would mean rule 6 was still applicable, which the engine
+    treats as an internal error.
     """
     fits = []
-    for v, (gdeg, tdeg) in pivot_degrees(inst, inst.f).items():
+    for v, (gdeg, tdeg) in pivot_degrees(inst, inst.f - inst.settled).items():
         if gdeg >= 3:
             fits.append((CASE_A, v))
         elif gdeg >= 1 and tdeg >= 1:

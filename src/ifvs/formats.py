@@ -24,20 +24,33 @@ class ParseError(ValueError):
         super().__init__(msg if line_no is None else f"line {line_no}: {msg}")
 
 
-def _tokenize(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield line_no, line.split()
-
-
 def _parse_common(text: str, kind: str):
+    """The graph of a file's header and edge lines, and its other lines as
+    (line number, tokens). Each line is split once; edge lines, the bulk of
+    a file, are tested first, then comments (first token starting with c)."""
     n = m = None
     edges: list[tuple[int, int]] = []
     extras: list[tuple[int, list[str]]] = []
-    for line_no, tok in _tokenize(text):
-        if tok[0] == "p":
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split()
+        if not tok:
+            continue
+        head = tok[0]
+        if head == "e":
+            if n is None:
+                raise ParseError("header must come first", line_no)
+            if len(tok) != 3:
+                raise ParseError("expected 'e u v'", line_no)
+            try:
+                u, v = int(tok[1]) - 1, int(tok[2]) - 1
+            except ValueError:
+                raise ParseError("edge endpoints must be integers", line_no)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"endpoint out of range 1..{n}", line_no)
+            edges.append((u, v))
+        elif head[0] == "c":
+            continue
+        elif head == "p":
             if n is not None:
                 raise ParseError("duplicate header", line_no)
             if len(tok) != 4 or tok[1] != kind:
@@ -48,19 +61,8 @@ def _parse_common(text: str, kind: str):
                 raise ParseError("header counts must be integers", line_no)
             if n < 0 or m < 0:
                 raise ParseError("header counts must be nonnegative", line_no)
-            continue
-        if n is None:
+        elif n is None:
             raise ParseError("header must come first", line_no)
-        if tok[0] == "e":
-            if len(tok) != 3:
-                raise ParseError("expected 'e u v'", line_no)
-            try:
-                u, v = int(tok[1]), int(tok[2])
-            except ValueError:
-                raise ParseError("edge endpoints must be integers", line_no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"endpoint out of range 1..{n}", line_no)
-            edges.append((u - 1, v - 1))
         else:
             extras.append((line_no, tok))
     if n is None:

@@ -43,8 +43,10 @@ class DisInstance:
 
     wdeg maps every vertex to its edge occurrences into W, which the
     settled test, pivot_degrees and the rules read in place of the
-    neighbor sets. A new instance counts them once (all zeros when W is
-    empty) and a clone copies them; after that only the moves change them:
+    neighbor sets. A new instance counts them and finds the W-components
+    in one walk over W's incident lists (all zeros and no component when W
+    is empty), and a clone copies both; after that only the moves change
+    them:
     protect adds v's edges to its neighbors' counts, deleting a W-vertex
     takes them away again, and bypass counts the new edge. No rule edits
     graph, w or floor directly.
@@ -84,13 +86,26 @@ class DisInstance:
         self.taken: set[int] = set()
         self.comps: dict[int, set[int]] = {}
         self.comp_of: dict[int, int] = {}
-        for comp in graph.components(self.w):
-            self._add_component(comp)
-        self.wdeg = dict.fromkeys(graph.vertices, 0)
-        for x in self.w.intersection(self.wdeg):  # validation flags the rest
-            for u, m in graph.incident(x):
-                self.wdeg[u] += m
-        self.settled = {v for v in graph.vertices if _is_settled(self, v)}
+        self.wdeg = wdeg = dict.fromkeys(graph.vertices, 0)
+        # one walk over W's incident lists counts the W-degrees and finds
+        # the components of G[W], each from its smallest vertex, so labels
+        # come in ascending order; validation flags W-vertices not in graph
+        w_in = self.w.intersection(wdeg)
+        for s in sorted(w_in):
+            if s in self.comp_of:
+                continue
+            comp = {s}
+            self.comps[s] = comp
+            self.comp_of[s] = s
+            stack = [s]
+            while stack:
+                for u, m in graph.incident(stack.pop()):
+                    wdeg[u] += m
+                    if u in w_in and u not in comp:
+                        comp.add(u)
+                        self.comp_of[u] = s
+                        stack.append(u)
+        self.settled = {v for v, dw in wdeg.items() if dw > 1 and _is_settled(self, v)}
         self.floor = 0
         self.floor_k = k
         if validate:
@@ -177,18 +192,30 @@ class DisInstance:
         self.r |= vs
         self.settled -= vs
 
+    def w_labels(self, v: int) -> set[int] | None:
+        """Labels of the W-components that v, outside W, has edges to; None
+        when v double-links, sending two edge occurrences into one of them.
+
+        Each edge occurrence into W reaches a component of its own exactly
+        when there are as many labels as W-edges, so the test reads v's
+        incident list once.
+        """
+        comp_of = self.comp_of
+        labels = {comp_of[u] for u, _ in self.graph.incident(v) if u in comp_of}
+        return labels if len(labels) == self.wdeg[v] else None
+
     def protect(self, v: int) -> None:
         """Put v into W for good, merging the W-components it has edges to.
 
         A loop at v, or two edge occurrences from v into one W-component,
         would close a cycle inside W, which is a solver bug.
         """
-        g, comp_of = self.graph, self.comp_of
+        g = self.graph
         nbrs = g.neighbors(v)
-        labels = {comp_of[u] for u in nbrs if u in comp_of}
-        # each edge occurrence into W must reach a component of its own
-        if g.multiplicity(v, v) or self.wdeg[v] != len(labels):
+        labels = self.w_labels(v)
+        if labels is None or g.multiplicity(v, v):
             raise InternalSolverError(f"protecting {v} closed a W-cycle")
+        comp_of = self.comp_of
         for u, m in g.incident(v):
             self.wdeg[u] += m
         self.r.discard(v)
@@ -250,7 +277,14 @@ def floor_cut(inst: DisInstance) -> bool:
 
 
 def validate_instance(inst: DisInstance) -> list[str]:
-    """Return violated invariants as short codes, empty when all hold."""
+    """Return violated invariants as short codes, empty when all hold.
+
+    G[W] is read off the W-partition and W-degrees the instance keeps: the
+    W-degrees of W's vertices add up to twice the non-loop edge occurrences
+    inside W plus its loops. G[W] has rho components, so it has at least
+    |W| - rho non-loop edge occurrences, and exactly that many and no loop
+    only when it is a forest. So G[W] is a forest iff the sum is 2 (|W| - rho).
+    """
     problems = []
     verts = inst.graph.vertices
     if not inst.w <= verts:
@@ -261,7 +295,8 @@ def validate_instance(inst: DisInstance) -> list[str]:
         problems.append("W-R-overlap")
     if not inst.graph.is_forest(verts - inst.w):
         problems.append("F-not-forest")
-    if not inst.graph.is_forest(inst.w & verts):
+    w_edges = sum(inst.wdeg[x] for x in inst.comp_of)
+    if w_edges != 2 * (len(inst.comp_of) - len(inst.comps)):
         problems.append("W-not-forest")
     return problems
 

@@ -48,26 +48,13 @@ class FixpointResult:
     rejected: bool
 
 
-def _double_link(inst: DisInstance, v: int) -> bool:
-    """Does v send two or more edge occurrences into one W-component?"""
-    if inst.wdeg[v] < 2:
-        return False
-    seen: dict[int, int] = {}
-    for u in inst.graph.neighbors(v):
-        if u in inst.w:
-            c = inst.comp_of[u]
-            seen[c] = seen.get(c, 0) + inst.graph.multiplicity(v, u)
-            if seen[c] >= 2:
-                return True
-    return False
-
-
 # -- individual rules ------------------------------------------------------
 # A rule returns None and leaves inst untouched when it does not apply. When
 # it fires it reduces inst in place, or rejects without touching it. Rule 3
 # is the one rule that reads the measure, and it reads the floor; when it
 # checks the floor it notes the budget as floor_k, which only its own next
-# try reads. Rules 4 and 5 read the instance's W-degrees and W-components;
+# try reads. Rules 4 and 5 test a double link with DisInstance.w_labels,
+# the test protect makes, on the instance's W-degrees and W-components;
 # rule 6 promotes an R-vertex with a W-edge on its W-degree alone and
 # reads pivot_degrees only for the R-vertices without one.
 # Rule 2's bypass is a DisInstance move too, so no rule edits the graph,
@@ -113,7 +100,7 @@ def _rule3(inst: DisInstance) -> Fired | None:
 
 def _rule4(inst: DisInstance) -> Fired | None:
     for v in sorted(inst.r):
-        if _double_link(inst, v):
+        if inst.wdeg[v] > 1 and inst.w_labels(v) is None:
             return "reject", v
     return None
 
@@ -121,7 +108,7 @@ def _rule4(inst: DisInstance) -> Fired | None:
 def _rule5(inst: DisInstance) -> Fired | None:
     w, r = inst.w, inst.r
     for v in sorted(v for v, d in inst.wdeg.items() if d > 1 and v not in w and v not in r):
-        if _double_link(inst, v):
+        if inst.w_labels(v) is None:
             inst.take(v)
             return "reduced", v
     return None

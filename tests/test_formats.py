@@ -95,6 +95,21 @@ def test_structurally_invalid_dis_instance_is_a_parse_error():
         parse_dis_instance(text)
 
 
+
+def test_layout_does_not_change_what_parses():
+    # CRLF endings, indented comments, blank lines between edges and the
+    # W/R/k lines ahead of the edges all give the plain text's instance
+    plain = "p disifvs 4 4\ne 1 2\ne 2 3\ne 2 3\ne 3 4\nW 2\nR 4\nk 1\n"
+    laid_out = (
+        "  c a note\r\n\tc another\r\np disifvs 4 4\r\n"
+        "W 2\r\nR 4\r\nk 1\r\n\r\n"
+        "e 1 2\r\n   \r\ne 2 3\r\n\r\n  c between\r\ne 2 3\r\n\t e 3 4 \r\n"
+    )
+    want, got = parse_dis_instance(plain), parse_dis_instance(laid_out)
+    assert got.graph.edge_items() == want.graph.edge_items() == [(0, 1, 1), (1, 2, 2), (2, 3, 1)]
+    assert (got.w, got.r, got.k) == (want.w, want.r, want.k) == ({1}, {3}, 1)
+
+
 def test_emit_graph_renames_to_contiguous_ids():
     g = MultiGraph((5, 9))
     g.add_edge(5, 9, mult=2)

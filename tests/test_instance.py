@@ -52,6 +52,67 @@ def test_constructor_validates_by_default():
     DisInstance(cycle(4), set(), set(), 1, validate=False)  # escape hatch
 
 
+
+def _reference_codes(g: MultiGraph, w: set[int], r: set[int]) -> list[str]:
+    """validate_instance's codes found from scratch, G[W] by is_forest."""
+    verts = g.vertices
+    checks = (
+        ("W-not-subset", w <= verts),
+        ("R-not-subset", r <= verts),
+        ("W-R-overlap", not w & r),
+        ("F-not-forest", g.is_forest(verts - w)),
+        ("W-not-forest", g.is_forest(w & verts)),
+    )
+    return [code for code, ok in checks if not ok]
+
+
+def test_codes_come_in_order_when_several_invariants_break():
+    g = cycle(4)
+    g.add_edge(4, 4)  # a loop on a W-vertex outside the cycle
+    w, r = {4, 9}, {4}
+    codes = ["W-not-subset", "W-R-overlap", "F-not-forest", "W-not-forest"]
+    assert _reference_codes(g, w, r) == codes
+    assert validate_instance(DisInstance(g, w, r, 1, validate=False)) == codes
+    with pytest.raises(InstanceError) as exc:
+        DisInstance(g, w, r, 1)
+    assert str(exc.value) == "; ".join(codes)
+
+
+@given(
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=14),
+    st.sets(st.integers(0, 9)),
+    st.sets(st.integers(0, 9), max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_build_matches_a_from_scratch_one(n, edges, w, r, validate):
+    # the constructor finds comps, comp_of and wdeg in one walk over W's
+    # incident lists; compare it with components(W) labelled by their least
+    # vertex, W-degrees by deg_x and reference_settled, on instances that
+    # may break any invariant, loops and parallel edges included
+    g = MultiGraph(range(n))
+    for u, v in edges:
+        if u < n and v < n:
+            g.add_edge(u, v)
+    codes = _reference_codes(g, w, r)
+    if validate and codes:
+        with pytest.raises(InstanceError) as exc:
+            DisInstance(g, w, r, 1)
+        assert str(exc.value) == "; ".join(codes)
+        return
+    inst = DisInstance(g, w, r, 1, validate=validate)
+    assert validate_instance(inst) == codes
+    fresh = {min(comp): comp for comp in g.components(w)}
+    assert list(inst.comps.items()) == list(fresh.items())  # key order too
+    assert inst.comp_of == {v: c for c, comp in fresh.items() for v in comp}
+    # a loop at a W-vertex is one edge occurrence into W, which deg_x counts twice
+    assert inst.wdeg == {
+        v: g.deg_x(v, w) - (g.multiplicity(v, v) if v in w else 0) for v in g.vertices
+    }
+    assert inst.settled == reference_settled(inst).keys()
+
+
 def test_f_and_f_free_partitions():
     g = path(5)
     inst = DisInstance(g, {0}, {1}, 2)
