@@ -150,29 +150,31 @@ class DisInstance:
             else:
                 self.settled.discard(u)
 
-    def delete_vertex(self, v: int) -> None:
-        nbrs = self.graph.neighbors(v)
-        self.settled.discard(v)
+    def delete_vertex(self, v: int) -> dict[int, int]:
+        """Delete v from the graph and from W or R; returns its adjacency map."""
         d = self.graph.deg(v)
         if d > 1:
             self.floor -= d - 1
+        nbrs = self.graph.remove_vertex(v)
+        self.settled.discard(v)
         if v in self.w:
-            for u, m in self.graph.incident(v):
-                self.wdeg[u] -= m
+            wdeg = self.wdeg
+            for u, m in nbrs.items():
+                wdeg[u] -= m
             self.w.remove(v)
             label = self.comp_of.pop(v)
             comp = self.comps[label]
             comp.remove(v)
-            if len(nbrs & self.w) >= 2:  # an inner vertex: its tree falls apart
+            if sum(u in comp for u in nbrs) >= 2:  # an inner vertex: its tree falls apart
                 del self.comps[label]
-                for piece in self.graph.components(comp):  # v is outside comp
+                for piece in self.graph.components(comp):
                     self._add_component(piece)
             elif not comp:
                 del self.comps[label]
         del self.wdeg[v]
-        self.graph.remove_vertex(v)
         self.r.discard(v)
-        self._resettle(nbrs)
+        self._resettle(nbrs)  # v itself, if looped, is gone and tests unsettled
+        return nbrs
 
     def take(self, v: int) -> None:
         """Put v into the solution: delete it, add it to taken, pay one unit of budget.
@@ -232,24 +234,27 @@ class DisInstance:
         comp.add(v)
         comp_of[v] = label
 
-    def bypass(self, drop: int, keep: int) -> None:
-        """Replace the path keep - drop - other by the edge keep - other.
+    def bypass(self, drop: int, keep: int) -> int:
+        """Replace the path keep - drop - other by the edge keep - other; returns other.
 
         drop and keep are adjacent F-vertices and drop has degree 2, so
-        other is its one other neighbor. m - n + c is kept, so the floor
-        gets back the unit delete_vertex took. A parallel edge inside F
-        would be an F-cycle, which is a solver bug.
+        other is its one other neighbor. The graph smooths drop away in
+        place: every surviving degree, W, R, the W-partition and m - n + c
+        (so the floor) stay as they were, and only keep's W-degree and the
+        settled tests of keep and other can change. A parallel edge inside
+        F would be an F-cycle, which is a solver bug.
         """
         g = self.graph
-        other = next(x for x in g.neighbors(drop) if x != keep)
-        self.delete_vertex(drop)
-        g.add_edge(keep, other)
-        self.floor += 1
+        other = g.smooth(drop, keep)
+        self.settled.discard(drop)
+        del self.wdeg[drop]
+        self.r.discard(drop)
         if other in self.w:
             self.wdeg[keep] += 1
         elif g.multiplicity(keep, other) >= 2:
             raise InternalSolverError("bypass created a parallel edge inside F")
         self._resettle((keep, other))
+        return other
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

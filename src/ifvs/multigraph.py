@@ -86,11 +86,13 @@ class MultiGraph:
                 else:
                     self._two.discard(x)
 
-    def remove_vertex(self, v: int) -> None:
+    def remove_vertex(self, v: int) -> dict[int, int]:
+        """Delete v and its edges; returns v's adjacency map, a loop as v: m."""
         del self._deg[v]
         self._low.discard(v)
         self._two.discard(v)
-        for u, m in self._adj.pop(v).items():
+        nbrs = self._adj.pop(v)
+        for u, m in nbrs.items():
             self._m -= m
             if u != v:
                 del self._adj[u][v]
@@ -100,6 +102,28 @@ class MultiGraph:
                 elif d < 2:
                     self._two.discard(u)
                     self._low.add(u)
+        return nbrs
+
+    def smooth(self, drop: int, keep: int) -> int:
+        """Replace the path keep - drop - other by the edge keep - other.
+
+        drop has degree 2, one edge to keep and one to other, a third
+        vertex. The graph ends as remove_vertex(drop) and add_edge(keep,
+        other) leave it, key orders included, but the two ends keep their
+        degrees, so no degree cache changes. Returns other.
+        """
+        adj = self._adj
+        other = next(x for x in adj.pop(drop) if x != keep)
+        del self._deg[drop]
+        self._two.discard(drop)
+        self._m -= 1
+        nbrs = adj[keep]
+        del nbrs[drop]
+        nbrs[other] = nbrs.get(other, 0) + 1
+        nbrs = adj[other]
+        del nbrs[drop]
+        nbrs[keep] = nbrs.get(keep, 0) + 1
+        return other
 
     def copy(self) -> MultiGraph:
         g = MultiGraph()

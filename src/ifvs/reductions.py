@@ -2,7 +2,11 @@
 
 Seven rules, applied lowest number first until none fires. Site selection
 inside a rule is deterministic (smallest vertex id, or lexicographically
-smallest pair), so a fixpoint run is reproducible. reduce_to_fixpoint
+smallest pair), so a fixpoint run is reproducible. Rules 1 and 2 are
+drains: each fires at its smallest site off a heap, again and again until
+no site is left. That is what restarting at rule 1 after each of their
+firings does: rule 1 fires while it has a site, and a bypass makes no
+rule-1 site, so rule 2 comes next again while it has one. reduce_to_fixpoint
 reduces the instance it is given in place, through DisInstance moves that
 keep the instance's W-partition and settled set up to date, so reading
 the measure costs O(1) wherever rule 3 or a trace needs it. Rule 5 takes
@@ -25,11 +29,14 @@ Rule catalogue, by what each one does:
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .instance import DisInstance, floor_cut, measure, pivot_degrees
 
 RULE_IDS = (1, 2, 3, 4, 5, 6, 7)
+DRAINED = (1, 2)  # rules whose function yields every firing until none is left
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,9 @@ class FixpointResult:
 
 
 # -- individual rules ------------------------------------------------------
-# A rule returns None and leaves inst untouched when it does not apply. When
-# it fires it reduces inst in place, or rejects without touching it. Rule 3
+# Rules 3 to 7 each take one step: a rule returns None and leaves inst
+# untouched when it does not apply. When it fires it reduces inst in place,
+# or rejects without touching it. Rules 1 and 2 never reject. Rule 3
 # is the one rule that reads the measure, and it reads the floor; when it
 # checks the floor it notes the budget as floor_k, which only its own next
 # try reads. Rules 4 and 5 test a double link with DisInstance.w_labels,
@@ -61,32 +69,52 @@ class FixpointResult:
 # W or the floor directly.
 #
 # Each rule tries only the vertices that can fire it and still takes its
-# smallest site: rule 1 the graph's low-degree set, rule 2 its degree-2
-# set, rules 4 and 5 the vertices of W-degree 2 or more (a double link
-# needs two W-edges), and rule 7 the free neighbours of free degree-2
+# smallest site: rules 4 and 5 the vertices of W-degree 2 or more (a double
+# link needs two W-edges), and rule 7 the free neighbours of free degree-2
 # vertices (every free neighbour of its site has degree 2).
+#
+# Rules 1 and 2 are generators that yield each firing and end when their
+# site set is empty. Rule 1's heap starts as the graph's low-degree set; a
+# deletion only lowers degrees, and the one neighbour of a deleted vertex
+# that falls to degree 1 is the one vertex that joins the set. Rule 2's
+# heap, built only once smallest_edge_within finds a site, holds the edges
+# (u, v), u < v, inside the degree-2 vertices outside W. A bypass keeps
+# every surviving degree, W and R and only swaps drop's two edges for
+# keep - other, so a heaped edge is still a site while both ends live,
+# keep - other is the one new site, and no vertex turns low.
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
 
-def _rule1(inst: DisInstance) -> Fired | None:
-    v = min(inst.graph.low_degree_vertices(), default=None)
-    if v is None:
-        return None
-    inst.delete_vertex(v)
-    return "reduced", v
-
-
-def _rule2(inst: DisInstance) -> Fired | None:
-    # an F-vertex with an F-neighbour is never nice, so no class test is needed
+def _rule1(inst: DisInstance) -> Iterator[Fired]:
     g = inst.graph
-    best = g.smallest_edge_within(g.degree_two_vertices() - inst.w)
-    if best is None:
-        return None
-    u, v = best  # u < v; drop the restricted one if exactly one is, else u
-    drop, keep = (v, u) if v in inst.r and u not in inst.r else (u, v)
-    inst.bypass(drop, keep)
-    return "reduced", drop
+    low = sorted(g.low_degree_vertices())  # a sorted list is a heap
+    while low:
+        v = heappop(low)
+        for u in inst.delete_vertex(v):  # v had at most one neighbour
+            if g.deg(u) == 1:  # it was 2, so u is new to the low set
+                heappush(low, u)
+        yield "reduced", v
+
+
+def _rule2(inst: DisInstance) -> Iterator[Fired]:
+    # an F-vertex with an F-neighbour is never nice, so no class test is needed
+    g, w, r = inst.graph, inst.w, inst.r
+    two = g.degree_two_vertices() - w
+    if g.smallest_edge_within(two) is None:
+        return
+    pairs = [(u, v) for u in two for v, _ in g.incident(u) if u < v and v in two]
+    heapify(pairs)
+    while pairs:
+        u, v = heappop(pairs)
+        if u not in g or v not in g:  # a bypass dropped one end
+            continue
+        # drop the restricted end if exactly one is, else u
+        drop, keep = (v, u) if v in r and u not in r else (u, v)
+        other = inst.bypass(drop, keep)
+        if other not in w and g.deg(other) == 2:
+            heappush(pairs, (min(keep, other), max(keep, other)))
+        yield "reduced", drop
 
 
 def _rule3(inst: DisInstance) -> Fired | None:
@@ -159,12 +187,20 @@ def reduce_to_fixpoint(inst: DisInstance, trace: bool = True) -> FixpointResult:
     carries everything up to and including the rejecting event. With trace,
     inst is measured on entry and after each firing, for the events'
     mu_before and mu_after; without it the fixpoint records no event and
-    reads no measure of its own.
+    reads no measure of its own. The drains of rules 1 and 2 run to their
+    end first, one event per firing; then rules 3 to 7 take one step, and
+    after a step that reduces the fixpoint starts again at rule 1.
     """
     events: list[ReductionEvent] = []
     mu = measure(inst) if trace else None
     while True:
-        for rule_id in RULE_IDS:
+        for rule_id in DRAINED:
+            for _, pivot in _RULES[rule_id](inst):
+                if trace:
+                    mu_after = measure(inst)
+                    events.append(ReductionEvent(rule_id, pivot, mu, mu_after))
+                    mu = mu_after
+        for rule_id in RULE_IDS[len(DRAINED):]:
             fired = _RULES[rule_id](inst)
             if fired is not None:
                 break

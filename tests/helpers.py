@@ -1,13 +1,15 @@
 """Shared instance builders and checkers for the test suite."""
 from collections import Counter
 from contextlib import contextmanager
+from itertools import chain, combinations
 
 import pytest
 
 from ifvs import branching, reductions
-from ifvs.instance import measure, pivot_degrees
+from ifvs.fvs import min_fvs
+from ifvs.instance import DisInstance, measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
-from ifvs.reductions import RULE_IDS
+from ifvs.reductions import DRAINED, RULE_IDS, ReductionEvent
 
 
 def complete(n: int) -> MultiGraph:
@@ -42,13 +44,16 @@ def petersen() -> MultiGraph:
 
 
 def fire_rule(inst, rule: int) -> tuple:
-    """Fire one rule on a clone of inst, as a fixpoint step would.
+    """Fire one rule on a clone of inst, as a fixpoint step would; a drained
+    rule fires the first step of its drain.
 
     Returns (status, pivot, clone): status is "reduced", "reject" or None
     when the rule does not apply. inst is left as it was.
     """
     out = inst.clone()
     fired = reductions._RULES[rule](out)
+    if rule in DRAINED:
+        fired = next(fired, None)
     status, pivot = (None, None) if fired is None else fired
     return status, pivot, out
 
@@ -225,7 +230,15 @@ def _double_links(inst, v) -> bool:
     return any(m >= 2 for m in seen.values())
 
 
-def full_scan_rule2(inst) -> int | None:
+def full_scan_rule1(inst) -> int | None:
+    g = inst.graph
+    return next((v for v in sorted(g.vertices) if g.deg(v) <= 1), None)
+
+
+def _rule2_site(inst) -> tuple[int, int] | None:
+    """(drop, keep) of the lexicographically smallest edge (u, v), u < v,
+    between two degree-2 vertices outside W: drop is the restricted end if
+    exactly one is, else u."""
     g, w = inst.graph, inst.w
     best = None
     for u in g.vertices:
@@ -239,7 +252,12 @@ def full_scan_rule2(inst) -> int | None:
     if best is None:
         return None
     u, v = best
-    return v if v in inst.r and u not in inst.r else u
+    return (v, u) if v in inst.r and u not in inst.r else (u, v)
+
+
+def full_scan_rule2(inst) -> int | None:
+    site = _rule2_site(inst)
+    return None if site is None else site[0]
 
 
 def full_scan_rule4(inst) -> int | None:
@@ -260,4 +278,73 @@ def full_scan_rule7(inst) -> int | None:
     return None
 
 
-FULL_SCANS = {2: full_scan_rule2, 4: full_scan_rule4, 5: full_scan_rule5, 7: full_scan_rule7}
+FULL_SCANS = {
+    1: full_scan_rule1, 2: full_scan_rule2, 4: full_scan_rule4, 5: full_scan_rule5,
+    7: full_scan_rule7,
+}
+
+
+def _fire_by_full_scan(inst, rule: int) -> tuple | None:
+    """(status, pivot) of rule fired once at the site its full scan finds,
+    through the instance's own moves; rules 3 and 6 scan nothing but R and
+    the budget and fire as the fixpoint fires them."""
+    if rule not in FULL_SCANS:
+        return reductions._RULES[rule](inst)
+    if rule == 2:
+        site = _rule2_site(inst)
+        if site is None:
+            return None
+        inst.bypass(*site)
+        return "reduced", site[0]
+    v = FULL_SCANS[rule](inst)
+    if v is None:
+        return None
+    if rule == 1:
+        inst.delete_vertex(v)
+    elif rule == 4:
+        return "reject", v
+    elif rule == 5:
+        inst.take(v)
+    else:
+        inst.restrict(inst.graph.neighbors(v) - inst.w - inst.r)
+    return "reduced", v
+
+
+def reference_fixpoint(inst) -> tuple[list, bool]:
+    """(events, rejected) of reduce_to_fixpoint(inst) found one firing at a
+    time: each step fires the lowest rule whose full scan finds a site, and
+    the next step scans again from rule 1. Reduces inst in place."""
+    events = []
+    mu = measure(inst)
+    while True:
+        for rule in RULE_IDS:
+            fired = _fire_by_full_scan(inst, rule)
+            if fired is not None:
+                break
+        else:
+            return events, False
+        status, pivot = fired
+        mu_after = mu if status == "reject" else measure(inst)
+        events.append(ReductionEvent(rule, pivot, mu, mu_after))
+        mu = mu_after
+        if status == "reject":
+            return events, True
+
+
+def pipeline_guesses(g: MultiGraph, k: int):
+    """The guesses with |Z'| <= 2 that pass solve_ifvs's skip tests for
+    loop-free g at budget k, made with the public moves on the unpeeled
+    graph; solve_ifvs would first peel the vertices of degree at most one
+    outside Z, which these leave for rule 1."""
+    z = min_fvs(g)
+    root = DisInstance(g, set(), set(), k, validate=False)
+    for z_prime in chain.from_iterable(combinations(sorted(z), n) for n in range(3)):
+        w = z.difference(z_prime)
+        if not g.is_forest(w) or any(g.neighbors(v) & set(z_prime) for v in z_prime):
+            continue
+        inst = root.clone()
+        for v in z_prime:
+            inst.take(v)
+        for v in sorted(w):
+            inst.protect(v)
+        yield inst

@@ -1,5 +1,3 @@
-from itertools import chain, combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +23,7 @@ from helpers import (
     checking_every_pivot,
     fixpoint_reads,
     instance_facts,
+    pipeline_guesses,
 )
 
 
@@ -256,25 +255,6 @@ def test_solvers_leave_their_input_unchanged():
         assert (g.edge_items(), set(g.vertices)) == before, seed
 
 
-def _pipeline_guesses(g: MultiGraph, k: int):
-    """The guesses with |Z'| <= 2 that pass solve_ifvs's skip tests for
-    loop-free g at budget k, made with the public moves on the unpeeled
-    graph; solve_ifvs would first peel the vertices of degree at most one
-    outside Z, which these leave for rule 1."""
-    z = min_fvs(g)
-    root = DisInstance(g, set(), set(), k, validate=False)
-    for z_prime in chain.from_iterable(combinations(sorted(z), n) for n in range(3)):
-        w = z.difference(z_prime)
-        if not g.is_forest(w) or any(g.neighbors(v) & set(z_prime) for v in z_prime):
-            continue
-        inst = root.clone()
-        for v in z_prime:
-            inst.take(v)
-        for v in sorted(w):
-            inst.protect(v)
-        yield inst
-
-
 def test_engine_keeps_the_input_ledger_and_answers_outside_it():
     # a guess has taken Z' before the engine runs; the engine starts its own
     # clone with an empty ledger, so the input's ledger stays as it was and
@@ -282,7 +262,7 @@ def test_engine_keeps_the_input_ledger_and_answers_outside_it():
     checked = 0
     for seed in range(10):
         g = random_multigraph(16, 27, seed, loops=False, multi=False)
-        for inst in _pipeline_guesses(g, len(min_fvs(g)) + 1):
+        for inst in pipeline_guesses(g, len(min_fvs(g)) + 1):
             taken = set(inst.taken)
             res = solve_disjoint(inst)
             assert inst.taken == taken
@@ -309,7 +289,7 @@ def deep_trees():
         g = random_multigraph(n, int(1.6 * n), seed, loops=False, multi=False)
         z_size = len(min_fvs(g))
         for k in (z_size + 1, z_size + 2, z_size + 3):
-            for inst in _pipeline_guesses(g, k):
+            for inst in pipeline_guesses(g, k):
                 before = instance_facts(inst)
                 res = solve_disjoint(inst)
                 if res.stats.nodes >= 20:

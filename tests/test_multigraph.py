@@ -205,3 +205,41 @@ def test_from_edges_builds_what_add_edge_builds(case):
     assert got.num_edges == want.num_edges == len(edges)
     _assert_degrees_match_adjacency(got)
     assert got.new_vertex() == n == want.new_vertex()
+
+
+def _layout(g: MultiGraph) -> tuple:
+    """Adjacency maps with their key orders, degrees, the degree caches and
+    the edge count: everything a later walk or edit can tell apart."""
+    return ([(v, list(nbrs.items())) for v, nbrs in g._adj.items()], list(g._deg.items()),
+            g._low, g._two, g.num_edges)
+
+
+@given(_EDGE_LISTS)
+@example((4, [(0, 1), (1, 2), (2, 3), (0, 2)]))  # smoothing 1 doubles the edge 0-2
+@example((3, [(0, 1), (1, 2), (2, 2), (0, 0)]))  # both ends carry loops
+def test_smooth_builds_what_remove_and_add_edge_build(case):
+    n, edges = case
+    g = MultiGraph.from_edges(n, edges)
+    # a degree-2 vertex with two distinct neighbours, either of them kept
+    sites = [(drop, keep) for drop in sorted(g.degree_two_vertices())
+             if len(g.neighbors(drop)) == 2 for keep in sorted(g.neighbors(drop))]
+    for drop, keep in sites:
+        (other,) = g.neighbors(drop) - {keep}
+        want, got = g.copy(), g.copy()
+        want.remove_vertex(drop)
+        want.add_edge(keep, other)
+        assert got.smooth(drop, keep) == other
+        assert _layout(got) == _layout(want)
+        _assert_degrees_match_adjacency(got)
+
+
+@given(_EDGE_LISTS)
+@example((3, [(0, 0), (0, 1), (0, 1), (1, 2)]))  # a loop and a double edge
+def test_remove_vertex_returns_the_removed_adjacency(case):
+    n, edges = case
+    g = MultiGraph.from_edges(n, edges)
+    for v in range(n):
+        adj = list(g._adj[v].items())
+        assert list(g.remove_vertex(v).items()) == adj
+        assert v not in g
+        _assert_degrees_match_adjacency(g)

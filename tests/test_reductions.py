@@ -1,19 +1,27 @@
+import random
+from collections import Counter
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifvs import reductions
 from ifvs.branching import cycle_rank_cut
+from ifvs.fvs import min_fvs
 from ifvs.generators import (
+    base_case_instance,
     gadget_promotion,
     gadget_shield,
     random_dis_instance,
+    random_multigraph,
     rule_site_instance,
 )
 from ifvs.instance import DisInstance, measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
-from ifvs.reductions import RULE_IDS, reduce_to_fixpoint
+from ifvs.pipeline import subdivide_once
+from ifvs.reductions import DRAINED, RULE_IDS, reduce_to_fixpoint
 
 from helpers import (
     FULL_SCANS,
@@ -23,6 +31,8 @@ from helpers import (
     fixpoint_reads,
     instance_facts,
     lowest_applicable_rule,
+    pipeline_guesses,
+    reference_fixpoint,
     reference_measure,
 )
 
@@ -285,8 +295,10 @@ def test_an_untraced_fixpoint_measures_only_where_rule_3_reads_it(monkeypatch):
 
 
 def test_the_candidate_scans_fire_where_a_full_scan_does(monkeypatch):
-    # at every step of every fixpoint, rules 2, 4, 5 and 7 fire, or not,
-    # at the site a scan of every vertex in id order picks
+    # at every step of every fixpoint, rules 1, 2, 4, 5 and 7 fire, or not,
+    # at the site a scan of every vertex in id order picks; the drains of
+    # rules 1 and 2 are checked at each firing against the state before it,
+    # and where they stop the full scan must find nothing
     fires = {rule: 0 for rule in FULL_SCANS}
 
     def checking(rule, fn):
@@ -298,11 +310,83 @@ def test_the_candidate_scans_fire_where_a_full_scan_does(monkeypatch):
             return fired
         return run
 
-    for rule, fn in FULL_SCANS.items():
-        monkeypatch.setitem(reductions._RULES, rule, checking(rule, reductions._RULES[rule]))
+    def checking_drain(rule, drain):
+        def run(inst):
+            steps = drain(inst)
+            while True:
+                want = FULL_SCANS[rule](inst)
+                fired = next(steps, None)
+                assert (None if fired is None else fired[1]) == want, rule
+                if fired is None:
+                    return
+                fires[rule] += 1
+                yield fired
+        return run
+
+    for rule in FULL_SCANS:
+        wrap = checking_drain if rule in DRAINED else checking
+        monkeypatch.setitem(reductions._RULES, rule, wrap(rule, reductions._RULES[rule]))
     for inst in _fixpoint_corpus():
         reduce_to_fixpoint(inst, trace=False)
     assert min(fires.values()) >= 10, fires
+
+
+def _with_w_leaves(inst: DisInstance, seed: int) -> DisInstance:
+    """inst with pendant W-trees hung off its W-vertices: each new W-vertex
+    hangs off the one made before it or, now and then, off an older one."""
+    rng = random.Random(seed)
+    g, w = inst.graph.copy(), set(inst.w)
+    parent = rng.choice(sorted(w))
+    for _ in range(rng.randint(4, 16)):
+        if rng.random() < 0.3:
+            parent = rng.choice(sorted(w))
+        v = g.new_vertex()
+        g.add_edge(parent, v)
+        w.add(v)
+        parent = v
+    return DisInstance(g, w, inst.r, inst.k)
+
+
+def _drain_corpus():
+    """Instances on which rules 1 and 2 fire in long runs: base-case leaves
+    with pendant W-trees, which rule 1 eats leaf by leaf, and the compression
+    guesses of subdivided sparse graphs, whose degree-2 chains rule 2
+    bypasses one vertex at a time; each with its floor set exactly, as an
+    engine node sets it."""
+    insts = [_with_w_leaves(base_case_instance(seed), seed) for seed in range(120)]
+    for seed in range(20):
+        n = 12 + seed % 8
+        g = subdivide_once(random_multigraph(n, n + 4, seed, loops=False, multi=False))
+        insts += pipeline_guesses(g, len(min_fvs(g)) + 1)
+    for inst in insts:
+        cycle_rank_cut(inst)
+    return insts
+
+
+def _reduced_state(inst) -> tuple:
+    return (instance_facts(inst), inst.taken, inst.comps, inst.comp_of, inst.settled,
+            inst.wdeg, inst.floor)
+
+
+def test_the_fixpoint_fires_as_the_one_step_reference_does():
+    # traced and untraced, the fixpoint with its drains leaves the instance
+    # and, traced, records the events that firing the lowest rule found by
+    # full scans one step at a time gives
+    fires = Counter()
+    runs = Counter()  # firings of rule 1 or 2 in a row, by rule
+    for inst in _drain_corpus():
+        ref, traced = inst.clone(), inst.clone()
+        events, rejected = reference_fixpoint(ref)
+        red = reduce_to_fixpoint(traced)
+        quiet = reduce_to_fixpoint(inst, trace=False)
+        assert red.events == events and red.rejected == quiet.rejected == rejected
+        assert quiet.events == []
+        assert _reduced_state(traced) == _reduced_state(inst) == _reduced_state(ref)
+        fires.update(ev.rule for ev in events)
+        for rule, group in groupby(ev.rule for ev in events):
+            runs[rule] = max(runs[rule], len(list(group)))
+    assert fires[1] >= 2000 and fires[2] >= 300 and fires[5] >= 40, fires
+    assert runs[1] >= 20 and runs[2] >= 10, runs
 
 
 @given(st.integers(0, 10**6))

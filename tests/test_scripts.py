@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +70,30 @@ def test_trace_digests_match_the_pinned_ones():
     assert run.returncode == 0, run.stderr
     assert run.stdout.decode() == (ROOT / "tests" / "trace_digests.txt").read_text()
     assert b"rules fired: 1 2 3 4 5 6 7 - pivot cases: A B C" in run.stderr
+
+
+def test_bench_counts_pin_every_count_of_every_pinned_run(tmp_path):
+    # a run output whose metrics are BENCHMARK.json's per-layer list: the
+    # script prints the algorithmic counts among them, in name order, and
+    # the pinned file holds exactly those names for each workload and seed
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": i, "unit": m["unit"]} for i, m in enumerate(spec["per_layer"])}
+    out = tmp_path / "run.out"
+    out.write_text("workload parity-batch\n" + json.dumps({"correct": True, "metrics": metrics}) + "\n")
+    run = _run(ROOT / "scripts" / "bench_counts.py", str(out), "parity-batch", "0")
+    assert run.returncode == 0, run.stderr
+    lines = [line.split() for line in run.stdout.decode().splitlines()]
+    names = [name for _w, _s, name, _v in lines]
+    assert names == sorted(names)
+    assert all(int(v) == metrics[name]["value"] for _w, _s, name, v in lines)
+    assert {"branching.nodes", "reductions.fires.r1", "reductions.fixpoint_calls",
+            "pipeline.guesses_tried", "basecase.tent_pairs", "fvs.size"} <= set(names)
+    assert "instance.measure_calls" not in names and "pipeline.guess_yield" not in names
+    pinned = {}
+    for line in (ROOT / "tests" / "bench_counts.txt").read_text().splitlines():
+        workload, seed, name, value = line.split()
+        pinned.setdefault((workload, seed), []).append(name)
+        assert int(value) >= 0
+    workloads = json.loads((ROOT / "perfbench" / "layers.json").read_text())["driven_workloads"]
+    assert set(pinned) == {(w, s) for w in workloads for s in ("0", "104729")}
+    assert all(got == names for got in pinned.values())
