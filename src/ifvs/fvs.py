@@ -12,7 +12,8 @@ most d - 1) cannot beat it, and a child already before its graph is
 copied, by the same count over its parent's degrees. It returns the
 first minimum set in DFS order: every node above that set has
 forced + bound <= opt, which no incumbent prunes until a set of size opt
-is in hand.
+is in hand. Which one depends on the order the BFS walks neighbour sets
+in, so edits keep the key orders add_edge and remove_vertex would leave.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ def _reduce(g: MultiGraph, acc: list[int], dirty: Iterable[int] | None = None) -
     """Shrink g in place; vertices forced into every FVS land in acc.
 
     A loop forces its vertex. Degree <= 1 vertices are irrelevant. A
-    degree-2 vertex is bypassed by tying its two edge endpoints together,
-    which may create a loop or a parallel edge; both are meaningful.
+    degree-2 vertex is smoothed away in place, tying its two edge endpoints
+    together, which may create a loop or a parallel edge; both matter.
 
     The checks run in sweeps in id order, starting with the dirty vertices
     (default: all). Removing or bypassing a vertex changes the edges of its
@@ -37,31 +38,29 @@ def _reduce(g: MultiGraph, acc: list[int], dirty: Iterable[int] | None = None) -
     order. When g was reduced before and only the dirty vertices lost edges
     since, on return g again has no loop and every degree is at least 3.
     """
-    sweep = sorted(g.vertices if dirty is None else dirty)  # a sorted list is a heap
+    adj, deg = g._adj, g._deg
+    sweep = sorted(adj if dirty is None else dirty)  # a sorted list is a heap
     queued = set(sweep)
     later: set[int] = set()
     while sweep or later:
         if not sweep:
             sweep, queued, later = sorted(later), later, set()
-        v = heappop(sweep)
-        queued.discard(v)
-        if v not in g:
+        v = heappop(sweep)  # pops ascend, so a queued u > v is still on the heap
+        nbrs = adj.get(v)
+        if nbrs is None or (deg[v] >= 3 and v not in nbrs):
             continue
-        d = g.deg(v)
-        loop = g.multiplicity(v, v) > 0
-        if d >= 3 and not loop:
-            continue
-        nbrs = g.neighbors(v)
-        if loop:
+        if v in nbrs:
             acc.append(v)
-        elif d == 2:
-            ends = sorted(nbrs)
-            g.add_edge(ends[0], ends[-1])  # a double edge collapses to a loop
-        g.remove_vertex(v)
-        for u in nbrs:
+            ends = g.remove_vertex(v)
+        elif deg[v] == 2:
+            keep = next(iter(nbrs))  # either end: smooth leaves the same graph
+            ends = keep, g.smooth(v, keep)
+        else:
+            ends = g.remove_vertex(v)
+        for u in ends:
             if u < v:
                 later.add(u)
-            elif u not in queued:
+            elif u > v and u not in queued:
                 queued.add(u)
                 heappush(sweep, u)
 
@@ -76,11 +75,14 @@ def _shortest_cycle(g: MultiGraph) -> list[int] | None:
     where that cannot beat the best cycle, and a cycle is built only for an
     edge whose walk is shorter than the best.
     """
-    adj = {v: g.neighbors(v) for v in g.vertices}
+    adj, deg = g._adj, g._deg
     roots = sorted(adj)
     for u in roots:
-        if g.deg(u) > len(adj[u]):  # no loops, so some edge at u is doubled
-            return [u, min(v for v in adj[u] if g.multiplicity(u, v) >= 2)]
+        if deg[u] > len(adj[u]):  # no loops, so some edge at u is doubled
+            return [u, min(v for v, m in adj[u].items() if m >= 2)]
+    # built by neighbors() on a vertex's first expansion; set(map) presizes
+    # its table and so may iterate in another order, and find another cycle
+    sets: dict[int, set[int]] = {}
     best: list[int] | None = None
     best_len = len(g) + 1
     for s in roots:
@@ -91,7 +93,9 @@ def _shortest_cycle(g: MultiGraph) -> list[int] | None:
             dx = depth[x]
             if 2 * dx + 1 >= best_len:
                 break
-            for y in adj[x]:
+            if x not in sets:
+                sets[x] = g.neighbors(x)
+            for y in sets[x]:
                 if y not in depth:
                     parent[y] = x
                     depth[y] = dx + 1
@@ -118,8 +122,7 @@ def _tree_cycle(parent: dict, depth: dict, x: int, y: int) -> list[int]:
         x, y = parent[x], parent[y]
         up_x.append(x)
         up_y.append(y)
-    up_y.pop()  # the meeting vertex is already the last of up_x
-    return up_x + up_y[::-1]
+    return up_x + up_y[-2::-1]  # the meeting vertex ends both lists
 
 
 def cover_count(need: int, degs: list[int]) -> int | None:
@@ -143,16 +146,13 @@ def cover_count(need: int, degs: list[int]) -> int | None:
 def _rank_and_degrees(g: MultiGraph) -> tuple[int, list[int]]:
     """m - n + 1 of a loop-free g (0 when g is empty), and its degrees
     largest first."""
-    degs = sorted((g.deg(v) for v in g.vertices), reverse=True)
+    degs = sorted(g._deg.values(), reverse=True)
     return sum(degs) // 2 - len(degs) + bool(degs), degs
 
 
 def _delete(g: MultiGraph, vs: list[int]) -> set[int]:
     """Remove vs from g; returns the vertices left that lost edges."""
-    lost = set().union(*map(g.neighbors, vs)).difference(vs)
-    for v in vs:
-        g.remove_vertex(v)
-    return lost
+    return set().union(*map(g.remove_vertex, vs)).difference(vs)
 
 
 def _bnb(
@@ -175,8 +175,7 @@ def _bnb(
     cycle = sorted(_shortest_cycle(g))
     for v in cycle:
         # bound the child before copying it: g - v has cycle rank at least
-        # need - (deg(v) - 1) and no degree above g's, so none of its FVSs
-        # is smaller than this count
+        # need - (deg(v) - 1) and no degree above g's
         d = g.deg(v)
         rest = list(degs)
         rest.remove(d)

@@ -107,22 +107,23 @@ class MultiGraph:
     def smooth(self, drop: int, keep: int) -> int:
         """Replace the path keep - drop - other by the edge keep - other.
 
-        drop has degree 2, one edge to keep and one to other, a third
-        vertex. The graph ends as remove_vertex(drop) and add_edge(keep,
-        other) leave it, key orders included, but the two ends keep their
-        degrees, so no degree cache changes. Returns other.
+        drop has degree 2 and no loop; other is keep when both its edges go
+        to keep, which then gains a loop. The graph ends as remove_vertex(drop)
+        and add_edge(keep, other) leave it, key orders included, but the ends
+        keep their degrees, so no degree cache changes. Returns other.
         """
         adj = self._adj
-        other = next(x for x in adj.pop(drop) if x != keep)
+        other = next((x for x in adj.pop(drop) if x != keep), keep)
         del self._deg[drop]
         self._two.discard(drop)
         self._m -= 1
         nbrs = adj[keep]
         del nbrs[drop]
         nbrs[other] = nbrs.get(other, 0) + 1
-        nbrs = adj[other]
-        del nbrs[drop]
-        nbrs[keep] = nbrs.get(keep, 0) + 1
+        if other != keep:
+            nbrs = adj[other]
+            del nbrs[drop]
+            nbrs[keep] = nbrs.get(keep, 0) + 1
         return other
 
     def copy(self) -> MultiGraph:

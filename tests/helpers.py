@@ -43,6 +43,13 @@ def petersen() -> MultiGraph:
     return g
 
 
+def layout(g: MultiGraph) -> tuple:
+    """Adjacency maps with their key orders, degrees, the degree caches and
+    the edge count: everything a later walk or edit can tell apart."""
+    return ([(v, list(nbrs.items())) for v, nbrs in g._adj.items()], list(g._deg.items()),
+            g._low, g._two, g.num_edges)
+
+
 def fire_rule(inst, rule: int) -> tuple:
     """Fire one rule on a clone of inst, as a fixpoint step would; a drained
     rule fires the first step of its drain.

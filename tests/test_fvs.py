@@ -16,7 +16,7 @@ from ifvs.multigraph import MultiGraph
 from ifvs.oracle import brute_min_fvs
 from ifvs.pipeline import solve_ifvs
 
-from helpers import complete, cycle, path, petersen
+from helpers import complete, cycle, layout, path, petersen
 
 
 def test_forest_needs_nothing():
@@ -176,7 +176,10 @@ def test_worklist_reduce_matches_full_sweeps():
         ref, got = g.copy(), g.copy()
         _sweep_reduce(ref, ref_acc := [])
         _reduce(got, got_acc := [])
-        assert got_acc == ref_acc and got.edge_items() == ref.edge_items(), seed
+        # the same edits to the same maps: key orders decide the order of
+        # the neighbour sets the cycle search walks, and with it which
+        # minimum set comes back
+        assert got_acc == ref_acc and layout(got) == layout(ref), seed
         assert all(got.multiplicity(v, v) == 0 and got.deg(v) >= 3 for v in got.vertices)
         # after a deletion, only the neighbours need a second look
         for v in sorted(got.vertices):
@@ -184,9 +187,9 @@ def test_worklist_reduce_matches_full_sweeps():
             dirty = part.neighbors(v)
             full.remove_vertex(v)
             part.remove_vertex(v)
-            _reduce(full, full_acc := [])
+            _sweep_reduce(full, full_acc := [])
             _reduce(part, part_acc := [], dirty)
-            assert part_acc == full_acc and part.edge_items() == full.edge_items(), (seed, v)
+            assert part_acc == full_acc and layout(part) == layout(full), (seed, v)
 
 
 def _girth(g: MultiGraph) -> int | None:

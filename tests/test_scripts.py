@@ -72,6 +72,13 @@ def test_trace_digests_match_the_pinned_ones():
     assert b"rules fired: 1 2 3 4 5 6 7 - pivot cases: A B C" in run.stderr
 
 
+def test_fvs_digest_matches_the_pinned_one():
+    # the minimum FVS sets themselves are pinned, not only their sizes
+    run = _run(ROOT / "scripts" / "fvs_digest.py")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.decode() == (ROOT / "tests" / "fvs_digests.txt").read_text()
+
+
 def test_bench_counts_pin_every_count_of_every_pinned_run(tmp_path):
     # a run output whose metrics are BENCHMARK.json's per-layer list: the
     # script prints the algorithmic counts among them, in name order, and
