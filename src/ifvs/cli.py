@@ -44,9 +44,9 @@ def _read(path: str) -> str:
 
 def _is_dis_file(text: str) -> bool:
     for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("p "):
-            return line.split()[1:2] == ["disifvs"]
+        tok = raw.split()  # on any whitespace, as the parser splits
+        if tok[:1] == ["p"]:
+            return tok[1:2] == ["disifvs"]
     return False
 
 

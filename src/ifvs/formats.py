@@ -119,11 +119,11 @@ def parse_dis_instance(text: str) -> DisInstance:
 
 
 def _edge_lines(g: MultiGraph, rename: dict[int, int]) -> list[str]:
+    # rename keeps the id order and edge_items is sorted with u <= v, so the
+    # lines come out sorted by their endpoints
     lines = []
     for u, v, mult in g.edge_items():
-        a, b = sorted((rename[u], rename[v]))
-        lines.extend([f"e {a} {b}"] * mult)
-    lines.sort(key=lambda s: tuple(map(int, s.split()[1:])))
+        lines.extend([f"e {rename[u]} {rename[v]}"] * mult)
     return lines
 
 
@@ -185,9 +185,7 @@ def parse_solution(text: str, n: int) -> set[int]:
 def graph_comment_value(text: str, key: str) -> str | None:
     """Value of the first comment line of the form 'c <key> <value...>'."""
     for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("c "):
-            tok = line.split(maxsplit=2)
-            if len(tok) >= 3 and tok[1] == key:
-                return tok[2]
+        tok = raw.strip().split(maxsplit=2)  # on any whitespace, as the parser splits
+        if len(tok) == 3 and tok[0] == "c" and tok[1] == key:
+            return tok[2]
     return None

@@ -35,11 +35,10 @@ class DisInstance:
     W-vertex to its label, and rho is len(comps). No move adds an edge
     inside W, so the partition changes only where protect merges v and the
     components it has edges to into the largest of them (v alone opens a
-    new one), and where a deleted W-vertex leaves its component. Only
-    deleting an inner W-vertex, which no rule does, splits a component,
-    whose pieces are then found afresh. A label is a vertex of its
-    component when made and leaves it only by deletion, so labels never
-    clash.
+    new one), and where a deleted W-leaf leaves its component. No rule or
+    take deletes an inner W-vertex, so delete_vertex refuses one and no
+    component ever splits. A label is a vertex of its component when made
+    and leaves it only by deletion, so labels never clash.
 
     wdeg maps every vertex to its edge occurrences into W, which the
     settled test, pivot_degrees and the rules read in place of the
@@ -136,12 +135,6 @@ class DisInstance:
     def f_free(self) -> set[int]:
         return self.graph.vertices - self.w - self.r
 
-    def _add_component(self, comp: set[int]) -> None:
-        label = min(comp)
-        self.comps[label] = comp
-        for u in comp:
-            self.comp_of[u] = label
-
     def _resettle(self, vs: Iterable[int]) -> None:
         """Re-test whether each vertex of vs is settled."""
         for u in vs:
@@ -151,7 +144,13 @@ class DisInstance:
                 self.settled.discard(u)
 
     def delete_vertex(self, v: int) -> dict[int, int]:
-        """Delete v from the graph and from W or R; returns its adjacency map."""
+        """Delete v from the graph and from W or R; returns its adjacency map.
+
+        An inner W-vertex, one with two or more W-edges, would split its
+        W-component. No rule or take deletes one, so doing so is a solver bug.
+        """
+        if v in self.w and self.wdeg[v] > 1:
+            raise InternalSolverError(f"deleting {v}, an inner W-vertex")
         d = self.graph.deg(v)
         if d > 1:
             self.floor -= d - 1
@@ -165,11 +164,7 @@ class DisInstance:
             label = self.comp_of.pop(v)
             comp = self.comps[label]
             comp.remove(v)
-            if sum(u in comp for u in nbrs) >= 2:  # an inner vertex: its tree falls apart
-                del self.comps[label]
-                for piece in self.graph.components(comp):
-                    self._add_component(piece)
-            elif not comp:
+            if not comp:
                 del self.comps[label]
         del self.wdeg[v]
         self.r.discard(v)

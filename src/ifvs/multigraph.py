@@ -180,31 +180,6 @@ class MultiGraph:
         """Vertices with exactly two incident edge occurrences."""
         return self._two
 
-    def deg_x(self, v: int, x: Iterable[int]) -> int:
-        """Edge occurrences from v into the vertex set x.
-
-        A loop at v contributes 2 when v itself lies in x. Unknown v is an
-        error; unknown members of x are ignored.
-        """
-        if v not in self._adj:
-            raise ValueError(f"vertex {v} not in graph")
-        nbrs = self._adj[v]
-        xs = x if isinstance(x, (set, frozenset)) else set(x)
-        d = sum(m for u, m in nbrs.items() if u in xs)
-        if v in xs:
-            d += nbrs.get(v, 0)
-        return d
-
-    def smallest_edge_within(self, x: set[int]) -> tuple[int, int] | None:
-        """Lexicographically smallest (u, v), u < v, of an edge with both
-        ends in x, a set of vertices of the graph; None when there is none."""
-        adj, best = self._adj, None
-        for u in x:
-            for v in adj[u]:
-                if u < v and v in x and (best is None or (u, v) < best):
-                    best = u, v
-        return best
-
     def edge_items(self) -> list[tuple[int, int, int]]:
         """Sorted (u, v, mult) with u <= v, each undirected edge once."""
         return [

@@ -77,11 +77,10 @@ class FixpointResult:
 # site set is empty. Rule 1's heap starts as the graph's low-degree set; a
 # deletion only lowers degrees, and the one neighbour of a deleted vertex
 # that falls to degree 1 is the one vertex that joins the set. Rule 2's
-# heap, built only once smallest_edge_within finds a site, holds the edges
-# (u, v), u < v, inside the degree-2 vertices outside W. A bypass keeps
-# every surviving degree, W and R and only swaps drop's two edges for
-# keep - other, so a heaped edge is still a site while both ends live,
-# keep - other is the one new site, and no vertex turns low.
+# heap holds the edges (u, v), u < v, inside the degree-2 vertices outside
+# W. A bypass keeps every surviving degree, W and R and only swaps drop's
+# two edges for keep - other, so a heaped edge is still a site while both
+# ends live, keep - other is the one new site, and no vertex turns low.
 
 Fired = tuple[str, int | None]  # (status, pivot)
 
@@ -101,8 +100,6 @@ def _rule2(inst: DisInstance) -> Iterator[Fired]:
     # an F-vertex with an F-neighbour is never nice, so no class test is needed
     g, w, r = inst.graph, inst.w, inst.r
     two = g.degree_two_vertices() - w
-    if g.smallest_edge_within(two) is None:
-        return
     pairs = [(u, v) for u in two for v, _ in g.incident(u) if u < v and v in two]
     heapify(pairs)
     while pairs:

@@ -43,6 +43,13 @@ def petersen() -> MultiGraph:
     return g
 
 
+def deg_x(g: MultiGraph, v: int, x: set[int]) -> int:
+    """Edge occurrences from v into the vertex set x; a loop at v counts 2
+    when v lies in x."""
+    d = sum(m for u, m in g.incident(v) if u in x)
+    return d + (g.multiplicity(v, v) if v in x else 0)
+
+
 def layout(g: MultiGraph) -> tuple:
     """Adjacency maps with their key orders, degrees, the degree caches and
     the edge count: everything a later walk or edit can tell apart."""
@@ -101,7 +108,7 @@ def reference_settled(inst) -> dict:
     kinds = {2: "nice", 3: "tent"}
     out = {}
     for v in inst.f_free:
-        d = g.deg_x(v, w)
+        d = deg_x(g, v, w)
         if d in kinds and g.neighbors(v) <= w and not g.multiplicity(v, v):
             out[v] = kinds[d]
     return out
@@ -116,8 +123,8 @@ def reference_pivot_degrees(inst) -> dict:
     vertices are left out."""
     g, w, free = inst.graph, inst.w, inst.f_free
     f_nbrs = {v: g.neighbors(v) - w for v in inst.f}
-    p_nice = {v for v in free if g.deg(v) == 2 and g.deg_x(v, w) == 1}
-    gdeg = {v: g.deg_x(v, w) + len(f_nbrs[v] & p_nice) for v in inst.f}
+    p_nice = {v for v in free if g.deg(v) == 2 and deg_x(g, v, w) == 1}
+    gdeg = {v: deg_x(g, v, w) + len(f_nbrs[v] & p_nice) for v in inst.f}
     p_tent = {v for v in free if g.deg(v) == 3 and gdeg[v] == 2}
     settled = reference_settled(inst)
     return {v: (gdeg[v], len(f_nbrs[v] & p_tent)) for v in inst.f
@@ -147,7 +154,7 @@ def assert_wdeg_is_fresh(inst) -> None:
     """The instance's cached W-degrees are those counted from scratch, kept
     for exactly the vertices of its graph."""
     g = inst.graph
-    assert inst.wdeg == {v: g.deg_x(v, inst.w) for v in g.vertices}
+    assert inst.wdeg == {v: deg_x(g, v, inst.w) for v in g.vertices}
 
 
 def assert_partition_is_fresh(inst) -> None:

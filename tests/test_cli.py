@@ -139,6 +139,15 @@ def test_solve_dis_file_and_budget_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["stats"]["branch_nodes"] == 3
 
 
+def test_solve_and_oracle_read_a_tab_separated_dis_header(tmp_path, capsys):
+    # the parser splits on any whitespace, so the file-type sniff must too
+    p = tmp_path / "tab.dis"
+    p.write_text("p\tdisifvs 3 3\ne 1 2\ne 2 3\ne 1 3\nW 1\nk 1\n")
+    for cmd in ("solve", "oracle"):
+        assert main([cmd, "--input", str(p), "--json"]) == 0, cmd
+        assert json.loads(capsys.readouterr().out)["size"] == 1, cmd
+
+
 def test_solve_trace_file_is_json_lines(c5_file, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     rc = main([
@@ -339,6 +348,15 @@ def test_bench_budget_fallback_flag(tmp_path, capsys):
     assert main(["bench", "--suite", str(suite)]) == 2
     capsys.readouterr()
     assert main(["bench", "--suite", str(suite), "--k", "1"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1][3] == "1" and rows[1][-1] == "yes"
+
+
+def test_bench_reads_a_tab_separated_budget_comment(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "c5.gr").write_text("c\tk 1\n" + emit_graph(cycle(5)))
+    assert main(["bench", "--suite", str(suite)]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[1][3] == "1" and rows[1][-1] == "yes"
 

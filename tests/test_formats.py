@@ -124,6 +124,35 @@ def test_emit_graph_renames_to_contiguous_ids():
     assert back.multiplicity(0, 1) == 2
 
 
+def _edge_pairs(text: str) -> list[tuple[int, int]]:
+    return [(int(tok[1]), int(tok[2])) for tok in map(str.split, text.splitlines())
+            if tok[0] == "e"]
+
+
+def test_emitted_edge_lines_come_sorted_by_their_endpoints():
+    # ids with gaps, added out of order, loops and parallel edges: the
+    # renaming keeps the id order, so edge_items' order is the lines' order
+    g = MultiGraph((30, 4, 17, 9, 100))
+    for u, v, mult in ((100, 4, 1), (17, 17, 1), (30, 9, 2), (30, 4, 1), (4, 4, 2),
+                       (100, 9, 3), (17, 9, 1)):
+        g.add_edge(u, v, mult)
+    graphs = [g]
+    for seed in range(25):
+        h = random_multigraph(14, 30, seed=seed)
+        for v in range(seed % 3, 14, 3):
+            h.remove_vertex(v)
+        graphs.append(h)
+    for h in graphs:
+        inst = DisInstance(h, set(), set(), 0, validate=False)
+        for text in (emit_graph(h), emit_dis(inst)):
+            pairs = _edge_pairs(text)
+            assert pairs == sorted(pairs) and all(a <= b for a, b in pairs)
+            assert len(pairs) == h.num_edges
+    assert _edge_pairs(emit_graph(g)) == [
+        (1, 1), (1, 1), (1, 4), (1, 5), (2, 3), (2, 4), (2, 4), (2, 5), (2, 5), (2, 5), (3, 3),
+    ]
+
+
 def test_graph_roundtrip_random():
     for seed in range(25):
         g = random_multigraph(9, 15, seed=seed)
@@ -203,3 +232,5 @@ def test_graph_comment_value():
     assert graph_comment_value(text, "k") == "4"
     assert graph_comment_value(text, "witness") == "1 2 3"
     assert graph_comment_value(text, "absent") is None
+    # any whitespace separates the tokens, as in the parser
+    assert graph_comment_value("c\tk\t5\n", "k") == "5"

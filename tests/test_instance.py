@@ -20,6 +20,7 @@ from helpers import (
     assert_partition_is_fresh,
     complete,
     cycle,
+    deg_x,
     instance_facts,
     path,
     reference_settled,
@@ -108,7 +109,7 @@ def test_one_pass_build_matches_a_from_scratch_one(n, edges, w, r, validate):
     assert inst.comp_of == {v: c for c, comp in fresh.items() for v in comp}
     # a loop at a W-vertex is one edge occurrence into W, which deg_x counts twice
     assert inst.wdeg == {
-        v: g.deg_x(v, w) - (g.multiplicity(v, v) if v in w else 0) for v in g.vertices
+        v: deg_x(g, v, w) - (g.multiplicity(v, v) if v in w else 0) for v in g.vertices
     }
     assert inst.settled == reference_settled(inst).keys()
 
@@ -291,7 +292,8 @@ def test_a_budget_change_alone_moves_the_measure_by_as_much():
 def _move(inst, move: str, v: int) -> None:
     """Apply move at v where its precondition holds, else do nothing."""
     if move == "delete_vertex":
-        inst.delete_vertex(v)
+        if v not in inst.w or inst.wdeg[v] <= 1:  # a solve deletes no inner W-vertex
+            inst.delete_vertex(v)
     elif v in inst.w:
         return
     elif move == "restrict":
@@ -330,15 +332,20 @@ def test_measure_after_any_moves_matches_a_fresh_one(seed, moves):
     assert_measure_is_fresh(measure(inst), inst)
 
 
-def test_deleting_an_inner_w_vertex_splits_its_component():
+def test_deleting_an_inner_w_vertex_is_refused_and_leaves_go():
     inst = DisInstance(path(5), set(range(5)), set(), 0)  # 0-1-2-3-4, all in W
-    inst.delete_vertex(2)
-    assert_partition_is_fresh(inst)
-    assert len(inst.comps) == 2
+    before = instance_facts(inst), _partition(inst), dict(inst.wdeg), inst.floor
+    for v in (1, 2, 3):
+        with pytest.raises(InternalSolverError, match="inner W-vertex"):
+            inst.delete_vertex(v)
+        assert (instance_facts(inst), _partition(inst), dict(inst.wdeg), inst.floor) == before
     inst.delete_vertex(0)
-    inst.delete_vertex(1)  # empties a component
     assert_partition_is_fresh(inst)
-    assert len(inst.comps) == 1
+    assert _partition(inst) == {frozenset({1, 2, 3, 4})}
+    for v in (1, 2, 4, 3):  # each one a leaf of what is left
+        inst.delete_vertex(v)
+        assert_partition_is_fresh(inst)
+    assert inst.comps == {} and inst.comp_of == {}  # the last leaf empties its component
 
 
 def _partition(inst) -> set[frozenset[int]]:
@@ -404,18 +411,18 @@ def test_bypass_joins_the_ends_and_keeps_the_cycle_rank():
 )
 @settings(max_examples=200, deadline=None)
 def test_w_partition_follows_every_move(seed, moves):
-    # delete_w deletes a W-vertex, which splits its component when it is an
-    # inner vertex; the engine never does that, but delete_vertex allows it.
-    # The settled set is checked with no measure between the moves. The
-    # floor starts exact, as each engine node sets it, and stays a lower
-    # bound on m - n + c through every move, a rule-2 bypass included
+    # delete_w deletes a W-leaf, which leaves its component or empties it;
+    # delete_vertex refuses an inner W-vertex. The settled set is checked
+    # with no measure between the moves. The floor starts exact, as each
+    # engine node sets it, and stays a lower bound on m - n + c through
+    # every move, a rule-2 bypass included
     inst = random_dis_instance(seed)
     inst.floor = _rank(inst.graph)
     kept = []  # (instance, partition, W-degrees, settled set) at each clone; the clone moves on
     for move, pick in moves:
         g = inst.graph
         if move == "delete_w":
-            verts = sorted(inst.w)
+            verts = sorted(v for v in inst.w if inst.wdeg[v] <= 1)
         elif move == "delete_deg2":
             verts = sorted(v for v in g.vertices if g.deg(v) >= 2)
         else:

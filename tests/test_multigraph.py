@@ -76,18 +76,6 @@ def test_copy_is_independent():
     assert h.multiplicity(0, 1) == 2
 
 
-def test_deg_x_counts_multiplicity_and_loops():
-    g = MultiGraph(range(3))
-    g.add_edge(0, 1, mult=2)
-    g.add_edge(0, 0)
-    g.add_edge(0, 2)
-    assert g.deg_x(0, {1}) == 2
-    assert g.deg_x(0, {1, 2}) == 3
-    assert g.deg_x(0, {0, 1}) == 4  # loop contributes two endpoints
-    with pytest.raises(ValueError):
-        g.deg_x(99, {0})
-
-
 def test_components_respects_restriction():
     g = path(5)
     comps = g.components({0, 1, 3, 4})
@@ -151,10 +139,6 @@ def _assert_degrees_match_adjacency(g: MultiGraph) -> None:
     assert {v: g.deg(v) for v in g.vertices} == degs
     assert g.low_degree_vertices() == {v for v, d in degs.items() if d <= 1}
     assert g.degree_two_vertices() == {v for v, d in degs.items() if d == 2}
-    for x in (g.degree_two_vertices(), g.vertices):
-        assert g.smallest_edge_within(x) == min(
-            ((u, v) for u, v, _ in g.edge_items() if u < v and {u, v} <= x), default=None
-        )
     assert g.num_edges == sum(m for _u, _v, m in g.edge_items())
     assert g.component_count() == len(g.components())
 
