@@ -12,7 +12,8 @@ is refuted before its instance is built when a cycle of its undeletable
 part, the vertices that part forces into every solution, or the cycle-rank
 cut show on the shared root that it has no solution (see _run_guess). The
 engine answers each other guess exactly on its one clone, so the first
-feasible guess settles the decision and a full scan settles minimization.
+feasible guess settles the decision. Minimization scans the guesses at the
+lower bound |Z| first, and again at k only when that scan finds nothing.
 """
 from __future__ import annotations
 
@@ -154,8 +155,16 @@ def solve_ifvs(
     answer is the same either way because every solution is found under the
     guess that matches its overlap with Z. With minimize=True all guesses
     are scanned and the smallest solution wins, ties broken by sorted vertex
-    order. The final solution is re-verified against the untouched input; a
-    failure there is a bug and raises InternalSolverError.
+    order. An independent FVS is an FVS, so without fvs_override the scan
+    runs at budget |Z| first, and at k only if that finds nothing; then the
+    guesses list each guess twice and stats["guesses_tried"] counts runs.
+    In a scan at k the budget drops to the incumbent's size. The witness
+    stays the one of a scan at k: outside rejects the engine never reads k
+    (rule 3, the rank cuts, solve_base's size check, _refuted), mu moves by
+    a constant and the drop checks read differences, and _better is a total
+    order, so a smaller budget prunes only subtrees whose leaf sets all
+    exceed the optimum. The final solution is re-verified against the
+    untouched input; a failure there is a bug and raises InternalSolverError.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
@@ -192,16 +201,22 @@ def solve_ifvs(
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)) + 1)
+    lower = minimize and fvs_override is None and len(z) < root.k  # |Z| bounds opt
     best: set[int] | None = None
     records: list[GuessRecord] = []
-    for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
-        rec = _run_guess(root, z, z_prime, keep_traces, rank)
-        records.append(rec)
-        if rec.status != "yes":
-            continue
-        best = _better(best, root.taken | set(z_prime) | rec.solution)
-        if not minimize:
-            break  # decision mode stops at the first hit
+    for budget in [len(z), root.k] if lower else [root.k]:
+        root.k = budget
+        for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
+            rec = _run_guess(root, z, z_prime, keep_traces, rank)
+            records.append(rec)
+            if rec.status != "yes":
+                continue
+            best = _better(best, root.taken | set(z_prime) | rec.solution)
+            if not minimize:
+                break  # decision mode stops at the first hit
+            root.k = len(best) - len(root.taken)  # ties compete; a no-op at |Z|
+        if best is not None:
+            break
 
     if best is not None and not check_solution(g, best, k):
         raise InternalSolverError("final candidate failed verification")

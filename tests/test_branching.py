@@ -203,16 +203,20 @@ def test_every_node_reads_a_fresh_measure():
     # a branch child continues from its parent's settled vertices and a
     # guess from the pipeline root's, so a clone that lost its settled
     # vertices shows up here; the random disjoint instances and rule sites
-    # hardly branch, so pipeline guesses supply the branch children
+    # hardly branch, so pipeline guesses supply the branch children. A
+    # minimize run scans at budget |Z| first, where few guesses branch, so
+    # the same graphs' guesses also run at |Z| + 1 and |Z| + 2
     trees = []
     with checking_every_measure() as reads:
         insts = [random_dis_instance(seed) for seed in range(300)]
         insts += [rule_site_instance(rule, seed) for rule in range(1, 8) for seed in range(30)]
-        trees += [solve_disjoint(inst).trace for inst in insts]
         for seed in range(10):
             g = random_multigraph(16, 27, seed, loops=False, multi=False)
             res = solve_ifvs(g, 8, minimize=True, keep_traces=True)
             trees += [rec.trace for rec in res.guesses if rec.trace is not None]
+            z_size = len(min_fvs(g))
+            insts += [inst for extra in (1, 2) for inst in pipeline_guesses(g, z_size + extra)]
+        trees += [solve_disjoint(inst).trace for inst in insts]
     nodes = [node for tree in trees for node in tree.walk()]
     assert sum(node.kind == "branch" for node in nodes) >= 20
     # each fixpoint measures on entry, after every firing but a rejection

@@ -98,6 +98,61 @@ def test_adjacent_loops_are_an_immediate_no():
     assert solve_ifvs(g, 2).status == "no"
 
 
+def _minimized(g: MultiGraph, k: int):
+    """solve_ifvs minimizing at k, checked against runs with an override,
+    which bounds nothing and so is one scan at k. With the solver's own Z
+    that scan must return the same witness; with Z + x, the same size."""
+    res = solve_ifvs(g, k, minimize=True)
+    assert res.solution is None or check_solution(g, res.solution, k)
+    h = g.copy()
+    for v in [v for v in g.vertices if g.multiplicity(v, v) > 0]:
+        h.remove_vertex(v)
+    z = min_fvs(h)  # the Z solve_ifvs scans with, taken after the loops
+    same = solve_ifvs(g, k, minimize=True, fvs_override=z)
+    assert (same.status, same.solution) == (res.status, res.solution)
+    over = solve_ifvs(g, k, minimize=True, fvs_override=z | {min(g.vertices - z)})
+    assert over.status == res.status
+    if res.solution is not None:
+        assert check_solution(g, over.solution, k)
+        assert len(over.solution) == len(res.solution)
+    return res
+
+
+def test_minimize_scans_at_the_fvs_bound_and_then_at_k():
+    # an independent FVS is an FVS, so minimize scans the guesses at
+    # budget |Z| first and falls back to k only when that finds nothing
+    for seed in range(80):
+        n = 6 + seed % 7
+        g = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
+        res, best = _minimized(g, n), oracle_min_ifvs(g)
+        assert res.status == ("no" if best is None else "yes"), seed
+        assert best is None or len(res.solution) == len(best), seed
+    # no independent FVS: both scans run over every guess
+    k4s = complete(4)
+    for u, v in [(3, 4)] + list(combinations(range(4, 8), 2)):
+        k4s.add_edge(u, v)
+    for g in (complete(4), k4s):
+        res = _minimized(g, len(g))
+        assert res.status == "no"
+        assert len(res.guesses) == 2 * len(solve_ifvs(g, len(g)).guesses)
+    fallbacks = 0
+    for seed in range(12):
+        n = 30 + seed * 30 // 11
+        g = random_multigraph(n, int(1.6 * n), seed, loops=seed % 3 == 0, multi=seed % 2 == 0)
+        res = _minimized(g, n)
+        if res.solution is not None:
+            size = len(res.solution)
+            assert solve_ifvs(g, size).status == "yes", seed
+            assert solve_ifvs(g, size - 1).status == "no", seed
+            # each scan lists all 2^|Z| subsets of Z, since k >= |Z|; the
+            # scan at k runs only when the optimum exceeds the loops plus |Z|
+            loops = sum(g.multiplicity(v, v) > 0 for v in g.vertices)
+            fallback = size > loops + res.stats["fvs_size"]
+            assert len(res.guesses) == 2 ** res.stats["fvs_size"] * (1 + fallback), seed
+            fallbacks += fallback
+    assert fallbacks >= 2
+
+
 def test_fvs_override_is_honoured_and_clamped():
     g = cycle(6)
     res = solve_ifvs(g, 1, fvs_override={0, 3})
@@ -446,8 +501,9 @@ def test_a_trace_changes_no_answer_and_no_count():
     for seed in range(6):
         base = random_multigraph(12 + seed % 3, 18 + seed % 3, seed)
         runs.append((subdivide_once(base), 60, True))
-    # sparse loop-free graphs, whose guesses branch
-    runs += [(_sparse(seed, 20, 1.6), 40, True) for seed in range(10, 14)]
+    # sparse loop-free graphs, whose guesses branch; a minimize run scans
+    # at budget |Z| first, where fewer of them do, so it takes nine graphs
+    runs += [(_sparse(seed, 20, 1.6), 40, True) for seed in range(10, 19)]
     branches = 0
     for g, k, minimize in runs:
         traced = solve_ifvs(g, k, minimize, keep_traces=True)
