@@ -34,7 +34,7 @@ from .pipeline import (
     subdivide_once,
 )
 from .reductions import reduce_to_fixpoint
-from .fvs import fvs_at_most, min_fvs
+from .fvs import min_fvs
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "brute_min_fvs",
     "build_parity",
     "check_solution",
-    "fvs_at_most",
     "leaf_bound",
     "matroid_parity_max",
     "measure",

@@ -188,12 +188,12 @@ def _bnb(
     return best
 
 
-def fvs_at_most(g: MultiGraph, k: int) -> set[int] | None:
-    """A minimum feedback vertex set if it has at most k vertices, else None."""
-    res = _bnb(g.copy(), k + 1, [])
+def min_fvs(g: MultiGraph, cap: int | None = None) -> set[int] | None:
+    """Minimum feedback vertex set; the whole vertex set is one.
+
+    With a cap, None when the minimum has more than cap vertices. A cap at
+    or above the optimum returns the same set as no cap, since no node
+    above the first minimum set in DFS order is pruned by either.
+    """
+    res = _bnb(g.copy(), (len(g) if cap is None else cap) + 1, [])
     return set(res) if res is not None else None
-
-
-def min_fvs(g: MultiGraph) -> set[int]:
-    """Minimum feedback vertex set; the whole vertex set is one."""
-    return fvs_at_most(g, len(g))

@@ -366,7 +366,10 @@ def check_solution(g: MultiGraph, s: set[int], k: int) -> bool:
     """True iff s is an independent feedback vertex set of g of size <= k.
 
     Independence forbids any edge between two distinct members; a loop at a
-    member is fine because the vertex leaves the graph anyway.
+    member is fine because the vertex leaves the graph anyway. G - s is a
+    forest iff its cycle rank m' - n' + c' is 0, loops and parallel edges
+    counted as edges. An independent s has no edge between two members, so
+    its members' edge occurrences are their degrees minus their loops.
     """
     if len(s) > k:
         return False
@@ -375,4 +378,5 @@ def check_solution(g: MultiGraph, s: set[int], k: int) -> bool:
     for v in s:
         if g.neighbors(v) & s:
             return False
-    return g.is_forest(g.vertices - s)
+    m = g.num_edges - sum(g.deg(v) - g.multiplicity(v, v) for v in s)
+    return m == len(g) - len(s) - g.component_count(s)

@@ -212,9 +212,10 @@ class MultiGraph:
             comps.append(comp)
         return comps
 
-    def component_count(self) -> int:
-        """Number of connected components, counted without building them."""
-        unseen = set(self._adj)
+    def component_count(self, skip: set[int] = frozenset()) -> int:
+        """Number of connected components of the graph minus the vertices
+        skip, counted without building them."""
+        unseen = set(self._adj).difference(skip)
         count = 0
         while unseen:
             count += 1

@@ -1,24 +1,32 @@
 """Top level solver: compression over an FVS into disjoint subproblems.
 
-Any solution must contain every loop vertex, so the loop vertices are taken
+The set-up runs on a plain copy of the input graph, in this order. Any
+solution must contain every loop vertex, so the loop vertices are taken
 into the solution first, which restricts their neighbors. An exact FVS Z of
-the remaining graph is computed. Then the vertices of degree at most one
-outside Z are peeled off the root until none is left, once for all guesses.
-Every guess Z' of the solution part inside Z is built from that root
-instance by taking Z' and protecting Z minus Z' into the undeletable
-forest W. A guess is skipped when Z minus Z' holds a cycle, or Z' meets a
-restricted vertex or is not independent. A guess that passes these tests
-is refuted before its instance is built when a cycle of its undeletable
-part, the vertices that part forces into every solution, or the cycle-rank
-cut show on the shared root that it has no solution (see _run_guess). The
-engine answers each other guess exactly on its one clone, so the first
-feasible guess settles the decision. Minimization scans the guesses at the
-lower bound |Z| first, and again at k only when that scan finds nothing.
+the remaining graph is searched for only up to the budget left: any
+independent solution is an FVS, so when none fits the answer is "no" with
+no Z. Then the vertices of degree at most one outside Z are peeled off
+until none is left, and the root DisInstance is built once on what stays.
+
+Every guess Z' of the solution part inside Z is built from that root by
+taking Z' and protecting Z minus Z' into the undeletable forest W. The
+facts the guesses read of Z are found once per solve: the neighbours of
+each Z-vertex, the Z-vertices in R, the edges inside Z and the degrees
+outside Z, largest first. A guess is skipped when Z' meets R or is not
+independent, or the edges inside Z minus Z' close a cycle. A guess that
+passes these tests is refuted before its instance is built when a cycle
+of its undeletable part, the vertices that part forces into every
+solution, or the cycle-rank cut show on the shared root that it has no
+solution (see _run_guess). The engine answers each other guess exactly
+on its one clone, so the first feasible guess settles the decision.
+Minimization scans the guesses at the lower bound |Z| first, and again at
+k only when that scan finds nothing.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .branching import BranchNode, DisjointStats, _better, fib, search_disjoint
 from .branching import solve_disjoint  # noqa: F401  perfbench/spans.py wraps this name
@@ -83,15 +91,74 @@ def _forced(g: MultiGraph, keep: set[int], free: set[int]) -> set[int] | None:
     return forced
 
 
+@dataclass(frozen=True, slots=True)
+class _GuessFacts:
+    """What every guess's tests read of Z and the root, found once per solve.
+
+    The root's graph and R stay as they are while its guesses run, so these
+    hold for all of them: Z, the root's cycle rank m - n + c, each Z-vertex's
+    neighbours, the Z-vertices in R, the edges inside Z as (u, v, mult) with
+    u < v, and (degree, vertex) for every vertex outside Z, largest first.
+    """
+
+    z: set[int]
+    rank: int
+    nbrs: dict[int, set[int]]
+    z_in_r: set[int]
+    z_edges: list[tuple[int, int, int]]
+    order: list[tuple[int, int]]
+
+
+def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
+    return _GuessFacts(
+        z,
+        g.num_edges - len(g) + g.component_count(),
+        {v: g.neighbors(v) for v in z},
+        z & r,
+        [(u, v, m) for u in z for v, m in g.incident(u) if v in z and u < v],
+        sorted(((g.deg(v), v) for v in g.vertices - z), reverse=True),
+    )
+
+
+def _skipped(facts: _GuessFacts, z_prime: tuple[int, ...]) -> bool:
+    """True when guess Z' cannot be built: Z' meets R or its own
+    neighbours, or the edges inside Z minus Z' close a cycle."""
+    zp = set(z_prime)
+    if not facts.z_in_r.isdisjoint(zp) or any(not facts.nbrs[v].isdisjoint(zp) for v in zp):
+        return True
+    parent: dict[int, int] = {}  # a union-find over the few vertices of Z
+    for u, v, m in facts.z_edges:
+        if u in zp or v in zp:
+            continue
+        if m > 1:
+            return True
+        while u in parent:
+            u = parent[u]
+        while v in parent:
+            v = parent[v]
+        if u == v:
+            return True
+        parent[u] = v
+    return False
+
+
+def _cut(need: int, degs: Iterator[int], k: int) -> bool:
+    """rank_cut on the first k of degs, which come largest first."""
+    return need > 0 and rank_cut(need, islice(degs, max(k, 0)), k)
+
+
 def _refuted(
-    g: MultiGraph, z: set[int], z_prime: tuple[int, ...], blocked: set[int], rank: int, k: int
+    g: MultiGraph, facts: _GuessFacts, z_prime: tuple[int, ...], blocked: set[int], k: int
 ) -> bool:
     """True when guess Z' has no solution; see _run_guess."""
-    keep = blocked | z.difference(z_prime)  # U
-    free = g.vertices - z - keep  # deletable, not yet forced
-    need = rank - sum(max(g.deg(v) - 1, 0) for v in z_prime)
+    need = facts.rank - sum(max(g.deg(v) - 1, 0) for v in z_prime)
     k -= len(z_prime)
-    while not (need > 0 and rank_cut(need, map(g.deg, free), k)):
+    # the deletable vertices are those outside Z and U, so outside Z and blocked
+    if _cut(need, (d for d, v in facts.order if v not in blocked), k):
+        return True
+    keep = blocked | facts.z.difference(z_prime)  # U
+    free = {v for _, v in facts.order if v not in keep}  # deletable, not yet forced
+    while True:
         forced = _forced(g, keep, free)
         if forced is None:
             return True
@@ -104,38 +171,40 @@ def _refuted(
         need -= sum(max(g.deg(x) - 1, 0) for x in forced)
         free -= forced | nbrs
         keep |= nbrs
-    return True
+        if _cut(need, (d for d, v in facts.order if v in free), k):
+            return True
 
 
 def _run_guess(
-    root: DisInstance, z: set[int], z_prime: tuple[int, ...], keep_trace: bool, rank: int
+    root: DisInstance, facts: _GuessFacts, z_prime: tuple[int, ...], keep_trace: bool
 ) -> GuessRecord:
     """Take Z' into the solution, protect Z minus Z' and solve the rest.
 
-    rank is m - n + c of the root. A guess that _refuted shows to have no
-    solution S, before the root is cloned, gets the record of a guess whose
-    engine root was cut. Each S avoids U = W ∪ R ∪ N(Z'), so G[U] is a
-    forest, and a vertex outside Z ∪ U with two edge occurrences into one
-    tree of G[U] is in S. These forced vertices are taken in rounds: they
-    must be pairwise non-adjacent and fit the budget, and their neighbours
-    join U. Each round starts with the rank cut on the vertices still
-    deletable, whose root degrees are still theirs; taking a vertex of
-    degree d lowers m - n + c by at most d - 1.
+    Z' is taken while W is empty, so it would take a restricted vertex
+    exactly when it meets R or its own neighbours; such a guess, and one
+    whose W = Z minus Z' holds a cycle, is skipped on facts alone.
+
+    A guess that _refuted shows to have no solution S, before the root is
+    cloned, gets the record of a guess whose engine root was cut. Each S
+    avoids U = W ∪ R ∪ N(Z'), so G[U] is a forest, and a vertex outside
+    Z ∪ U with two edge occurrences into one tree of G[U] is in S. These
+    forced vertices are taken in rounds: they must be pairwise non-adjacent
+    and fit the budget, and their neighbours join U. Each round ends with
+    the rank cut on the vertices still deletable, whose root degrees are
+    still theirs, read largest first off facts.order; the first cut comes
+    before any round. Taking a vertex of degree d lowers m - n + c by at
+    most d - 1.
     """
-    g = root.graph
-    w = z.difference(z_prime)
-    # Z' is taken while W is empty, so it would take a restricted vertex
-    # exactly when it meets R or its own neighbours; a skip copies nothing
-    blocked = root.r.union(*map(g.neighbors, z_prime))
-    if not g.is_forest(w) or not blocked.isdisjoint(z_prime):
+    if _skipped(facts, z_prime):
         return GuessRecord(z_prime, "skipped", DisjointStats())
-    if _refuted(g, z, z_prime, blocked, rank, root.k):
+    blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
+    if _refuted(root.graph, facts, z_prime, blocked, root.k):
         trace = BranchNode("reject", answer="no") if keep_trace else None
         return GuessRecord(z_prime, "no", DisjointStats(1), trace)
     inst = root.clone()
     for v in z_prime:
         inst.take(v)
-    for v in sorted(w):
+    for v in sorted(facts.z.difference(z_prime)):
         inst.protect(v)
     res = search_disjoint(inst, keep_trace)
     return GuessRecord(z_prime, "yes" if res.feasible else "no", res.stats, res.trace, res.solution)
@@ -155,8 +224,10 @@ def solve_ifvs(
     answer is the same either way because every solution is found under the
     guess that matches its overlap with Z. With minimize=True all guesses
     are scanned and the smallest solution wins, ties broken by sorted vertex
-    order. An independent FVS is an FVS, so without fvs_override the scan
-    runs at budget |Z| first, and at k only if that finds nothing; then the
+    order. An independent FVS is an FVS, so without fvs_override the FVS
+    search stops at the budget left after the loop vertices, and a larger
+    minimum answers "no" with stats["fvs_size"] None; the scan runs at
+    budget |Z| first, and at k only if that finds nothing; then the
     guesses list each guess twice and stats["guesses_tried"] counts runs.
     In a scan at k the budget drops to the incumbent's size. The witness
     stays the one of a scan at k: outside rejects the engine never reads k
@@ -171,13 +242,18 @@ def solve_ifvs(
     # threads stays a keyword only because perfbench/run.py passes threads=1
     if threads != 1:
         raise ValueError("guesses run on one thread; threads must be 1")
-    root = DisInstance(g.copy(), set(), set(), k, validate=False)
-    h = root.graph
+    # loop vertices are taken on the plain graph: each restricts its
+    # neighbours, so a second one among them means two adjacent loops
+    h = g.copy()
+    r: set[int] = set()
+    taken: set[int] = set()
     for v in sorted(v for v in h.vertices if h.multiplicity(v, v) > 0):
-        if v in root.r or root.k == 0:
+        if v in r or len(taken) == k:
             # two loop vertices are adjacent, or there are more than k
             return SolveResult("no", None, _stats(None, []))
-        root.take(v)
+        r |= h.neighbors(v)
+        h.remove_vertex(v)
+        taken.add(v)
 
     if fvs_override is not None:
         # loop vertices are already gone, so their removal can only have
@@ -186,18 +262,20 @@ def solve_ifvs(
         if not h.is_forest(h.vertices - z):
             raise ValueError("supplied vertex set is not an FVS of the loop-free graph")
     else:
-        z = min_fvs(h)
-        if len(z) > root.k:
-            # any independent solution is also an FVS, so the minimum FVS
-            # size is a lower bound; an oversized override proves nothing
-            return SolveResult("no", None, _stats(len(z), []))
+        # any independent solution is also an FVS, so a minimum FVS above
+        # the budget answers no; an oversized override proves nothing
+        z = min_fvs(h, k - len(taken))
+        if z is None:
+            return SolveResult("no", None, _stats(None, []))
     # a vertex of degree <= 1 lies on no cycle, and each guess's root
     # fixpoint would delete it by rule 1 before any other rule fires; Z is
     # spared, so its guesses and their skip tests stay as they are
     while peel := [v for v in h.low_degree_vertices() if v not in z]:
         for v in peel:
-            root.delete_vertex(v)
-    rank = h.num_edges - len(h) + h.component_count()
+            h.remove_vertex(v)
+        r.difference_update(peel)
+    root = DisInstance(h, set(), r, k - len(taken), validate=False)
+    facts = _guess_facts(h, z, r)
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)) + 1)
@@ -207,14 +285,14 @@ def solve_ifvs(
     for budget in [len(z), root.k] if lower else [root.k]:
         root.k = budget
         for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
-            rec = _run_guess(root, z, z_prime, keep_traces, rank)
+            rec = _run_guess(root, facts, z_prime, keep_traces)
             records.append(rec)
             if rec.status != "yes":
                 continue
-            best = _better(best, root.taken | set(z_prime) | rec.solution)
+            best = _better(best, taken | set(z_prime) | rec.solution)
             if not minimize:
                 break  # decision mode stops at the first hit
-            root.k = len(best) - len(root.taken)  # ties compete; a no-op at |Z|
+            root.k = len(best) - len(taken)  # ties compete; a no-op at |Z|
         if best is not None:
             break
 

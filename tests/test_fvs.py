@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +10,6 @@ from ifvs.fvs import (
     _reduce,
     _shortest_cycle,
     cover_count,
-    fvs_at_most,
     min_fvs,
 )
 from ifvs.generators import random_multigraph
@@ -59,8 +61,8 @@ def test_petersen_values():
 
 def test_budgeted_variant_respects_budget():
     g = complete(5)
-    assert fvs_at_most(g, 2) is None
-    s = fvs_at_most(g, 3)
+    assert min_fvs(g, 2) is None
+    s = min_fvs(g, 3)
     assert s is not None and len(s) <= 3
     assert g.is_forest(g.vertices - s)
 
@@ -79,8 +81,8 @@ def test_min_fvs_matches_brute_force(seed):
 def test_budgeted_agrees_with_minimum(seed):
     g = random_multigraph(8, 15, seed=seed)
     opt = len(min_fvs(g))
-    assert fvs_at_most(g, opt - 1) is None
-    got = fvs_at_most(g, opt)
+    assert min_fvs(g, opt - 1) is None
+    got = min_fvs(g, opt)
     assert got is not None and len(got) == opt
 
 
@@ -88,11 +90,37 @@ def test_budgeted_variant_returns_a_minimum_set():
     for seed in range(200):
         g = random_multigraph(9, 16, seed=seed)
         opt = len(brute_min_fvs(g))
-        assert fvs_at_most(g, -1) is None
+        assert min_fvs(g, -1) is None
         for k in (opt, opt + 1, opt + 2, len(g)):
-            got = fvs_at_most(g, k)
+            got = min_fvs(g, k)
             assert got is not None and len(got) == opt, (seed, k)
             assert g.is_forest(g.vertices - got), (seed, k)
+
+
+def _fvs_digest_corpus() -> list[MultiGraph]:
+    """The graphs scripts/fvs_digest.py pins min_fvs's sets on."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fvs_digest.py"
+    spec = importlib.util.spec_from_file_location("fvs_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return list(script.corpus())
+
+
+def test_a_capped_search_returns_the_uncapped_set_or_none():
+    # the pipeline caps the search at its budget: a cap at or above the
+    # optimum must return the very set min_fvs returns, since guesses and
+    # traces follow that set, and a cap below it must return None
+    graphs = _fvs_digest_corpus()
+    graphs += [random_multigraph(6 + s % 30, 9 + s % 30 + s % 7, s) for s in range(120)]
+    for i, g in enumerate(graphs):
+        z = min_fvs(g)
+        opt = len(z)
+        for cap in (opt, opt + 1, opt + 3):
+            assert min_fvs(g, cap) == z, (i, cap)
+        for cap in range(max(opt - 2, -1), opt):
+            assert min_fvs(g, cap) is None, (i, cap)
+    assert any(g.multiplicity(v, v) for g in graphs for v in g.vertices)
+    assert any(m > 1 for g in graphs for _, _, m in g.edge_items())
 
 
 def _deepening_fvs(g: MultiGraph) -> set[int]:
@@ -244,7 +272,7 @@ def test_fifty_vertex_graph_is_self_consistent():
     # a large instance where a slow provider shows; the answers are pinned
     g = random_multigraph(50, 80, 0, loops=False, multi=False)
     assert len(min_fvs(g)) == 10
-    assert fvs_at_most(g, 9) is None
+    assert min_fvs(g, 9) is None
     res = solve_ifvs(g, 10)
     assert res.status == "yes" and check_solution(g, res.solution, 10)
     assert solve_ifvs(g, 9).status == "no"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from ifvs.instance import (
     validate_instance,
 )
 from ifvs.multigraph import MultiGraph
-from ifvs.generators import gadget_tent_branch, random_dis_instance
+from ifvs.generators import gadget_tent_branch, random_dis_instance, random_multigraph
 from ifvs.reductions import _rule2
 
 from helpers import (
@@ -465,3 +467,33 @@ def test_check_solution_accepts_only_independent_fvs():
     g3.add_edge(0, 1)
     assert check_solution(g3, {0}, 1)
     assert not check_solution(g3, {1}, 1)  # loop stays behind
+
+
+def _union_find_check(g: MultiGraph, s: set[int], k: int) -> bool:
+    """Reference: the independence and budget tests, then a union-find
+    forest test of G - s over the whole adjacency."""
+    if len(s) > k or not s <= g.vertices or any(g.neighbors(v) & s for v in s):
+        return False
+    return g.is_forest(g.vertices - s)
+
+
+def test_check_solution_agrees_with_a_union_find_forest_test():
+    # the check counts G - s's edges off degrees and loop multiplicities;
+    # graphs with loops, parallel edges and isolated vertices, and sets that
+    # hold looped vertices, must get the union-find verdict
+    rng = random.Random(7)
+    kinds = set()
+    for seed in range(300):
+        n = 4 + seed % 12
+        g = random_multigraph(n, rng.randint(0, 2 * n), seed)
+        for _ in range(rng.randint(0, 2)):
+            g.new_vertex()  # isolated
+        for _ in range(12):
+            s = set(rng.sample(sorted(g.vertices), rng.randint(0, len(g) // 2)))
+            if rng.random() < 0.5:
+                s -= set().union(*map(g.neighbors, sorted(s)))  # often independent
+            k = len(s) + rng.randint(-1, 1)
+            want = _union_find_check(g, s, k)
+            assert check_solution(g, s, k) == want, (seed, sorted(s), k)
+            kinds.add((want, any(g.multiplicity(v, v) for v in s)))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}

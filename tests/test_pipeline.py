@@ -153,6 +153,36 @@ def test_minimize_scans_at_the_fvs_bound_and_then_at_k():
     assert fallbacks >= 2
 
 
+def test_fvs_size_is_none_exactly_when_the_fvs_bound_answers_no():
+    # past the loop vertices, the FVS search is capped at the budget they
+    # leave: a larger minimum FVS is the whole answer, with no Z and no guess
+    bound_nos = 0
+    for seed in range(80):
+        n = 6 + seed % 14
+        g = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
+        loops = {v for v in g.vertices if g.multiplicity(v, v) > 0}
+        h = g.copy()
+        for v in loops:
+            h.remove_vertex(v)
+        opt = len(min_fvs(h))
+        independent = not any(g.neighbors(v) & loops for v in loops)
+        for k in range(len(loops), len(loops) + opt + 2):
+            res = solve_ifvs(g, k, minimize=seed % 2 == 0)
+            if not independent:
+                assert (res.status, res.stats["fvs_size"]) == ("no", None), (seed, k)
+                continue
+            if opt > k - len(loops):
+                assert (res.status, res.stats["fvs_size"], res.guesses) == ("no", None, []), (seed, k)
+                bound_nos += 1
+            else:
+                assert res.stats["fvs_size"] == opt, (seed, k)
+                assert res.guesses, (seed, k)
+        # an override is scanned whatever its size
+        over = solve_ifvs(g, len(loops), fvs_override=h.vertices)
+        assert over.stats["fvs_size"] == (len(h) if independent else None), seed
+    assert bound_nos > 50
+
+
 def test_fvs_override_is_honoured_and_clamped():
     g = cycle(6)
     res = solve_ifvs(g, 1, fvs_override={0, 3})
@@ -336,10 +366,10 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
         ranks.append(cut_rank(need, degs, k))
         return ranks[-1]
 
-    def recording(root, z, z_prime, keep_trace, rank):
+    def recording(root, facts, z_prime, keep_trace):
         before = len(reached)
         ranks.clear()
-        rec = run_guess(root, z, z_prime, keep_trace, rank)
+        rec = run_guess(root, facts, z_prime, keep_trace)
         runs.append((root, rec, len(reached) > before, ranks == [True]))
         return rec
 

@@ -104,3 +104,25 @@ def test_bench_counts_pin_every_count_of_every_pinned_run(tmp_path):
     workloads = json.loads((ROOT / "perfbench" / "layers.json").read_text())["driven_workloads"]
     assert set(pinned) == {(w, s) for w in workloads for s in ("0", "104729")}
     assert all(got == names for got in pinned.values())
+
+
+def test_the_tracer_seams_resolve_against_the_solver():
+    # perfbench/spans.py wraps names it looks up on the solver's modules;
+    # a renamed or dropped name fails every traced benchmark run at install
+    import importlib.util
+
+    from ifvs import fvs, pipeline
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        installed = spans.installed_wrappers()
+    finally:
+        tracer.uninstall()
+    assert len(installed) == len(spans._targets())
+    assert "ifvs.pipeline.min_fvs" in installed
+    assert spans.installed_wrappers() == []
+    assert pipeline.min_fvs is fvs.min_fvs
