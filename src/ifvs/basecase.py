@@ -17,11 +17,14 @@ minimum deletion set has size (eta + tau) - nu.
 Each leaf runs one solver. The exact reference solver branches over tent
 pairs and finishes nice pairs greedily, so it answers wherever the tents are
 few. Larger leaves go to the polynomial randomized algebraic solver: build
-Y = sum_i x_i (u_i v_i^T - v_i u_i^T) over a prime field from the incidence
-vectors of each pair with random weights x_i, read nu off as rank(Y) / 2,
-and recover a witness by pair deletion rank probes. Ranks are computed in
-exact Python integers, so no field is too large. Random rank can only
-undershoot, so the witness is verified; if none verifies, the reference runs.
+Y = sum_i x_i (u_i v_i^T - v_i u_i^T) over the prime field of order
+2**61 - 1 from the incidence vectors of each pair with random weights x_i,
+read nu off as rank(Y) / 2 of one sample, and recover a witness by pair
+deletion rank probes, one sample each. Ranks are exact Python integers, so
+the wide field costs only wider ints. A random rank can only undershoot; by
+Schwartz-Zippel any of a leaf's at most npairs + 1 rank evaluations does so
+with probability at most about (npairs + 1) * num_ground / 2**62. The
+witness is verified all the same; if it fails, the reference runs.
 """
 from __future__ import annotations
 
@@ -32,7 +35,8 @@ from .instance import DisInstance, InternalSolverError
 
 REFERENCE_MAX_PAIRS = 20
 REFERENCE_MAX_TENTS = 13
-_RESAMPLES = 3
+# the Mersenne prime 2**61 - 1: the one field the algebraic route ranks in
+_FIELD = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -176,36 +180,6 @@ def reference_parity_max(p: ParityInstance) -> ParityResult:
     return ParityResult(best_nu, frozenset(best_kept))
 
 
-def brute_parity_max(p: ParityInstance) -> int:
-    """Exhaustive maximum over all pair subsets. Test oracle only."""
-    if len(p.pairs) > 20:
-        raise ValueError("brute_parity_max refuses more than 20 pairs")
-    best = 0
-    for mask in range(1 << len(p.pairs)):
-        kept = [i for i in range(len(p.pairs)) if mask >> i & 1]
-        if len(kept) > best and _forest_union(p, kept) is not None:
-            best = len(kept)
-    return best
-
-
-def _next_prime(n: int) -> int:
-    def is_prime(x: int) -> bool:
-        if x < 2:
-            return False
-        if x % 2 == 0:
-            return x == 2
-        d = 3
-        while d * d <= x:
-            if x % d == 0:
-                return False
-            d += 2
-        return True
-
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Row reduce a copy of rows over the prime field of order p.
 
@@ -228,18 +202,17 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return len(rows) - len(m)
 
 
-def _skew_matrix(p: ParityInstance, active: list[int], field: int,
-                 rng: random.Random) -> list[list[int]]:
+def _skew_matrix(p: ParityInstance, active: list[int], rng: random.Random) -> list[list[int]]:
     """Y = sum of x_i (u_i v_i^T - v_i u_i^T) over the active pairs, unreduced.
 
     u_i and v_i are the signed incidence vectors of pair i's two edges, and
-    each weight x_i is drawn from [1, field) by rng in pair order.
+    each weight x_i is drawn from [1, _FIELD) by rng in pair order.
     """
     n = p.num_ground
     y = [[0] * n for _ in range(n)]
     for i in active:
         (a1, b1), (a2, b2) = p.pairs[i].edges
-        x = rng.randrange(1, field)
+        x = rng.randrange(1, _FIELD)
         for r, su in ((a1, x), (b1, -x)):
             for c, sv in ((a2, su), (b2, -su)):
                 y[r][c] += sv
@@ -247,44 +220,40 @@ def _skew_matrix(p: ParityInstance, active: list[int], field: int,
     return y
 
 
-def _rank_estimate(p: ParityInstance, active: list[int], field: int,
-                   rng: random.Random) -> int:
-    """Best of several random weightings; rank can only come out low."""
-    best = 0
-    for _ in range(_RESAMPLES):
-        r = _rank_mod_p(_skew_matrix(p, active, field, rng), field)
-        if r % 2:
-            raise InternalSolverError(f"skew matrix rank {r} is odd")
-        best = max(best, r)
-    return best
+def _sample_nu(p: ParityInstance, active: list[int], rng: random.Random) -> int:
+    """Half the rank of one random skew matrix; it can only come out low."""
+    r = _rank_mod_p(_skew_matrix(p, active, rng), _FIELD)
+    if r % 2:
+        raise InternalSolverError(f"skew matrix rank {r} is odd")
+    return r // 2
 
 
 def algebraic_parity_max(p: ParityInstance) -> ParityResult | None:
     """Randomized maximum parity with witness recovery, seeded with 0 so
     that runs repeat.
 
-    Returns None when repeated resampling cannot produce a witness that
-    passes the forest verification, so the caller can fall back to the
-    reference solver. Field size grows quadratically with the pair count to
-    keep the failure probability per rank evaluation below 2**-6 per the
-    Schwartz-Zippel bound, and every rank is the best of several resamples.
+    nu is half the rank of one random skew matrix over the prime field of
+    order 2**61 - 1, and the witness comes from one pass of pair deletion
+    probes, one sample each: a probe that keeps nu drops its pair. By
+    Schwartz-Zippel a rank evaluation comes out low with probability at
+    most (num_ground / 2) / (2**61 - 2), so any of a leaf's at most
+    npairs + 1 evaluations does with probability at most
+    (npairs + 1) * num_ground / (2**62 - 4), about
+    (npairs + 1) * num_ground / 2**62. Returns None when the witness fails
+    the forest verification, so the caller can fall back to the reference
+    solver.
     """
-    npairs = len(p.pairs)
-    if npairs == 0:
-        return ParityResult(0, frozenset())
-    field = _next_prime(max(2 * npairs * npairs * 64, 101))
     rng = random.Random(0)
-    for _ in range(_RESAMPLES):
-        nu = _rank_estimate(p, list(range(npairs)), field, rng) // 2
-        active = list(range(npairs))
-        for i in range(npairs):
-            if len(active) == nu:
-                break
-            probe = [j for j in active if j != i]
-            if _rank_estimate(p, probe, field, rng) // 2 == nu:
-                active = probe
-        if len(active) == nu and _forest_union(p, active) is not None:
-            return ParityResult(nu, frozenset(active))
+    active = list(range(len(p.pairs)))
+    nu = _sample_nu(p, active, rng)
+    for i in range(len(p.pairs)):
+        if len(active) == nu:
+            break
+        probe = [j for j in active if j != i]
+        if _sample_nu(p, probe, rng) == nu:
+            active = probe
+    if len(active) == nu and _forest_union(p, active) is not None:
+        return ParityResult(nu, frozenset(active))
     return None
 
 

@@ -6,6 +6,7 @@ from itertools import chain, combinations
 import pytest
 
 from ifvs import branching, reductions
+from ifvs.basecase import ParityInstance, _forest_union
 from ifvs.fvs import min_fvs
 from ifvs.instance import DisInstance, measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
@@ -362,3 +363,15 @@ def pipeline_guesses(g: MultiGraph, k: int):
         for v in sorted(w):
             inst.protect(v)
         yield inst
+
+
+def brute_parity_max(p: ParityInstance) -> int:
+    """Exhaustive maximum over all pair subsets. Test oracle only."""
+    if len(p.pairs) > 20:
+        raise ValueError("brute_parity_max refuses more than 20 pairs")
+    best = 0
+    for mask in range(1 << len(p.pairs)):
+        kept = [i for i in range(len(p.pairs)) if mask >> i & 1]
+        if len(kept) > best and _forest_union(p, kept) is not None:
+            best = len(kept)
+    return best

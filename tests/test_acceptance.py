@@ -17,7 +17,6 @@ import pytest
 import ifvs.basecase as basecase_mod
 from ifvs.basecase import (
     algebraic_parity_max,
-    brute_parity_max,
     build_parity,
     matroid_parity_max,
     reference_parity_max,
@@ -36,7 +35,7 @@ from ifvs.oracle import brute_min_fvs, oracle_disjoint, oracle_min_ifvs
 from ifvs.pipeline import BOUND_BASE, GOLDEN_RATIO, leaf_bound, solve_ifvs, subdivide_once
 from ifvs.reductions import reduce_to_fixpoint
 
-from helpers import branch_drops_ok, fire_rule
+from helpers import branch_drops_ok, brute_parity_max, fire_rule
 
 GRAPH_SWEEP_SIZE = 1000
 DIS_SWEEP_SIZE = 1000

@@ -8,14 +8,12 @@ from ifvs.basecase import (
     ParityPair,
     ParityResult,
     algebraic_parity_max,
-    brute_parity_max,
     build_parity,
     matroid_parity_max,
     reference_parity_max,
     solve_base,
     _find,
     _forest_union,
-    _next_prime,
     _rank_mod_p,
     _skew_matrix,
 )
@@ -24,6 +22,8 @@ from ifvs.generators import base_case_instance, random_dis_instance
 from ifvs.instance import DisInstance, InternalSolverError
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import oracle_disjoint
+
+from helpers import brute_parity_max
 
 
 def _parallel_nice_instance(count: int, k: int) -> DisInstance:
@@ -265,10 +265,9 @@ def test_matroid_parity_never_lies_even_when_algebra_gives_up(monkeypatch):
 
 
 def test_fields_past_int64_products_stay_on_the_algebraic_route(monkeypatch):
-    # the field chosen for about 6000 pairs: a product of two residues
-    # passes 2**63, which exact integers do not mind
+    # in the field of order 2**61 - 1 a product of two residues can pass
+    # 2**63, which exact integers do not mind
     _force_algebraic_route(monkeypatch)
-    monkeypatch.setattr(basecase, "_next_prime", lambda n: 4608000071)
     for seed in range(10):
         p = build_parity(base_case_instance(seed))
         res = matroid_parity_max(p)
@@ -303,17 +302,36 @@ def test_large_tent_heavy_instances_run_the_algebraic_route_alone(monkeypatch):
     assert _forest_union(p, res.kept) and len(res.kept) == res.nu
 
 
+def test_each_pair_set_is_ranked_once(monkeypatch):
+    # one sample per rank: the full set once, then each deletion probe once
+    _force_algebraic_route(monkeypatch)
+    p = _fourteen_tent_leaf()
+    skew = basecase._skew_matrix
+    ranked = []
+
+    def recording(q, active, *args):
+        ranked.append(tuple(active))
+        return skew(q, active, *args)
+
+    monkeypatch.setattr(basecase, "_skew_matrix", recording)
+    res = matroid_parity_max(p)
+    assert len(ranked) == len(set(ranked)) <= len(p.pairs) + 1
+    assert ranked[0] == tuple(range(len(p.pairs)))
+    assert not res.used_fallback
+    assert res.nu == reference_parity_max(p).nu
+    assert _forest_union(p, res.kept) and len(res.kept) == res.nu
+
+
 def test_skew_matrix_is_exact_at_large_fields():
     p = ParityInstance(4, [
         ParityPair(0, ((0, 1), (2, 3)), serial=False),
         ParityPair(1, ((0, 2), (2, 1)), serial=True),
     ])
-    field = 4608000071  # a product of two residues passes 2**63
-    m = _skew_matrix(p, [0, 1], field, random.Random(7))
+    m = _skew_matrix(p, [0, 1], random.Random(7))
     rng = random.Random(7)
     want = [[0] * 4 for _ in range(4)]
     for (a1, b1), (a2, b2) in (pr.edges for pr in p.pairs):
-        x = rng.randrange(1, field)
+        x = rng.randrange(1, basecase._FIELD)  # a product of two passes 2**63
         u, v = [0] * 4, [0] * 4
         u[a1], u[b1] = 1, -1
         v[a2], v[b2] = 1, -1
@@ -355,13 +373,6 @@ def test_solve_base_matches_oracle_and_respects_budget():
 def test_solve_base_reports_infeasible_on_tight_budget():
     inst = _parallel_nice_instance(4, 2)  # needs 3 deletions
     assert solve_base(inst) is None
-
-
-def test_next_prime_values():
-    assert _next_prime(2) == 2
-    assert _next_prime(14) == 17
-    assert _next_prime(101) == 101
-    assert _next_prime(1 << 10) == 1031
 
 
 def test_empty_base_instance():
