@@ -227,6 +227,21 @@ class MultiGraph:
                         stack.append(u)
         return count
 
+    def component_labels(self) -> dict[int, int]:
+        """A label for every vertex, one vertex of its connected component."""
+        labels: dict[int, int] = {}
+        for s in self._adj:
+            if s in labels:
+                continue
+            labels[s] = s
+            stack = [s]
+            while stack:
+                for u in self._adj[stack.pop()]:
+                    if u not in labels:
+                        labels[u] = s
+                        stack.append(u)
+        return labels
+
     def is_forest(self, x: Iterable[int] | None = None) -> bool:
         """True iff the subgraph induced on x has no cycle.
 

@@ -11,14 +11,18 @@ until none is left, and the root DisInstance is built once on what stays.
 Every guess Z' of the solution part inside Z is built from that root by
 taking Z' and protecting Z minus Z' into the undeletable forest W. The
 facts the guesses read of Z are found once per solve: the neighbours of
-each Z-vertex, the Z-vertices in R, the edges inside Z and the degrees
-outside Z, largest first. A guess is skipped when Z' meets R or is not
-independent, or the edges inside Z minus Z' close a cycle. A guess that
-passes these tests is refuted before its instance is built when a cycle
-of its undeletable part, the vertices that part forces into every
-solution, or the cycle-rank cut show on the shared root that it has no
-solution (see _run_guess). The engine answers each other guess exactly
-on its one clone, so the first feasible guess settles the decision.
+each Z-vertex, the Z-vertices in R, the edges inside Z, the root's
+components and the degrees outside Z, largest first. A guess is skipped
+when Z' meets R or is not independent, or the edges inside Z minus Z'
+close a cycle. A guess that passes these tests is refuted before its
+instance is built when a cycle of its undeletable part, the vertices that
+part forces into every solution, or the cycle-rank cut show on the shared
+root that it has no solution. The cut reads the 2-core of G - Z', which
+the guess's own root fixpoint reaches once rule 1 has drained: a vertex
+off it lies on no cycle, so the core has the cycle rank of G - Z' and
+lower degrees (see _run_guess). The engine answers each other guess
+exactly on its one clone, so the first feasible guess settles the
+decision.
 Minimization scans the guesses at the lower bound |Z| first, and again at
 k only when that scan finds nothing.
 """
@@ -96,13 +100,15 @@ class _GuessFacts:
     """What every guess's tests read of Z and the root, found once per solve.
 
     The root's graph and R stay as they are while its guesses run, so these
-    hold for all of them: Z, the root's cycle rank m - n + c, each Z-vertex's
-    neighbours, the Z-vertices in R, the edges inside Z as (u, v, mult) with
-    u < v, and (degree, vertex) for every vertex outside Z, largest first.
+    hold for all of them: Z, the root's cycle rank m - n + c, the label of
+    each vertex's component, each Z-vertex's neighbours, the Z-vertices in
+    R, the edges inside Z as (u, v, mult) with u < v, and (degree, vertex)
+    for every vertex outside Z, largest first.
     """
 
     z: set[int]
     rank: int
+    comp: dict[int, int]
     nbrs: dict[int, set[int]]
     z_in_r: set[int]
     z_edges: list[tuple[int, int, int]]
@@ -110,9 +116,11 @@ class _GuessFacts:
 
 
 def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
+    comp = g.component_labels()
     return _GuessFacts(
         z,
-        g.num_edges - len(g) + g.component_count(),
+        g.num_edges - len(g) + len(set(comp.values())),
+        comp,
         {v: g.neighbors(v) for v in z},
         z & r,
         [(u, v, m) for u in z for v, m in g.incident(u) if v in z and u < v],
@@ -147,6 +155,50 @@ def _cut(need: int, degs: Iterator[int], k: int) -> bool:
     return need > 0 and rank_cut(need, islice(degs, max(k, 0)), k)
 
 
+def _core(
+    g: MultiGraph, facts: _GuessFacts, z_prime: tuple[int, ...]
+) -> tuple[int, dict[int, int]]:
+    """A lower bound on the cycle rank of G - Z', and the degrees in the
+    2-core of G - Z' that differ from the root's, 0 off the core.
+
+    The root has no loop and Z' is independent, so G - Z' has m - sum deg(z)
+    edge occurrences. Outside Z every root vertex has degree two or more, so
+    the peel starts at the neighbours of Z' only. A Z-vertex of degree at
+    most one, which an --fvs override can name, starts no peel; the degrees
+    it leaves too high only weaken the cut.
+
+    Each piece of G - Z' that is not a whole root component holds a
+    neighbour of Z'. Every vertex the peel takes is a leaf or isolated in
+    what is left of its piece, so the peel empties a piece exactly when it
+    takes one of its vertices at degree 0, and a piece it leaves keeps a
+    vertex whose degree it changed. So the root components that meet Z'
+    split into at least as many pieces as there are vertices taken at
+    degree 0, plus the ones among them that keep a changed vertex; the
+    bound is exact unless one of them splits into two pieces with cycles.
+    """
+    gone = set(z_prime)
+    deg: dict[int, int] = {}
+    for z in z_prime:
+        for u, m in g.incident(z):
+            deg[u] = deg.get(u, g.deg(u)) - m
+    stack = [u for u, d in deg.items() if d < 2]
+    emptied = 0
+    while stack:
+        v = stack.pop()
+        gone.add(v)
+        emptied += deg[v] == 0
+        deg[v] = 0
+        for u, m in g.incident(v):
+            if u not in gone:
+                d = deg[u] = deg.get(u, g.deg(u)) - m
+                if d < 2 <= d + m:  # each vertex falls below two once
+                    stack.append(u)
+    met = {facts.comp[z] for z in z_prime}
+    kept = {facts.comp[v] for v in deg if v not in gone}
+    lost = sum(g.deg(z) - 1 for z in z_prime)
+    return facts.rank - lost - len(met) + emptied + len(kept), deg
+
+
 def _refuted(
     g: MultiGraph, facts: _GuessFacts, z_prime: tuple[int, ...], blocked: set[int], k: int
 ) -> bool:
@@ -158,6 +210,15 @@ def _refuted(
         return True
     keep = blocked | facts.z.difference(z_prime)  # U
     free = {v for _, v in facts.order if v not in keep}  # deletable, not yet forced
+    # (degree, vertex) largest first; at Z' = {} the root is its own 2-core,
+    # else the degrees are those in the 2-core of G - Z'
+    core: dict[int, int] = {}
+    order = facts.order
+    if z_prime:
+        need, core = _core(g, facts, z_prime)
+        order = sorted(((core.get(v, d), v) for d, v in order if v in free), reverse=True)
+        if _cut(need, (d for d, _ in order), k):
+            return True
     while True:
         forced = _forced(g, keep, free)
         if forced is None:
@@ -168,10 +229,10 @@ def _refuted(
         k -= len(forced)
         if k < 0 or not nbrs.isdisjoint(forced):
             return True
-        need -= sum(max(g.deg(x) - 1, 0) for x in forced)
+        need -= sum(max(core.get(x, g.deg(x)) - 1, 0) for x in forced)
         free -= forced | nbrs
         keep |= nbrs
-        if _cut(need, (d for d, v in facts.order if v in free), k):
+        if _cut(need, (d for d, v in order if v in free), k):
             return True
 
 
@@ -185,15 +246,22 @@ def _run_guess(
     whose W = Z minus Z' holds a cycle, is skipped on facts alone.
 
     A guess that _refuted shows to have no solution S, before the root is
-    cloned, gets the record of a guess whose engine root was cut. Each S
-    avoids U = W ∪ R ∪ N(Z'), so G[U] is a forest, and a vertex outside
-    Z ∪ U with two edge occurrences into one tree of G[U] is in S. These
-    forced vertices are taken in rounds: they must be pairwise non-adjacent
-    and fit the budget, and their neighbours join U. Each round ends with
-    the rank cut on the vertices still deletable, whose root degrees are
-    still theirs, read largest first off facts.order; the first cut comes
-    before any round. Taking a vertex of degree d lowers m - n + c by at
-    most d - 1.
+    cloned, gets the record of a guess whose engine root was cut. The first
+    cut reads the root's degrees, largest first off facts.order, and its
+    rank lowered by deg - 1 per vertex of Z'; it is exact at Z' = {}. For a
+    nonempty Z' a second cut reads the 2-core of G - Z' (see _core), the
+    graph the guess's root fixpoint reaches once rule 1 has drained. A
+    vertex off that core lies on no cycle of G - Z', so G - Z' has the
+    core's cycle rank, and the part of S inside the core is an FVS of it.
+
+    Each S avoids U = W ∪ R ∪ N(Z'), so G[U] is a forest, and a vertex
+    outside Z ∪ U with two edge occurrences into one tree of G[U] is in S.
+    These forced vertices are taken in rounds: they must be pairwise
+    non-adjacent and fit the budget, and their neighbours join U. Each
+    round lowers the rank by the core degree - 1 of each forced vertex and
+    ends with the rank cut on the core degrees of the vertices still
+    deletable. Taking a vertex of degree d lowers m - n + c by at most
+    d - 1, and degrees only fall as vertices go.
     """
     if _skipped(facts, z_prime):
         return GuessRecord(z_prime, "skipped", DisjointStats())

@@ -141,6 +141,10 @@ def _assert_degrees_match_adjacency(g: MultiGraph) -> None:
     assert g.degree_two_vertices() == {v for v, d in degs.items() if d == 2}
     assert g.num_edges == sum(m for _u, _v, m in g.edge_items())
     assert g.component_count() == len(g.components())
+    labels = g.component_labels()
+    parts = {frozenset(v for v in labels if labels[v] == s) for s in labels.values()}
+    assert parts == {frozenset(comp) for comp in g.components()}
+    assert all(labels[v] in part for part in parts for v in part)
 
 
 @given(_EDITS)

@@ -351,8 +351,9 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
     # the engine is stubbed out, so every guess is tried at no search cost;
     # a tried guess that never reaches the stub was cut before its clone.
     # A cut by the first rank check alone is one the engine root's
-    # cycle-rank cut makes too; a cut by a cycle through the undeletable
-    # part or by forced takes is one of a guess with no solution at all
+    # cycle-rank cut makes too; a cut on the 2-core of G - Z', by a cycle
+    # through the undeletable part or by forced takes is one of a guess
+    # with no solution at all
     reached = []
     runs = []
     ranks = []
@@ -416,6 +417,24 @@ def _refutation_case(edges, z: set[int], z_prime: tuple[int, ...], k: int):
 # degree it needs without closing a cycle
 _FAN = [(4, 6), (4, 7), (4, 8)]
 
+# Two bowties: triangles 1-3-7 and 1-4-8 at 1, 2-5-9 and 2-6-10 at 2, joined
+# by the W-edge 4-5. Under Z = {0, 3, 4, 5, 6} and Z' = (0,), 1 and 2 are the
+# only deletable vertices on two cycles each: budget 1 after 0 cannot break
+# the rank 4 of G - 0, and budget 2 has the one solution {1, 2}. 0 closes a
+# triangle with 4 and 5, so the guess () is skipped and no incumbent lowers
+# the budget of a minimize scan before (0,) runs.
+_BOWTIES = [(1, 3), (1, 7), (3, 7), (1, 4), (1, 8), (4, 8),
+            (2, 5), (2, 9), (5, 9), (2, 6), (2, 10), (6, 10), (4, 5), (0, 4), (0, 5)]
+# 0 - 11 - 1 is a pendant path once 0 is gone, so 1 has degree 4 in the
+# 2-core of G - 0, against 5 in G and in G - 0; and G - 0 splits off the
+# edge 12-13, so its rank is 4, one more than the 7 - (5 - 1) of the first
+# check
+_SPLIT = _BOWTIES + [(0, 11), (1, 11), (0, 12), (0, 13), (12, 13)]
+# 0 - 11 - 1 and 0 - 12 - 2 are pendant paths once 0 is gone, and G - 0 is
+# connected: its rank is the first check's 4, and only the core degrees,
+# 4 at 1 and 2, fall short of it
+_CORE = _BOWTIES + [(0, 11), (1, 11), (0, 12), (2, 12)]
+
 
 @pytest.mark.parametrize("edges, z, z_prime, k", [
     # Z' = {3}: its restricted neighbour 2 closes the triangle 0-1-2 with W
@@ -427,6 +446,8 @@ _FAN = [(4, 6), (4, 7), (4, 8)]
     pytest.param([(0, 1), (0, 1), (0, 2), (0, 2), (1, 2)], {0}, (), 2, id="adjacent"),
     # 1 is forced, and the cycle 4-6-5-7 is then left with no budget
     pytest.param([(0, 1), (0, 1), (5, 6), (5, 7)] + _FAN, {0, 6, 7, 8}, (), 1, id="rank-after"),
+    pytest.param(_SPLIT, {0, 3, 4, 5, 6}, (0,), 2, id="split"),
+    pytest.param(_CORE, {0, 3, 4, 5, 6}, (0,), 2, id="core"),
 ])
 def test_hopeless_guesses_are_refuted_before_their_clone(edges, z, z_prime, k):
     rec, inst = _refutation_case(edges, z, z_prime, k)
@@ -446,11 +467,44 @@ def test_a_feasible_guess_with_a_forced_take_is_not_refuted():
     assert oracle_disjoint(inst) == {1, 4}
 
 
+@pytest.mark.parametrize("edges", [_SPLIT, _CORE], ids=["split", "core"])
+def test_the_core_cases_are_not_refuted_with_one_more_unit_of_budget(edges):
+    rec, inst = _refutation_case(edges, {0, 3, 4, 5, 6}, (0,), 3)
+    assert rec.status == "yes" and rec.solution == {1, 2}
+    assert oracle_disjoint(inst) == {1, 2}
+
+
+def test_an_fvs_override_with_a_pendant_vertex_answers_as_the_oracle():
+    # a Z-vertex of degree one starts no peel in the guess check, which
+    # leaves some core degrees too high; the answers must not change
+    checked = 0
+    for seed in range(40):
+        n = 8 + seed % 5
+        g = random_multigraph(n, int(1.5 * n), seed, loops=False, multi=seed % 2 == 0)
+        h, t = _with_pendants(g, seed)
+        if len(h) > 16:
+            continue
+        z = min_fvs(g) | {t}
+        best = oracle_ifvs(h, len(h))
+        res = solve_ifvs(h, len(h), minimize=True, fvs_override=z)
+        if best is None:
+            assert res.status == "no", seed
+            continue
+        # a guess's engine returns any of its smallest solutions, so only
+        # the size is the oracle's
+        assert len(res.solution) == len(best) and check_solution(h, res.solution, len(h)), seed
+        for k in (len(best) - 1, len(best)):
+            expect = "yes" if oracle_ifvs(h, k) is not None else "no"
+            assert solve_ifvs(h, k, fvs_override=z).status == expect, (seed, k)
+        checked += 1
+    assert checked >= 20
+
+
 def _answers() -> tuple[list, int, int]:
     """Statuses and solutions of minimize runs and decisions at opt and
-    opt - 1 on sparse random graphs, and of the disjoint engine at k and
-    k - 1; plus the engine nodes they took and the guesses that reached
-    the engine."""
+    opt - 1 on sparse random graphs and subdivided multigraphs, and of the
+    disjoint engine at k and k - 1; plus the engine nodes they took and the
+    guesses that reached the engine."""
     out, nodes, searches = [], 0, []
     search = pipeline.search_disjoint
 
@@ -460,8 +514,9 @@ def _answers() -> tuple[list, int, int]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "search_disjoint", counted)
-        for seed in range(60):
-            g = _sparse(seed, 60, 1.2)
+        graphs = [_sparse(seed, 60, 1.2) for seed in range(60)]
+        graphs += [subdivide_once(random_multigraph(7 + seed % 4, 11, seed)) for seed in range(20)]
+        for g in graphs:
             runs = [solve_ifvs(g, len(g), minimize=True)]
             if runs[0].solution is not None:
                 opt = len(runs[0].solution)
@@ -497,6 +552,23 @@ def test_the_cycle_rank_cuts_change_no_answer(monkeypatch):
     uncut, uncut_nodes, _ = _answers()
     assert answers == uncut
     assert nodes < uncut_nodes
+
+
+def test_the_core_cut_changes_no_answer(monkeypatch):
+    # with the rank and degrees of G - Z' read as the root's, the guess
+    # check cuts no more than the first rank check and the rounds on root
+    # degrees: more guesses reach the engine, and every answer, down to the
+    # solution, stays the same
+    answers, nodes, searches = _unpatched_answers()
+
+    def root_values(g, facts, z_prime):
+        return facts.rank - sum(g.deg(z) - 1 for z in z_prime), {}
+
+    monkeypatch.setattr(pipeline, "_core", root_values)
+    uncut, uncut_nodes, uncut_searches = _answers()
+    assert answers == uncut
+    assert nodes <= uncut_nodes
+    assert searches < uncut_searches
 
 
 def test_the_forced_take_refutation_changes_no_answer(monkeypatch):
