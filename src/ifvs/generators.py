@@ -29,7 +29,8 @@ class PlantedWitness:
 def random_multigraph(
     n: int, m: int, seed: int, loops: bool = True, multi: bool = True
 ) -> MultiGraph:
-    """n vertices, m edge occurrences, repetition and loops allowed."""
+    """n vertices and at most m edge occurrences from m seeded draws: a
+    non-loop draw adds none when n < 2 or, with multi False, a repeated edge."""
     if n < 0 or m < 0:
         raise ValueError("vertex and edge counts must be nonnegative")
     rng = random.Random(seed)

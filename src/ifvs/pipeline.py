@@ -9,22 +9,20 @@ no Z. Then the vertices of degree at most one outside Z are peeled off
 until none is left, and the root DisInstance is built once on what stays.
 
 Every guess Z' of the solution part inside Z is built from that root by
-taking Z' and protecting Z minus Z' into the undeletable forest W. The
-facts the guesses read of Z are found once per solve: the neighbours of
-each Z-vertex, the Z-vertices in R, the edges inside Z, the root's
-components and the degrees outside Z, largest first. A guess is skipped
-when Z' meets R or is not independent, or the edges inside Z minus Z'
-close a cycle. A guess that passes these tests is refuted before its
-instance is built when a cycle of its undeletable part, the vertices that
-part forces into every solution, or the cycle-rank cut show on the shared
-root that it has no solution. The cut reads the 2-core of G - Z', which
-the guess's own root fixpoint reaches once rule 1 has drained: a vertex
-off it lies on no cycle, so the core has the cycle rank of G - Z' and
-lower degrees (see _run_guess). The engine answers each other guess
-exactly on its one clone, so the first feasible guess settles the
-decision.
-Minimization scans the guesses at the lower bound |Z| first, and again at
-k only when that scan finds nothing.
+taking Z' and protecting Z minus Z' into the undeletable forest W. What
+the guesses read of Z is found once per solve (_GuessFacts). A guess is
+skipped when Z' meets R or is not independent, or the edges inside Z
+minus Z' close a cycle. A guess that passes these tests is refuted before
+its instance is built when a cycle of its undeletable part, the vertices
+that part forces into every solution, or the cycle-rank cut on the 2-core
+of G - Z' show on the shared root that it has no solution (see
+_run_guess). The engine answers each other guess exactly on its one clone,
+so the first feasible guess settles the decision.
+Every scan runs the guesses largest Z' first, in combinations order within
+a size. A larger Z' leaves less budget and fewer components in W, so its
+root measure mu = k + rho - (eta + tau), which caps the engine's leaves at
+fib(mu + 2), is smaller, and it is feasible more often: a Z that is
+independent, misses R and fits the budget answers at Z' = Z, at its root.
 """
 from __future__ import annotations
 
@@ -288,15 +286,16 @@ def solve_ifvs(
 ) -> SolveResult:
     """Decide or minimize an independent FVS of size at most k.
 
-    With minimize=False the scan stops at the first feasible guess; the
-    answer is the same either way because every solution is found under the
-    guess that matches its overlap with Z. With minimize=True all guesses
-    are scanned and the smallest solution wins, ties broken by sorted vertex
-    order. An independent FVS is an FVS, so without fvs_override the FVS
-    search stops at the budget left after the loop vertices, and a larger
-    minimum answers "no" with stats["fvs_size"] None; the scan runs at
-    budget |Z| first, and at k only if that finds nothing; then the
-    guesses list each guess twice and stats["guesses_tried"] counts runs.
+    Every scan runs largest Z' first (see the module docstring). With
+    minimize=False it stops at the first feasible guess, and the answer
+    holds in any order: every solution is found under the guess that matches
+    its overlap with Z. With minimize=True all guesses are scanned and the
+    smallest solution wins, ties broken by sorted vertex order, so the
+    witness holds in any order too. An independent FVS is an FVS, so without
+    fvs_override the FVS search stops at the budget left after the loop
+    vertices, and a larger minimum answers "no" with stats["fvs_size"] None;
+    the scan at budget |Z| runs first, and the one at k only if it finds
+    nothing, so a guess can be listed and counted twice.
     In a scan at k the budget drops to the incumbent's size. The witness
     stays the one of a scan at k: outside rejects the engine never reads k
     (rule 3, the rank cuts, solve_base's size check, _refuted), mu moves by
@@ -346,7 +345,7 @@ def solve_ifvs(
     facts = _guess_facts(h, z, r)
 
     z_sorted = sorted(z)
-    sizes = range(min(root.k, len(z)) + 1)
+    sizes = range(min(root.k, len(z)), -1, -1)
     lower = minimize and fvs_override is None and len(z) < root.k  # |Z| bounds opt
     best: set[int] | None = None
     records: list[GuessRecord] = []

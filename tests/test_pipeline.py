@@ -98,16 +98,21 @@ def test_adjacent_loops_are_an_immediate_no():
     assert solve_ifvs(g, 2).status == "no"
 
 
+def _loop_free(g: MultiGraph) -> MultiGraph:
+    """g minus its loop vertices, the graph solve_ifvs takes Z of."""
+    h = g.copy()
+    for v in [v for v in g.vertices if g.multiplicity(v, v) > 0]:
+        h.remove_vertex(v)
+    return h
+
+
 def _minimized(g: MultiGraph, k: int):
     """solve_ifvs minimizing at k, checked against runs with an override,
     which bounds nothing and so is one scan at k. With the solver's own Z
     that scan must return the same witness; with Z + x, the same size."""
     res = solve_ifvs(g, k, minimize=True)
     assert res.solution is None or check_solution(g, res.solution, k)
-    h = g.copy()
-    for v in [v for v in g.vertices if g.multiplicity(v, v) > 0]:
-        h.remove_vertex(v)
-    z = min_fvs(h)  # the Z solve_ifvs scans with, taken after the loops
+    z = min_fvs(_loop_free(g))  # the Z solve_ifvs scans with
     same = solve_ifvs(g, k, minimize=True, fvs_override=z)
     assert (same.status, same.solution) == (res.status, res.solution)
     over = solve_ifvs(g, k, minimize=True, fvs_override=z | {min(g.vertices - z)})
@@ -151,6 +156,39 @@ def test_minimize_scans_at_the_fvs_bound_and_then_at_k():
             assert len(res.guesses) == 2 ** res.stats["fvs_size"] * (1 + fallback), seed
             fallbacks += fallback
     assert fallbacks >= 2
+
+
+def test_minimize_ignores_the_guess_order(monkeypatch):
+    # _better is a total order and the incumbent cap prunes only leaf sets
+    # above the optimum, so a minimize witness cannot depend on the order
+    # the guesses run in: with each size listed in reverse, every status
+    # and witness stays, with the solver's Z and with an override
+    runs = []
+    for seed in range(80):
+        n = 6 + seed % 9
+        g = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
+        runs.append((g, n, None))
+        if seed % 4 == 0:  # an override, one scan at k: Z plus a vertex
+            z = min_fvs(_loop_free(g))
+            runs.append((g, n, z | {min(g.vertices - z)}))
+    for seed in range(12):
+        runs.append((subdivide_once(random_multigraph(7 + seed % 4, 11, seed)), 40, None))
+    for seed in (2, 4, 7, 10, 11):  # the scan at k runs on these
+        n = 30 + seed * 30 // 11
+        g = random_multigraph(n, int(1.6 * n), seed, loops=seed % 3 == 0, multi=seed % 2 == 0)
+        runs.append((g, n, None))
+
+    def answers():
+        out = []
+        for g, k, z in runs:
+            res = solve_ifvs(g, k, minimize=True, fvs_override=z)
+            out.append((res.status, res.solution))
+        return out
+
+    before = answers()
+    assert sum(solution is not None for _, solution in before) >= 50
+    monkeypatch.setattr(pipeline, "combinations", lambda it, n: reversed(list(combinations(it, n))))
+    assert answers() == before
 
 
 def test_fvs_size_is_none_exactly_when_the_fvs_bound_answers_no():
@@ -253,7 +291,8 @@ def test_peeling_spares_a_pendant_vertex_of_z():
                 assert res_t.stats["fvs_size"] == len(zt)
                 assert res_t.status == res.status
                 if minimize:
-                    sizes = range(min(k, len(zt)) + 1)
+                    # largest Z' first, in combinations order within a size
+                    sizes = range(min(k, len(zt)), -1, -1)
                     subsets = [c for i in sizes for c in combinations(zt, i)]
                     assert [rec.z_prime for rec in res_t.guesses] == subsets
                     if res.solution is not None:
@@ -301,6 +340,31 @@ def test_planted_instances_solve_at_their_budget():
         assert res.status == "yes"
         assert check_solution(g, res.solution, k)
         assert solve_ifvs(g, k - 1).status == "no"
+
+
+def test_a_decision_with_an_independent_z_answers_at_its_first_guess():
+    # the guesses run largest Z' first, so at a budget of the loops plus |Z|
+    # or more the first guess is Z' = Z; when Z is independent and misses R
+    # it is buildable, its W is empty and G - Z is a forest, so its root
+    # answers yes and the decision stops there
+    graphs = [planted_ifvs(30 + 5 * seed, 3 + seed % 5, seed).graph for seed in range(12)]
+    graphs += [subdivide_once(random_multigraph(8 + seed % 6, 12 + seed % 5, seed)) for seed in range(30)]
+    graphs += [random_multigraph(12 + seed % 8, 16 + seed % 8, seed) for seed in range(30)]
+    checked = 0
+    for g in graphs:
+        loops = {v for v in g.vertices if g.multiplicity(v, v) > 0}
+        r = set().union(*map(g.neighbors, loops))
+        z = min_fvs(_loop_free(g))
+        if r & (z | loops) or any(g.neighbors(v) & z for v in z):
+            continue
+        for k in (len(loops) + len(z), len(g)):
+            res = solve_ifvs(g, k)
+            assert res.stats["guesses_tried"] == 1, k
+            assert res.stats["branch_nodes"] == 1, k
+            assert res.guesses[0].z_prime == tuple(sorted(z)), k
+            assert res.solution == z | loops, k
+        checked += 1
+    assert checked >= 40
 
 
 @settings(max_examples=60, deadline=None)
