@@ -43,8 +43,10 @@ def deep_guesses(extra: int):
     """The guesses with |Z'| <= 2 that pass solve_ifvs's skip tests for a
     sparse random graph at budget |Z| + extra, made with the instance's own
     moves on the unpeeled graph. They are not the instances solve_ifvs
-    builds: it first peels the vertices of degree at most one outside Z
-    (here 1, 10, 23 and 29), which these leave for rule 1."""
+    builds: it builds each guess on the 2-core of G - Z', so without the
+    vertices of degree at most one outside Z (here 1, 10, 23 and 29) and
+    without those that Z' leaves on no cycle, all of which these leave for
+    rule 1."""
     g = random_multigraph(40, 64, 0, loops=False, multi=False)
     z = min_fvs(g)
     root = DisInstance(g, set(), set(), len(z) + extra, validate=False)

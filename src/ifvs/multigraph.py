@@ -136,6 +136,21 @@ class MultiGraph:
         g._next_id = self._next_id
         return g
 
+    def copy_without(self, gone: set[int]) -> MultiGraph:
+        """A copy minus the vertices gone, as copy and remove_vertex on each
+        of them would leave it, key orders included."""
+        g = MultiGraph()
+        deg = g._deg
+        for v, nbrs in self._adj.items():
+            if v not in gone:
+                g._adj[v] = kept = {u: m for u, m in nbrs.items() if u not in gone}
+                deg[v] = sum(kept.values()) + kept.get(v, 0)  # a loop adds 2
+        g._low = {v for v, d in deg.items() if d < 2}
+        g._two = {v for v, d in deg.items() if d == 2}
+        g._m = sum(deg.values()) // 2
+        g._next_id = self._next_id
+        return g
+
     # -- inspection --------------------------------------------------------
 
     @property

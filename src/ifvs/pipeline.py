@@ -8,16 +8,17 @@ independent solution is an FVS, so when none fits the answer is "no" with
 no Z. Then the vertices of degree at most one outside Z are peeled off
 until none is left, and the root DisInstance is built once on what stays.
 
-Every guess Z' of the solution part inside Z is built from that root by
-taking Z' and protecting Z minus Z' into the undeletable forest W. What
+Every guess Z' of the solution part inside Z is read off that root. What
 the guesses read of Z is found once per solve (_GuessFacts). A guess is
 skipped when Z' meets R or is not independent, or the edges inside Z
-minus Z' close a cycle. A guess that passes these tests is refuted before
-its instance is built when a cycle of its undeletable part, the vertices
+minus Z' close a cycle, and lost when it cannot win a minimize scan's
+tie-break (_lost). A guess that passes these tests is refuted before its
+instance is built when a cycle of its undeletable part, the vertices
 that part forces into every solution, or the cycle-rank cut on the 2-core
 of G - Z' show on the shared root that it has no solution (see
-_run_guess). The engine answers each other guess exactly on its one clone,
-so the first feasible guess settles the decision.
+_run_guess). Each other guess is built once on that 2-core, with Z minus
+Z' as the undeletable forest W, and the engine answers it exactly, so
+the first feasible guess settles the decision.
 Every scan runs the guesses largest Z' first, in combinations order within
 a size. A larger Z' leaves less budget and fewer components in W, so its
 root measure mu = k + rho - (eta + tau), which caps the engine's leaves at
@@ -43,7 +44,7 @@ BOUND_BASE = 1 + GOLDEN_RATIO ** 2  # < 3.619, the branching growth base
 @dataclass
 class GuessRecord:
     z_prime: tuple[int, ...]
-    status: str  # "yes" | "no" | "skipped"
+    status: str  # "yes" | "no" | "skipped" | "lost", the last two never run
     stats: DisjointStats
     trace: object | None = None
     solution: set[int] | None = None
@@ -58,7 +59,8 @@ class SolveResult:
 
 
 def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
-    """Solve statistics; skipped guesses carry no nodes, leaves or mu0."""
+    """Solve statistics; skipped and lost guesses carry no nodes, leaves or
+    mu0, and a lost one counts as tried."""
     stats = [rec.stats for rec in records]
     return {
         "fvs_size": fvs_size,
@@ -100,8 +102,8 @@ class _GuessFacts:
     The root's graph and R stay as they are while its guesses run, so these
     hold for all of them: Z, the root's cycle rank m - n + c, the label of
     each vertex's component, each Z-vertex's neighbours, the Z-vertices in
-    R, the edges inside Z as (u, v, mult) with u < v, and (degree, vertex)
-    for every vertex outside Z, largest first.
+    R, the edges inside Z as (u, v, mult) with u < v, (degree, vertex) for
+    every vertex outside Z, largest first, and those vertices in id order.
     """
 
     z: set[int]
@@ -111,6 +113,7 @@ class _GuessFacts:
     z_in_r: set[int]
     z_edges: list[tuple[int, int, int]]
     order: list[tuple[int, int]]
+    ids: list[int]
 
 
 def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
@@ -123,6 +126,7 @@ def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
         z & r,
         [(u, v, m) for u in z for v, m in g.incident(u) if v in z and u < v],
         sorted(((g.deg(v), v) for v in g.vertices - z), reverse=True),
+        sorted(g.vertices - z),
     )
 
 
@@ -146,6 +150,16 @@ def _skipped(facts: _GuessFacts, z_prime: tuple[int, ...]) -> bool:
             return True
         parent[u] = v
     return False
+
+
+def _lost(facts: _GuessFacts, z_prime: tuple[int, ...], blocked: set[int], bar: list[int]) -> bool:
+    """True when guess Z' has nothing below bar, a sorted optimal incumbent
+    minus the loop vertices: each solution is then Z' and |Z| - |Z'|
+    vertices outside Z and blocked, and the least in sorted order takes the
+    smallest ids. Equal-size sets compare as their least element apart, so
+    the loop vertices, in both, change no comparison."""
+    fill = islice((v for v in facts.ids if v not in blocked), len(facts.z) - len(z_prime))
+    return sorted(chain(z_prime, fill)) >= bar
 
 
 def _cut(need: int, degs: Iterator[int], k: int) -> bool:
@@ -199,13 +213,14 @@ def _core(
 
 def _refuted(
     g: MultiGraph, facts: _GuessFacts, z_prime: tuple[int, ...], blocked: set[int], k: int
-) -> bool:
-    """True when guess Z' has no solution; see _run_guess."""
+) -> set[int] | None:
+    """None when guess Z' has no solution, else the vertices that the peel
+    of G - Z' to its 2-core removed, empty at Z' = {}; see _run_guess."""
     need = facts.rank - sum(max(g.deg(v) - 1, 0) for v in z_prime)
     k -= len(z_prime)
     # the deletable vertices are those outside Z and U, so outside Z and blocked
     if _cut(need, (d for d, v in facts.order if v not in blocked), k):
-        return True
+        return None
     keep = blocked | facts.z.difference(z_prime)  # U
     free = {v for _, v in facts.order if v not in keep}  # deletable, not yet forced
     # (degree, vertex) largest first; at Z' = {} the root is its own 2-core,
@@ -216,40 +231,37 @@ def _refuted(
         need, core = _core(g, facts, z_prime)
         order = sorted(((core.get(v, d), v) for d, v in order if v in free), reverse=True)
         if _cut(need, (d for d, _ in order), k):
-            return True
+            return None
     while True:
         forced = _forced(g, keep, free)
         if forced is None:
-            return True
+            return None
         if not forced:
-            return False
+            return {v for v, d in core.items() if not d}
         nbrs = set().union(*map(g.neighbors, forced))
         k -= len(forced)
         if k < 0 or not nbrs.isdisjoint(forced):
-            return True
+            return None
         need -= sum(max(core.get(x, g.deg(x)) - 1, 0) for x in forced)
         free -= forced | nbrs
         keep |= nbrs
         if _cut(need, (d for d, v in order if v in free), k):
-            return True
+            return None
 
 
 def _run_guess(
-    root: DisInstance, facts: _GuessFacts, z_prime: tuple[int, ...], keep_trace: bool
+    root: DisInstance, facts: _GuessFacts, z_prime: tuple[int, ...], keep_trace: bool,
+    bar: list[int] | None,
 ) -> GuessRecord:
-    """Take Z' into the solution, protect Z minus Z' and solve the rest.
+    """Take Z' into the solution, protect Z minus Z' and solve the rest;
+    a guess that _skipped or, with bar set, _lost rejects never runs.
 
-    Z' is taken while W is empty, so it would take a restricted vertex
-    exactly when it meets R or its own neighbours; such a guess, and one
-    whose W = Z minus Z' holds a cycle, is skipped on facts alone.
-
-    A guess that _refuted shows to have no solution S, before the root is
-    cloned, gets the record of a guess whose engine root was cut. The first
-    cut reads the root's degrees, largest first off facts.order, and its
-    rank lowered by deg - 1 per vertex of Z'; it is exact at Z' = {}. For a
-    nonempty Z' a second cut reads the 2-core of G - Z' (see _core), the
-    graph the guess's root fixpoint reaches once rule 1 has drained. A
-    vertex off that core lies on no cycle of G - Z', so G - Z' has the
+    A guess that _refuted shows to have no solution S, before its instance
+    is built, gets the record of a guess whose engine root was cut. The
+    first cut reads the root's degrees, largest first off facts.order, and
+    its rank lowered by deg - 1 per vertex of Z'; it is exact at Z' = {}.
+    For a nonempty Z' a second cut reads the 2-core of G - Z' (see _core).
+    A vertex off that core lies on no cycle of G - Z', so G - Z' has the
     core's cycle rank, and the part of S inside the core is an FVS of it.
 
     Each S avoids U = W ∪ R ∪ N(Z'), so G[U] is a forest, and a vertex
@@ -260,18 +272,25 @@ def _run_guess(
     ends with the rank cut on the core degrees of the vertices still
     deletable. Taking a vertex of degree d lowers m - n + c by at most
     d - 1, and degrees only fall as vertices go.
+
+    Any other guess is built on that 2-core: the root minus Z' and the
+    peel, W the rest of Z, R the rest of R ∪ N(Z'). Taking Z', protecting
+    Z minus Z' and draining rule 1, down to the one 2-core in any order,
+    reach it too, W-labels aside, so the engine root loses only its leading
+    rule-1 events, or, where need fell below the rank, cuts at once.
     """
     if _skipped(facts, z_prime):
         return GuessRecord(z_prime, "skipped", DisjointStats())
     blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
-    if _refuted(root.graph, facts, z_prime, blocked, root.k):
+    if bar is not None and _lost(facts, z_prime, blocked, bar):
+        return GuessRecord(z_prime, "lost", DisjointStats())
+    peeled = _refuted(root.graph, facts, z_prime, blocked, root.k)
+    if peeled is None:
         trace = BranchNode("reject", answer="no") if keep_trace else None
         return GuessRecord(z_prime, "no", DisjointStats(1), trace)
-    inst = root.clone()
-    for v in z_prime:
-        inst.take(v)
-    for v in sorted(facts.z.difference(z_prime)):
-        inst.protect(v)
+    gone = peeled.union(z_prime)
+    inst = DisInstance(root.graph.copy_without(gone), facts.z - gone,
+                       blocked - facts.z - gone, root.k - len(z_prime), validate=False)
     res = search_disjoint(inst, keep_trace)
     return GuessRecord(z_prime, "yes" if res.feasible else "no", res.stats, res.trace, res.solution)
 
@@ -296,6 +315,10 @@ def solve_ifvs(
     vertices, and a larger minimum answers "no" with stats["fvs_size"] None;
     the scan at budget |Z| runs first, and the one at k only if it finds
     nothing, so a guess can be listed and counted twice.
+    Without fvs_override a hit in the scan at |Z| is optimal, and then a
+    guess that _better would rank no better whatever it returned is
+    recorded as "lost" and not run, so the witness stays the sorted-order
+    least of the candidates the guesses' engines return.
     In a scan at k the budget drops to the incumbent's size. The witness
     stays the one of a scan at k: outside rejects the engine never reads k
     (rule 3, the rank cuts, solve_base's size check, _refuted), mu moves by
@@ -348,11 +371,12 @@ def solve_ifvs(
     sizes = range(min(root.k, len(z)), -1, -1)
     lower = minimize and fvs_override is None and len(z) < root.k  # |Z| bounds opt
     best: set[int] | None = None
+    bar: list[int] | None = None  # set once only the tie-break is open
     records: list[GuessRecord] = []
     for budget in [len(z), root.k] if lower else [root.k]:
         root.k = budget
         for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
-            rec = _run_guess(root, facts, z_prime, keep_traces)
+            rec = _run_guess(root, facts, z_prime, keep_traces, bar)
             records.append(rec)
             if rec.status != "yes":
                 continue
@@ -360,6 +384,8 @@ def solve_ifvs(
             if not minimize:
                 break  # decision mode stops at the first hit
             root.k = len(best) - len(taken)  # ties compete; a no-op at |Z|
+            if fvs_override is None and budget == root.k == len(z):
+                bar = sorted(best - taken)  # best is optimal: Z is a minimum FVS
         if best is not None:
             break
 

@@ -227,3 +227,22 @@ def test_remove_vertex_returns_the_removed_adjacency(case):
         assert list(g.remove_vertex(v).items()) == adj
         assert v not in g
         _assert_degrees_match_adjacency(g)
+
+
+@given(_EDGE_LISTS, st.sets(st.integers(0, 7)))
+@example((4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3)]), {2})  # a loop and a double edge stay
+@example((3, [(0, 1), (1, 2), (2, 0)]), set())
+def test_copy_without_builds_what_copy_and_remove_vertex_build(case, gone):
+    n, edges = case
+    g = MultiGraph.from_edges(n, edges)
+    gone = {v for v in gone if v < n}
+    before = layout(g)
+    want = g.copy()
+    for v in gone:
+        want.remove_vertex(v)
+    got = g.copy_without(gone)
+    # the same maps with the same key orders, and g as it was
+    assert layout(got) == layout(want)
+    assert layout(g) == before
+    _assert_degrees_match_adjacency(got)
+    assert got.new_vertex() == n == want.new_vertex()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifvs import instance, pipeline
+from ifvs import instance, pipeline, reductions
 from ifvs.branching import (
     BranchNode,
     DisjointResult,
@@ -32,7 +32,7 @@ from ifvs.pipeline import (
     subdivide_once,
 )
 
-from helpers import complete, cycle, petersen
+from helpers import complete, cycle, layout, petersen
 
 
 def test_constants_are_what_they_claim():
@@ -189,6 +189,40 @@ def test_minimize_ignores_the_guess_order(monkeypatch):
     assert sum(solution is not None for _, solution in before) >= 50
     monkeypatch.setattr(pipeline, "combinations", lambda it, n: reversed(list(combinations(it, n))))
     assert answers() == before
+
+
+def test_minimize_drops_only_guesses_that_cannot_win_the_tie_break():
+    # without an override Z is a minimum FVS, so once the scan at |Z| holds
+    # a solution of size |Z| only the sorted-order tie-break is open, and a
+    # guess that cannot win it is recorded as lost and not run. The graphs
+    # have no loops, so Z is the solver's own; an override with it proves
+    # no bound and loses nothing
+    graphs = [subdivide_once(random_multigraph(8 + seed % 9, 12 + seed % 9, seed))
+              for seed in range(40)]
+    graphs += [_sparse(seed, 20, 1.6) for seed in range(20)]
+    lost = 0
+    for g in graphs:
+        res = solve_ifvs(g, len(g), minimize=True)
+        z = min_fvs(g)
+        same = solve_ifvs(g, len(g), minimize=True, fvs_override=z)
+        assert (same.status, same.solution) == (res.status, res.solution)
+        statuses = [rec.status for rec in res.guesses]
+        if "lost" in statuses:
+            # one scan, at |Z|, whose first hit has the optimal size |Z|
+            assert len(statuses) == 2 ** len(z) and len(res.solution) == len(z)
+            hit = res.guesses[statuses.index("yes")]
+            assert len(hit.z_prime) + len(hit.solution) == len(z)
+            assert statuses.index("yes") < statuses.index("lost")
+            lost += statuses.count("lost")
+        runs = [same]
+        if res.solution:
+            runs += [solve_ifvs(g, len(res.solution)), solve_ifvs(g, len(res.solution) - 1)]
+            # a larger Z bounds nothing, even when its size is the budget
+            over = z | {min(g.vertices - z)}
+            runs.append(solve_ifvs(g, len(over), minimize=True, fvs_override=over))
+            assert len(runs[-1].solution) == len(res.solution)
+        assert all(rec.status != "lost" for run in runs for rec in run.guesses)
+    assert lost >= 250
 
 
 def test_fvs_size_is_none_exactly_when_the_fvs_bound_answers_no():
@@ -402,13 +436,66 @@ def _sparse(seed: int, count: int, ratio: float) -> MultiGraph:
 
 
 def _built(root, z: set[int], z_prime: tuple[int, ...]):
-    """The instance the pipeline builds for guess z_prime from root."""
+    """Guess z_prime made from root with the instance's own moves: once
+    rule 1 drains it, the instance the pipeline builds on the 2-core."""
     inst = root.clone()
     for v in z_prime:
         inst.take(v)
     for v in sorted(z.difference(z_prime)):
         inst.protect(v)
     return inst
+
+
+def _view(inst) -> tuple:
+    """All the engine reads of a guess instance: its graph with key orders,
+    W, R, k, W-degrees, settled set and W-partition, labels aside. The
+    floor is left out, since the engine root sets it before reading it."""
+    return (layout(inst.graph), inst.w, inst.r, inst.k, inst.wdeg, inst.settled,
+            {v: frozenset(inst.comps[c]) for v, c in inst.comp_of.items()},
+            {frozenset(comp) for comp in inst.comps.values()})
+
+
+def test_each_guess_is_built_as_take_protect_and_rule_1_would_leave_it(monkeypatch):
+    # a guess that passes _refuted is built on the 2-core of G - Z' found by
+    # its peel; taking Z', protecting Z minus Z' and draining rule 1, as the
+    # guess's root fixpoint would, must leave the same instance. A Z-vertex
+    # of degree at most one, which only an override names, starts no peel,
+    # so rule 1 may still fire on the built instance there, and only there
+    search, run_guess = pipeline.search_disjoint, pipeline._run_guess
+    guess = []
+    seen = {"built": 0, "peeled": 0, "pendant": 0}
+
+    def recording(root, facts, z_prime, keep_trace, bar):
+        guess[:] = [root, facts.z, z_prime]
+        return run_guess(root, facts, z_prime, keep_trace, bar)
+
+    def compared(inst, trace=True):
+        root, z, z_prime = guess
+        want = _built(root, z, z_prime)
+        list(reductions._rule1(want))
+        got = inst.clone()
+        fired = list(reductions._rule1(got))
+        pendant = any(root.graph.deg(v) < 2 for v in z)
+        assert pendant or not fired
+        assert _view(got) == _view(want), z_prime
+        seen["built"] += 1
+        seen["peeled"] += len(inst.graph) < len(root.graph) - len(z_prime)
+        seen["pendant"] += bool(fired)
+        return search(inst, trace)
+
+    monkeypatch.setattr(pipeline, "_run_guess", recording)
+    monkeypatch.setattr(pipeline, "search_disjoint", compared)
+    for seed in range(80):
+        n = 6 + seed % 9
+        multi = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
+        sub = subdivide_once(random_multigraph(6 + seed % 5, 9 + seed % 5, seed))
+        h, t = _with_pendants(random_multigraph(n, int(1.5 * n), seed, loops=False), seed)
+        z = min_fvs(h) | {t}  # t has degree one
+        for g, k, over in ((multi, len(multi), None), (sub, len(sub), None), (h, len(h), z)):
+            opt = solve_ifvs(g, k, minimize=True, fvs_override=over).solution
+            if opt:  # a "no" at opt - 1 runs every guess
+                solve_ifvs(g, len(opt) - 1, fvs_override=over)
+    assert seen["built"] >= 500 and seen["peeled"] >= 400 and seen["pendant"] >= 100, seen
 
 
 def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
@@ -431,10 +518,10 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
         ranks.append(cut_rank(need, degs, k))
         return ranks[-1]
 
-    def recording(root, facts, z_prime, keep_trace):
+    def recording(root, facts, z_prime, keep_trace, bar):
         before = len(reached)
         ranks.clear()
-        rec = run_guess(root, facts, z_prime, keep_trace)
+        rec = run_guess(root, facts, z_prime, keep_trace, bar)
         runs.append((root, rec, len(reached) > before, ranks == [True]))
         return rec
 
@@ -668,8 +755,9 @@ def test_a_trace_changes_no_answer_and_no_count():
         base = random_multigraph(12 + seed % 3, 18 + seed % 3, seed)
         runs.append((subdivide_once(base), 60, True))
     # sparse loop-free graphs, whose guesses branch; a minimize run scans
-    # at budget |Z| first, where fewer of them do, so it takes nine graphs
-    runs += [(_sparse(seed, 20, 1.6), 40, True) for seed in range(10, 19)]
+    # at budget |Z| first, where fewer of them do, and runs no guess that
+    # cannot win the tie-break, so it takes fourteen graphs
+    runs += [(_sparse(seed, 20, 1.6), 40, True) for seed in range(10, 24)]
     branches = 0
     for g, k, minimize in runs:
         traced = solve_ifvs(g, k, minimize, keep_traces=True)
@@ -715,9 +803,12 @@ def test_a_solves_stats_are_the_counts_read_off_its_trees():
         tried = [rec for rec in res.guesses if rec.status != "skipped"]
         assert res.stats["guesses_tried"] == len(tried)
         kinds.update(
-            "skipped" if rec.status == "skipped"
+            rec.status if rec.status in ("skipped", "lost")
             else "cut" if rec.trace == BranchNode("reject", answer="no")
             else rec.trace.kind
             for rec in res.guesses
         )
-    assert {"skipped", "cut", "branch"} <= kinds
+        lost = [rec for rec in res.guesses if rec.status == "lost"]
+        assert all(rec == GuessRecord(rec.z_prime, "lost", DisjointStats()) for rec in lost)
+        assert minimize or not lost  # the subdivided runs drop some guesses
+    assert {"skipped", "lost", "cut", "branch"} <= kinds
