@@ -11,14 +11,15 @@ until none is left, and the root DisInstance is built once on what stays.
 Every guess Z' of the solution part inside Z is read off that root. What
 the guesses read of Z is found once per solve (_GuessFacts). A guess is
 skipped when Z' meets R or is not independent, or the edges inside Z
-minus Z' close a cycle, and lost when it cannot win a minimize scan's
-tie-break (_lost). A guess that passes these tests is refuted before its
-instance is built when a cycle of its undeletable part, the vertices
+minus Z' close a cycle. A guess that passes these tests is refuted before
+its instance is built when a cycle of its undeletable part, the vertices
 that part forces into every solution, or the cycle-rank cut on the 2-core
 of G - Z' show on the shared root that it has no solution (see
 _run_guess). Each other guess is built once on that 2-core, with Z minus
 Z' as the undeletable forest W, and the engine answers it exactly, so
-the first feasible guess settles the decision.
+the first feasible guess settles the decision. A minimize scan keeps
+going at a budget one below its best hit, so only a strictly smaller
+solution counts, until a hit meets its lower bound (see solve_ifvs).
 Every scan runs the guesses largest Z' first, in combinations order within
 a size. A larger Z' leaves less budget and fewer components in W, so its
 root measure mu = k + rho - (eta + tau), which caps the engine's leaves at
@@ -31,7 +32,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 
-from .branching import BranchNode, DisjointStats, _better, fib, search_disjoint
+from .branching import BranchNode, DisjointStats, fib, search_disjoint
 from .branching import solve_disjoint  # noqa: F401  perfbench/spans.py wraps this name
 from .fvs import min_fvs
 from .instance import DisInstance, InternalSolverError, check_solution, rank_cut
@@ -44,7 +45,7 @@ BOUND_BASE = 1 + GOLDEN_RATIO ** 2  # < 3.619, the branching growth base
 @dataclass
 class GuessRecord:
     z_prime: tuple[int, ...]
-    status: str  # "yes" | "no" | "skipped" | "lost", the last two never run
+    status: str  # "yes" | "no" | "skipped", the last never run
     stats: DisjointStats
     trace: object | None = None
     solution: set[int] | None = None
@@ -59,8 +60,7 @@ class SolveResult:
 
 
 def _stats(fvs_size: int | None, records: list[GuessRecord]) -> dict:
-    """Solve statistics; skipped and lost guesses carry no nodes, leaves or
-    mu0, and a lost one counts as tried."""
+    """Solve statistics; skipped guesses carry no nodes, leaves or mu0."""
     stats = [rec.stats for rec in records]
     return {
         "fvs_size": fvs_size,
@@ -102,8 +102,8 @@ class _GuessFacts:
     The root's graph and R stay as they are while its guesses run, so these
     hold for all of them: Z, the root's cycle rank m - n + c, the label of
     each vertex's component, each Z-vertex's neighbours, the Z-vertices in
-    R, the edges inside Z as (u, v, mult) with u < v, (degree, vertex) for
-    every vertex outside Z, largest first, and those vertices in id order.
+    R, the edges inside Z as (u, v, mult) with u < v, and (degree, vertex)
+    for every vertex outside Z, largest first.
     """
 
     z: set[int]
@@ -113,7 +113,6 @@ class _GuessFacts:
     z_in_r: set[int]
     z_edges: list[tuple[int, int, int]]
     order: list[tuple[int, int]]
-    ids: list[int]
 
 
 def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
@@ -126,7 +125,6 @@ def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
         z & r,
         [(u, v, m) for u in z for v, m in g.incident(u) if v in z and u < v],
         sorted(((g.deg(v), v) for v in g.vertices - z), reverse=True),
-        sorted(g.vertices - z),
     )
 
 
@@ -150,16 +148,6 @@ def _skipped(facts: _GuessFacts, z_prime: tuple[int, ...]) -> bool:
             return True
         parent[u] = v
     return False
-
-
-def _lost(facts: _GuessFacts, z_prime: tuple[int, ...], blocked: set[int], bar: list[int]) -> bool:
-    """True when guess Z' has nothing below bar, a sorted optimal incumbent
-    minus the loop vertices: each solution is then Z' and |Z| - |Z'|
-    vertices outside Z and blocked, and the least in sorted order takes the
-    smallest ids. Equal-size sets compare as their least element apart, so
-    the loop vertices, in both, change no comparison."""
-    fill = islice((v for v in facts.ids if v not in blocked), len(facts.z) - len(z_prime))
-    return sorted(chain(z_prime, fill)) >= bar
 
 
 def _cut(need: int, degs: Iterator[int], k: int) -> bool:
@@ -250,11 +238,10 @@ def _refuted(
 
 
 def _run_guess(
-    root: DisInstance, facts: _GuessFacts, z_prime: tuple[int, ...], keep_trace: bool,
-    bar: list[int] | None,
+    root: DisInstance, facts: _GuessFacts, z_prime: tuple[int, ...], keep_trace: bool
 ) -> GuessRecord:
     """Take Z' into the solution, protect Z minus Z' and solve the rest;
-    a guess that _skipped or, with bar set, _lost rejects never runs.
+    a guess that _skipped rejects never runs.
 
     A guess that _refuted shows to have no solution S, before its instance
     is built, gets the record of a guess whose engine root was cut. The
@@ -282,8 +269,6 @@ def _run_guess(
     if _skipped(facts, z_prime):
         return GuessRecord(z_prime, "skipped", DisjointStats())
     blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
-    if bar is not None and _lost(facts, z_prime, blocked, bar):
-        return GuessRecord(z_prime, "lost", DisjointStats())
     peeled = _refuted(root.graph, facts, z_prime, blocked, root.k)
     if peeled is None:
         trace = BranchNode("reject", answer="no") if keep_trace else None
@@ -308,24 +293,26 @@ def solve_ifvs(
     Every scan runs largest Z' first (see the module docstring). With
     minimize=False it stops at the first feasible guess, and the answer
     holds in any order: every solution is found under the guess that matches
-    its overlap with Z. With minimize=True all guesses are scanned and the
-    smallest solution wins, ties broken by sorted vertex order, so the
-    witness holds in any order too. An independent FVS is an FVS, so without
+    its overlap with Z. An independent FVS is an FVS, so without
     fvs_override the FVS search stops at the budget left after the loop
-    vertices, and a larger minimum answers "no" with stats["fvs_size"] None;
-    the scan at budget |Z| runs first, and the one at k only if it finds
-    nothing, so a guess can be listed and counted twice.
-    Without fvs_override a hit in the scan at |Z| is optimal, and then a
-    guess that _better would rank no better whatever it returned is
-    recorded as "lost" and not run, so the witness stays the sorted-order
-    least of the candidates the guesses' engines return.
-    In a scan at k the budget drops to the incumbent's size. The witness
-    stays the one of a scan at k: outside rejects the engine never reads k
-    (rule 3, the rank cuts, solve_base's size check, _refuted), mu moves by
-    a constant and the drop checks read differences, and _better is a total
-    order, so a smaller budget prunes only subtrees whose leaf sets all
-    exceed the optimum. The final solution is re-verified against the
-    untouched input; a failure there is a bug and raises InternalSolverError.
+    vertices, and a larger minimum answers "no" with stats["fvs_size"] None.
+    With minimize=True the scan at budget min(|Z|, k) runs first, and the
+    one at k only if it finds nothing, so a guess can be listed and counted
+    twice. After each hit the budget drops to one below the hit's size, so
+    a later guess answers only with a strictly smaller set. A scan stops
+    once a hit meets its floor: in the first scan the loop vertices plus
+    |Z|, since Z is a minimum FVS, or the loop vertices alone under
+    fvs_override, which bounds nothing; in the scan at k the loop vertices
+    plus |Z| + 1, since the scan at |Z| was exact. Each guess's engine
+    answers with one of its smallest solutions, and the budget only falls,
+    so no guess has a solution below the final one. The witness is the last
+    hit. Without fvs_override and at an optimum of the loop vertices plus
+    |Z|, it and the guess records are those of the decision at that
+    optimum, in any guess order, and an fvs_override naming the solver's
+    own Z returns the same witness. It is deterministic for a fixed input,
+    not canonical: it depends on Z and on the solution each guess's engine
+    returns. The final solution is re-verified against the untouched input;
+    a failure there is a bug and raises InternalSolverError.
     """
     if k < 0:
         raise ValueError("budget must be nonnegative")
@@ -369,25 +356,25 @@ def solve_ifvs(
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)), -1, -1)
-    lower = minimize and fvs_override is None and len(z) < root.k  # |Z| bounds opt
+    # an independent FVS is an FVS, so minimize scans at |Z| first
+    budgets = [len(z), root.k] if minimize and len(z) < root.k else [root.k]
+    floor = len(z) if fvs_override is None else 0  # the first scan's least solution part
     best: set[int] | None = None
-    bar: list[int] | None = None  # set once only the tie-break is open
     records: list[GuessRecord] = []
-    for budget in [len(z), root.k] if lower else [root.k]:
+    for budget in budgets:
         root.k = budget
         for z_prime in chain.from_iterable(combinations(z_sorted, n) for n in sizes):
-            rec = _run_guess(root, facts, z_prime, keep_traces, bar)
+            rec = _run_guess(root, facts, z_prime, keep_traces)
             records.append(rec)
             if rec.status != "yes":
                 continue
-            best = _better(best, taken | set(z_prime) | rec.solution)
-            if not minimize:
-                break  # decision mode stops at the first hit
-            root.k = len(best) - len(taken)  # ties compete; a no-op at |Z|
-            if fvs_override is None and budget == root.k == len(z):
-                bar = sorted(best - taken)  # best is optimal: Z is a minimum FVS
+            best = taken | set(z_prime) | rec.solution
+            root.k = len(best) - len(taken) - 1  # only a smaller set counts now
+            if not minimize or root.k < floor:
+                break  # a decision stops at its first hit, minimize at its floor
         if best is not None:
             break
+        floor = len(z) + 1  # the scan at |Z| was exact and found nothing
 
     if best is not None and not check_solution(g, best, k):
         raise InternalSolverError("final candidate failed verification")

@@ -72,7 +72,8 @@ def test_minimize_is_deterministic_and_minimum():
     g = random_multigraph(8, 14, seed=17)
     res = solve_ifvs(g, 8, minimize=True)
     # frozen witness pins run-to-run determinism; size matches the oracle
-    assert res.solution == {0, 2, 7}
+    assert res.solution == {1, 4, 5}
+    assert solve_ifvs(g, 8, minimize=True) == res
     assert len(res.solution) == len(oracle_min_ifvs(g))
 
 
@@ -108,8 +109,10 @@ def _loop_free(g: MultiGraph) -> MultiGraph:
 
 def _minimized(g: MultiGraph, k: int):
     """solve_ifvs minimizing at k, checked against runs with an override,
-    which bounds nothing and so is one scan at k. With the solver's own Z
-    that scan must return the same witness; with Z + x, the same size."""
+    which bounds nothing, so its scan at |Z| stops only at a hit of the
+    loops alone. With the solver's own Z that scan's first hit is the run's
+    witness and nothing later is smaller, so the witness is the same; with
+    Z + x, the size is."""
     res = solve_ifvs(g, k, minimize=True)
     assert res.solution is None or check_solution(g, res.solution, k)
     z = min_fvs(_loop_free(g))  # the Z solve_ifvs scans with
@@ -140,89 +143,121 @@ def test_minimize_scans_at_the_fvs_bound_and_then_at_k():
         res = _minimized(g, len(g))
         assert res.status == "no"
         assert len(res.guesses) == 2 * len(solve_ifvs(g, len(g)).guesses)
-    fallbacks = 0
+    fallbacks = stops = 0
     for seed in range(12):
         n = 30 + seed * 30 // 11
         g = random_multigraph(n, int(1.6 * n), seed, loops=seed % 3 == 0, multi=seed % 2 == 0)
         res = _minimized(g, n)
-        if res.solution is not None:
-            size = len(res.solution)
-            assert solve_ifvs(g, size).status == "yes", seed
-            assert solve_ifvs(g, size - 1).status == "no", seed
-            # each scan lists all 2^|Z| subsets of Z, since k >= |Z|; the
-            # scan at k runs only when the optimum exceeds the loops plus |Z|
-            loops = sum(g.multiplicity(v, v) > 0 for v in g.vertices)
-            fallback = size > loops + res.stats["fvs_size"]
-            assert len(res.guesses) == 2 ** res.stats["fvs_size"] * (1 + fallback), seed
-            fallbacks += fallback
-    assert fallbacks >= 2
+        if res.solution is None:
+            continue
+        size = len(res.solution)
+        decided = solve_ifvs(g, size)
+        assert decided.status == "yes", seed
+        assert solve_ifvs(g, size - 1).status == "no", seed
+        loops = {v for v in g.vertices if g.multiplicity(v, v) > 0}
+        z = sorted(min_fvs(_loop_free(g)))
+        if size == len(loops) + len(z):
+            # the scan at |Z| stops at its first hit: the decision at opt
+            assert res.guesses == decided.guesses, seed
+            continue
+        # the scan at |Z| lists all 2^|Z| subsets of Z, since k >= |Z|, and
+        # finds nothing; the scan at k lists a prefix of them in the same
+        # order, each hit strictly smaller than the one before, the witness
+        # last. A hit at its floor, the loops plus |Z| + 1, ends it
+        fallbacks += 1
+        subsets = [c for i in range(len(z), -1, -1) for c in combinations(z, i)]
+        first, second = res.guesses[:len(subsets)], res.guesses[len(subsets):]
+        assert [rec.z_prime for rec in first] == subsets, seed
+        assert all(rec.status != "yes" for rec in first), seed
+        assert [rec.z_prime for rec in second] == subsets[:len(second)], seed
+        hits = [rec for rec in second if rec.status == "yes"]
+        sizes = [len(rec.z_prime) + len(rec.solution) for rec in hits]
+        assert sizes == sorted(set(sizes), reverse=True), seed
+        assert res.solution == loops | set(hits[-1].z_prime) | hits[-1].solution, seed
+        if size == len(loops) + len(z) + 1:
+            assert second[-1] is hits[-1], seed
+            stops += 1
+        else:
+            assert len(second) == len(subsets), seed
+    assert fallbacks >= 2 and stops >= 1
 
 
-def test_minimize_ignores_the_guess_order(monkeypatch):
-    # _better is a total order and the incumbent cap prunes only leaf sets
-    # above the optimum, so a minimize witness cannot depend on the order
-    # the guesses run in: with each size listed in reverse, every status
-    # and witness stays, with the solver's Z and with an override
+def test_minimize_is_the_decision_at_the_optimum(monkeypatch):
+    # a minimize run stops at the first hit that meets its lower bound, so
+    # when the optimum is the loops plus |Z| its scan at |Z| ends where the
+    # decision at the optimum ends, at the same first hit: the two give the
+    # same witness and the same guess records, in either guess order. Each
+    # size is then listed in reverse, and every status and size stays, with
+    # the solver's Z and with an override
     runs = []
     for seed in range(80):
         n = 6 + seed % 9
         g = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
         runs.append((g, n, None))
-        if seed % 4 == 0:  # an override, one scan at k: Z plus a vertex
+        if seed % 4 == 0:  # an override, which bounds nothing: Z plus a vertex
             z = min_fvs(_loop_free(g))
             runs.append((g, n, z | {min(g.vertices - z)}))
-    for seed in range(12):
+    for seed in range(72):
         runs.append((subdivide_once(random_multigraph(7 + seed % 4, 11, seed)), 40, None))
     for seed in (2, 4, 7, 10, 11):  # the scan at k runs on these
         n = 30 + seed * 30 // 11
         g = random_multigraph(n, int(1.6 * n), seed, loops=seed % 3 == 0, multi=seed % 2 == 0)
         runs.append((g, n, None))
+    assert len({id(g) for g, _, _ in runs}) >= 150
 
     def answers():
-        out = []
+        out, decided = [], 0
         for g, k, z in runs:
             res = solve_ifvs(g, k, minimize=True, fvs_override=z)
-            out.append((res.status, res.solution))
-        return out
+            out.append((res.status, res.solution and len(res.solution)))
+            if z is not None or not res.solution:
+                continue
+            opt = len(res.solution)
+            assert solve_ifvs(g, opt - 1).status == "no"
+            at_opt = solve_ifvs(g, opt)
+            assert len(at_opt.solution) == opt
+            loops = sum(g.multiplicity(v, v) > 0 for v in g.vertices)
+            if opt == loops + res.stats["fvs_size"]:
+                assert (res.solution, res.guesses) == (at_opt.solution, at_opt.guesses)
+                decided += 1
+        return out, decided
 
-    before = answers()
-    assert sum(solution is not None for _, solution in before) >= 50
+    before, decided = answers()
+    assert sum(status == "yes" for status, _ in before) >= 100 and decided >= 100
     monkeypatch.setattr(pipeline, "combinations", lambda it, n: reversed(list(combinations(it, n))))
-    assert answers() == before
+    assert answers() == (before, decided)
 
 
-def test_minimize_drops_only_guesses_that_cannot_win_the_tie_break():
-    # without an override Z is a minimum FVS, so once the scan at |Z| holds
-    # a solution of size |Z| only the sorted-order tie-break is open, and a
-    # guess that cannot win it is recorded as lost and not run. The graphs
-    # have no loops, so Z is the solver's own; an override with it proves
-    # no bound and loses nothing
+def test_a_minimize_scan_at_z_ends_at_its_only_hit():
+    # without an override Z is a minimum FVS, so a hit in the scan at |Z|
+    # has the optimal size |Z| and ends the scan: its record is the last one
+    # and the only "yes". The graphs have no loops, so Z is the solver's
+    # own; an override with it bounds nothing, so its scan runs every guess
+    # at |Z| - 1 after the same records up to the hit, finds no smaller set
+    # and returns the same witness
     graphs = [subdivide_once(random_multigraph(8 + seed % 9, 12 + seed % 9, seed))
               for seed in range(40)]
     graphs += [_sparse(seed, 20, 1.6) for seed in range(20)]
-    lost = 0
+    stopped = unrun = 0
     for g in graphs:
         res = solve_ifvs(g, len(g), minimize=True)
         z = min_fvs(g)
-        same = solve_ifvs(g, len(g), minimize=True, fvs_override=z)
-        assert (same.status, same.solution) == (res.status, res.solution)
+        if res.solution is None or len(res.solution) > len(z):
+            continue  # the scan at |Z| found nothing
         statuses = [rec.status for rec in res.guesses]
-        if "lost" in statuses:
-            # one scan, at |Z|, whose first hit has the optimal size |Z|
-            assert len(statuses) == 2 ** len(z) and len(res.solution) == len(z)
-            hit = res.guesses[statuses.index("yes")]
-            assert len(hit.z_prime) + len(hit.solution) == len(z)
-            assert statuses.index("yes") < statuses.index("lost")
-            lost += statuses.count("lost")
-        runs = [same]
-        if res.solution:
-            runs += [solve_ifvs(g, len(res.solution)), solve_ifvs(g, len(res.solution) - 1)]
-            # a larger Z bounds nothing, even when its size is the budget
-            over = z | {min(g.vertices - z)}
-            runs.append(solve_ifvs(g, len(over), minimize=True, fvs_override=over))
-            assert len(runs[-1].solution) == len(res.solution)
-        assert all(rec.status != "lost" for run in runs for rec in run.guesses)
-    assert lost >= 250
+        assert statuses.count("yes") == 1 and statuses[-1] == "yes"
+        assert len(statuses) <= 2 ** len(z) and res.stats["fvs_size"] == len(z)
+        same = solve_ifvs(g, len(g), minimize=True, fvs_override=z)
+        assert same.solution == res.solution
+        assert same.guesses[:len(statuses)] == res.guesses
+        assert len(same.guesses) == 2 ** len(z)
+        assert all(rec.status != "yes" for rec in same.guesses[len(statuses):])
+        # a larger Z bounds nothing, even when its size is the budget
+        over = z | {min(g.vertices - z)}
+        assert len(solve_ifvs(g, len(over), minimize=True, fvs_override=over).solution) == len(z)
+        stopped += 1
+        unrun += 2 ** len(z) - len(statuses)
+    assert stopped >= 50 and unrun >= 500
 
 
 def test_fvs_size_is_none_exactly_when_the_fvs_bound_answers_no():
@@ -465,9 +500,9 @@ def test_each_guess_is_built_as_take_protect_and_rule_1_would_leave_it(monkeypat
     guess = []
     seen = {"built": 0, "peeled": 0, "pendant": 0}
 
-    def recording(root, facts, z_prime, keep_trace, bar):
+    def recording(root, facts, z_prime, keep_trace):
         guess[:] = [root, facts.z, z_prime]
-        return run_guess(root, facts, z_prime, keep_trace, bar)
+        return run_guess(root, facts, z_prime, keep_trace)
 
     def compared(inst, trace=True):
         root, z, z_prime = guess
@@ -485,7 +520,8 @@ def test_each_guess_is_built_as_take_protect_and_rule_1_would_leave_it(monkeypat
 
     monkeypatch.setattr(pipeline, "_run_guess", recording)
     monkeypatch.setattr(pipeline, "search_disjoint", compared)
-    for seed in range(80):
+    # a minimize run stops at the floor of its scan, so it takes 240 seeds
+    for seed in range(240):
         n = 6 + seed % 9
         multi = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
         sub = subdivide_once(random_multigraph(6 + seed % 5, 9 + seed % 5, seed))
@@ -518,10 +554,10 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
         ranks.append(cut_rank(need, degs, k))
         return ranks[-1]
 
-    def recording(root, facts, z_prime, keep_trace, bar):
+    def recording(root, facts, z_prime, keep_trace):
         before = len(reached)
         ranks.clear()
-        rec = run_guess(root, facts, z_prime, keep_trace, bar)
+        rec = run_guess(root, facts, z_prime, keep_trace)
         runs.append((root, rec, len(reached) > before, ranks == [True]))
         return rec
 
@@ -554,14 +590,15 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
 
 
 def _refutation_case(edges, z: set[int], z_prime: tuple[int, ...], k: int):
-    """The record of guess z_prime under Z = z, and its built instance; the
-    graphs have no loops and nothing to peel, so g itself is the root."""
+    """The record of guess z_prime under Z = z at budget k, and its built
+    instance; the graphs have no loops and nothing to peel, so g itself is
+    the root."""
     g = MultiGraph()
     for u, v in edges:
         g.add_edge(u, v)
-    res = solve_ifvs(g, k, minimize=True, fvs_override=z, keep_traces=True)
-    rec = next(rec for rec in res.guesses if rec.z_prime == z_prime)
-    return rec, _built(DisInstance(g, set(), set(), k, validate=False), z, z_prime)
+    root = DisInstance(g, set(), set(), k, validate=False)
+    rec = pipeline._run_guess(root, pipeline._guess_facts(g, z, set()), z_prime, True)
+    return rec, _built(root, z, z_prime)
 
 
 # W-singletons 6, 7, 8 hang off vertex 4, which gives the rank check the
@@ -571,9 +608,7 @@ _FAN = [(4, 6), (4, 7), (4, 8)]
 # Two bowties: triangles 1-3-7 and 1-4-8 at 1, 2-5-9 and 2-6-10 at 2, joined
 # by the W-edge 4-5. Under Z = {0, 3, 4, 5, 6} and Z' = (0,), 1 and 2 are the
 # only deletable vertices on two cycles each: budget 1 after 0 cannot break
-# the rank 4 of G - 0, and budget 2 has the one solution {1, 2}. 0 closes a
-# triangle with 4 and 5, so the guess () is skipped and no incumbent lowers
-# the budget of a minimize scan before (0,) runs.
+# the rank 4 of G - 0, and budget 2 has the one solution {1, 2}.
 _BOWTIES = [(1, 3), (1, 7), (3, 7), (1, 4), (1, 8), (4, 8),
             (2, 5), (2, 9), (5, 9), (2, 6), (2, 10), (6, 10), (4, 5), (0, 4), (0, 5)]
 # 0 - 11 - 1 is a pendant path once 0 is gone, so 1 has degree 4 in the
@@ -750,18 +785,22 @@ def test_a_trace_changes_no_answer_and_no_count():
         g = random_multigraph(n, int(1.4 * n), seed)  # loops and parallel edges
         opt = solve_ifvs(g, n, minimize=True).solution
         ks = (len(opt) - 1, len(opt)) if opt else (n // 2,)
-        runs += [(g, k, False) for k in ks] + [(g, n, True)]
+        runs += [(g, k, False, None) for k in ks] + [(g, n, True, None)]
     for seed in range(6):
         base = random_multigraph(12 + seed % 3, 18 + seed % 3, seed)
-        runs.append((subdivide_once(base), 60, True))
-    # sparse loop-free graphs, whose guesses branch; a minimize run scans
-    # at budget |Z| first, where fewer of them do, and runs no guess that
-    # cannot win the tie-break, so it takes fourteen graphs
-    runs += [(_sparse(seed, 20, 1.6), 40, True) for seed in range(10, 24)]
+        runs.append((subdivide_once(base), 60, True, None))
+    # sparse loop-free graphs, whose guesses branch. A minimize run scans at
+    # budget |Z| first, where fewer of them do, and stops at its first hit
+    # there, so it takes denser graphs too, and runs with their own Z as an
+    # override, which bounds nothing and so runs every guess
+    runs += [(_sparse(seed, 20, 1.6), 40, True, None) for seed in range(10, 24)]
+    for seed in range(40):
+        g = _sparse(seed, 40, 1.8)
+        runs += [(g, 40, True, None), (g, 40, True, min_fvs(g))]
     branches = 0
-    for g, k, minimize in runs:
-        traced = solve_ifvs(g, k, minimize, keep_traces=True)
-        untraced = solve_ifvs(g, k, minimize)
+    for g, k, minimize, z in runs:
+        traced = solve_ifvs(g, k, minimize, fvs_override=z, keep_traces=True)
+        untraced = solve_ifvs(g, k, minimize, fvs_override=z)
         assert all(rec.trace is None for rec in untraced.guesses)
         assert _untraced_view(untraced) == _untraced_view(traced), (k, minimize)
         for rec in traced.guesses:
@@ -803,12 +842,9 @@ def test_a_solves_stats_are_the_counts_read_off_its_trees():
         tried = [rec for rec in res.guesses if rec.status != "skipped"]
         assert res.stats["guesses_tried"] == len(tried)
         kinds.update(
-            rec.status if rec.status in ("skipped", "lost")
+            rec.status if rec.status == "skipped"
             else "cut" if rec.trace == BranchNode("reject", answer="no")
             else rec.trace.kind
             for rec in res.guesses
         )
-        lost = [rec for rec in res.guesses if rec.status == "lost"]
-        assert all(rec == GuessRecord(rec.z_prime, "lost", DisjointStats()) for rec in lost)
-        assert minimize or not lost  # the subdivided runs drop some guesses
-    assert {"skipped", "lost", "cut", "branch"} <= kinds
+    assert {"skipped", "cut", "branch"} <= kinds
