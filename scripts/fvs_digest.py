@@ -5,8 +5,10 @@ minimum sets comes back depends on the reductions' edits and on the order
 in which the shortest-cycle search walks each neighbour set. The size alone
 does not pin that choice; this digest pins the sets themselves. The corpus
 holds random multigraphs with loops and parallel edges at n = 8-47, five
-graphs on which the neighbour-set order decides the set, planted graphs and
-subdivided graphs. The one output line is ``min_fvs N sha256``,
+graphs on which the neighbour-set order decides the set, planted graphs,
+subdivided graphs and eight random multigraphs with trees hung on them, on
+five of which the set moves when the trees are left to the degree
+reductions instead of peeled first. The one output line is ``min_fvs N sha256``,
 N the number of graphs, hashed over each graph's sorted set in corpus order.
 
 tests/fvs_digests.txt holds the expected line; the test suite and CI diff
@@ -16,6 +18,7 @@ Usage:
     python scripts/fvs_digest.py > fvs_digests.txt
 """
 import hashlib
+import random
 import sys
 
 from ifvs.fvs import min_fvs
@@ -37,6 +40,17 @@ def corpus():
     for seed in range(4):
         yield planted_ifvs(30 + 10 * seed, 4 + seed, seed).graph
         yield subdivide_once(random_multigraph(10 + 2 * seed, 16 + 3 * seed, seed, loops=False))
+    # 1-8 pendant vertices, each on a random earlier vertex, so whole trees
+    # grow; min_fvs peels them before it reduces, and on seeds 4, 9, 66, 95
+    # and 131 reducing them away in id order instead gives another set
+    for seed in (0, 1, 2, 4, 9, 66, 95, 131):
+        n = 16 + seed % 32
+        g = random_multigraph(n, n + n // 3 + seed % 5, seed)
+        rng = random.Random(seed)
+        for _ in range(rng.randint(1, 8)):
+            t = g.new_vertex()
+            g.add_edge(rng.choice(sorted(g.vertices - {t})), t)
+        yield g
 
 
 def main() -> int:

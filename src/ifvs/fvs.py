@@ -1,13 +1,13 @@
 """Exact feedback vertex set provider for the compression pipeline.
 
 Plain FVS, no independence requirement. One depth-first branch and bound
-over the vertices of a shortest cycle, after the standard degree
-reductions, which run off a worklist: only the neighbours of a removed or
-bypassed vertex are looked at again. The shortest cycle comes from a BFS
-per root that stops once no deeper cycle can beat the best one found, so
-the minimum over all roots is still the girth. The search keeps the best
-set found so far and prunes a node when its forced vertices plus the
-cycle-rank bound (deleting a vertex of degree d lowers m - n + c by at
+over the vertices of a shortest cycle, on the 2-core, after the standard
+degree reductions, which run off a worklist: only the neighbours of a
+removed or bypassed vertex are looked at again. The shortest cycle comes
+from a BFS per root that stops once no deeper cycle can beat the best one
+found, so the minimum over all roots is still the girth. The search keeps
+the best set found so far and prunes a node when its forced vertices plus
+the cycle-rank bound (deleting a vertex of degree d lowers m - n + c by at
 most d - 1) cannot beat it, and a child already before its graph is
 copied, by the same count over its parent's degrees. It returns the
 first minimum set in DFS order: every node above that set has
@@ -191,9 +191,10 @@ def _bnb(
 def min_fvs(g: MultiGraph, cap: int | None = None) -> set[int] | None:
     """Minimum feedback vertex set; the whole vertex set is one.
 
-    With a cap, None when the minimum has more than cap vertices. A cap at
-    or above the optimum returns the same set as no cap, since no node
-    above the first minimum set in DFS order is pruned by either.
+    It peels its copy to the 2-core first, so trees hung on g change no
+    set. With a cap, None when the minimum has more than cap vertices. A
+    cap at or above the optimum returns the same set as no cap, since no
+    node above the first minimum set in DFS order is pruned by either.
     """
-    res = _bnb(g.copy(), (len(g) if cap is None else cap) + 1, [])
+    res = _bnb(g.peeled(), (len(g) if cap is None else cap) + 1, [])
     return set(res) if res is not None else None

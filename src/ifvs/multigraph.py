@@ -104,6 +104,21 @@ class MultiGraph:
                     self._low.add(u)
         return nbrs
 
+    def peeled(self, gone: set[int] = frozenset(), spare: set[int] = frozenset()) -> MultiGraph:
+        """A copy minus gone and then, until none is left, every vertex
+        outside spare of degree at most one (the 2-core if nothing is
+        spared), as copy and remove_vertex leave it in any order."""
+        out = set(gone).union(self._low.difference(spare))
+        walk, deg = list(out), {}  # deg: the degrees that fell
+        for v in walk:  # walk grows while it is walked
+            for u, m in self._adj[v].items():
+                if u not in out:
+                    d = deg[u] = deg.get(u, self._deg[u]) - m
+                    if d < 2 <= d + m and u not in spare:  # each falls below two once
+                        out.add(u)
+                        walk.append(u)
+        return self.copy_without(out, deg.keys() - out)
+
     def smooth(self, drop: int, keep: int) -> int:
         """Replace the path keep - drop - other by the edge keep - other.
 
@@ -136,15 +151,20 @@ class MultiGraph:
         g._next_id = self._next_id
         return g
 
-    def copy_without(self, gone: set[int]) -> MultiGraph:
+    def copy_without(self, gone: set[int], near: set[int] | None = None) -> MultiGraph:
         """A copy minus the vertices gone, as copy and remove_vertex on each
-        of them would leave it, key orders included."""
+        of them would leave it, key orders included. Only the maps of near,
+        by default the vertices left next to gone, are filtered."""
         g = MultiGraph()
         deg = g._deg
+        if near is None:
+            near = set().union(*(self._adj.get(v, ()) for v in gone)).difference(gone)
         for v, nbrs in self._adj.items():
-            if v not in gone:
+            if v in near:
                 g._adj[v] = kept = {u: m for u, m in nbrs.items() if u not in gone}
                 deg[v] = sum(kept.values()) + kept.get(v, 0)  # a loop adds 2
+            elif v not in gone:
+                g._adj[v], deg[v] = dict(nbrs), self._deg[v]
         g._low = {v for v, d in deg.items() if d < 2}
         g._two = {v for v, d in deg.items() if d == 2}
         g._m = sum(deg.values()) // 2

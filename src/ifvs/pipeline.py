@@ -1,12 +1,12 @@
 """Top level solver: compression over an FVS into disjoint subproblems.
 
-The set-up runs on a plain copy of the input graph, in this order. Any
-solution must contain every loop vertex, so the loop vertices are taken
-into the solution first, which restricts their neighbors. An exact FVS Z of
-the remaining graph is searched for only up to the budget left: any
-independent solution is an FVS, so when none fits the answer is "no" with
-no Z. Then the vertices of degree at most one outside Z are peeled off
-until none is left, and the root DisInstance is built once on what stays.
+The set-up runs in this order. Any solution must contain every loop
+vertex, so the loop vertices are taken into the solution first, which
+restricts their neighbors. The rest is peeled once: the vertices of degree
+at most one outside an --fvs override's Z go until none is left, as they
+lie on no cycle. An exact FVS Z of what stays is searched for only up to
+the budget left: any independent solution is an FVS, so when none fits the
+answer is "no" with no Z. The root DisInstance is built on the peeled graph.
 
 Every guess Z' of the solution part inside Z is read off that root. What
 the guesses read of Z is found once per solve (_GuessFacts). A guess is
@@ -258,7 +258,9 @@ def _run_guess(
     round lowers the rank by the core degree - 1 of each forced vertex and
     ends with the rank cut on the core degrees of the vertices still
     deletable. Taking a vertex of degree d lowers m - n + c by at most
-    d - 1, and degrees only fall as vertices go.
+    d - 1, and degrees only fall as vertices go. At Z' = Z, G - Z is a
+    forest that holds U and the free vertices: the rank bound is at most 0,
+    nothing is forced and the peel takes it all, so _refuted is skipped.
 
     Any other guess is built on that 2-core: the root minus Z' and the
     peel, W the rest of Z, R the rest of R ∪ N(Z'). Taking Z', protecting
@@ -269,7 +271,8 @@ def _run_guess(
     if _skipped(facts, z_prime):
         return GuessRecord(z_prime, "skipped", DisjointStats())
     blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
-    peeled = _refuted(root.graph, facts, z_prime, blocked, root.k)
+    peeled = (root.graph.vertices - facts.z if len(z_prime) == len(facts.z)
+              else _refuted(root.graph, facts, z_prime, blocked, root.k))
     if peeled is None:
         trace = BranchNode("reject", answer="no") if keep_trace else None
         return GuessRecord(z_prime, "no", DisjointStats(1), trace)
@@ -319,38 +322,29 @@ def solve_ifvs(
     # threads stays a keyword only because perfbench/run.py passes threads=1
     if threads != 1:
         raise ValueError("guesses run on one thread; threads must be 1")
-    # loop vertices are taken on the plain graph: each restricts its
-    # neighbours, so a second one among them means two adjacent loops
-    h = g.copy()
+    # loop vertices are taken first: each restricts its neighbours, so a
+    # second one among them means two adjacent loops
     r: set[int] = set()
     taken: set[int] = set()
-    for v in sorted(v for v in h.vertices if h.multiplicity(v, v) > 0):
+    for v in sorted(v for v in g.vertices if g.multiplicity(v, v) > 0):
         if v in r or len(taken) == k:
             # two loop vertices are adjacent, or there are more than k
             return SolveResult("no", None, _stats(None, []))
-        r |= h.neighbors(v)
-        h.remove_vertex(v)
+        r |= g.neighbors(v)
         taken.add(v)
-
-    if fvs_override is not None:
-        # loop vertices are already gone, so their removal can only have
-        # shrunk the cycle structure and the clamped set is still an FVS
-        z = set(fvs_override) & h.vertices
-        if not h.is_forest(h.vertices - z):
-            raise ValueError("supplied vertex set is not an FVS of the loop-free graph")
-    else:
+    # the peel deletes no vertex on a cycle, so an override can be tested
+    # after it; its Z is spared, so its guess list stays as it is
+    z = set(fvs_override or ()).intersection(g.vertices).difference(taken)
+    h = g.peeled(taken, z)
+    r &= h.vertices
+    if fvs_override is None:
         # any independent solution is also an FVS, so a minimum FVS above
         # the budget answers no; an oversized override proves nothing
         z = min_fvs(h, k - len(taken))
         if z is None:
             return SolveResult("no", None, _stats(None, []))
-    # a vertex of degree <= 1 lies on no cycle, and each guess's root
-    # fixpoint would delete it by rule 1 before any other rule fires; Z is
-    # spared, so its guesses and their skip tests stay as they are
-    while peel := [v for v in h.low_degree_vertices() if v not in z]:
-        for v in peel:
-            h.remove_vertex(v)
-        r.difference_update(peel)
+    elif not h.is_forest(h.vertices - z):
+        raise ValueError("supplied vertex set is not an FVS of the loop-free graph")
     root = DisInstance(h, set(), r, k - len(taken), validate=False)
     facts = _guess_facts(h, z, r)
 

@@ -1,4 +1,5 @@
 """Shared instance builders and checkers for the test suite."""
+import random
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, combinations
@@ -42,6 +43,29 @@ def petersen() -> MultiGraph:
         g.add_edge(i, i + 5)
         g.add_edge(i + 5, 5 + (i + 2) % 5)
     return g
+
+
+def with_pendants(g: MultiGraph, seed: int) -> tuple[MultiGraph, int]:
+    """g plus 1-8 pendant vertices on fresh ids, and the last one added.
+
+    A pendant may hang off an earlier one, so whole trees grow on g.
+    """
+    rng = random.Random(seed)
+    h = g.copy()
+    for _ in range(rng.randint(1, 8)):
+        t = h.new_vertex()
+        h.add_edge(rng.choice(sorted(h.vertices - {t})), t)
+    return h, t
+
+
+def peel_by_rounds(g: MultiGraph, spare: set[int] = frozenset()) -> MultiGraph:
+    """Reference peel: a copy of g minus, round after round, every vertex
+    outside spare of degree at most one, until a round finds none."""
+    h = g.copy()
+    while low := sorted(v for v in h.vertices - spare if h.deg(v) <= 1):
+        for v in low:
+            h.remove_vertex(v)
+    return h
 
 
 def deg_x(g: MultiGraph, v: int, x: set[int]) -> int:

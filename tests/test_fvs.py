@@ -12,13 +12,13 @@ from ifvs.fvs import (
     cover_count,
     min_fvs,
 )
-from ifvs.generators import random_multigraph
+from ifvs.generators import planted_ifvs, random_multigraph
 from ifvs.instance import check_solution
 from ifvs.multigraph import MultiGraph
 from ifvs.oracle import brute_min_fvs
 from ifvs.pipeline import solve_ifvs
 
-from helpers import complete, cycle, layout, path, petersen
+from helpers import complete, cycle, layout, path, peel_by_rounds, petersen, with_pendants
 
 
 def test_forest_needs_nothing():
@@ -123,10 +123,28 @@ def test_a_capped_search_returns_the_uncapped_set_or_none():
     assert any(m > 1 for g in graphs for _, _, m in g.edge_items())
 
 
+def test_min_fvs_ignores_the_trees_hung_on_a_graph():
+    # min_fvs peels its copy before it reduces, so trees hung on a graph
+    # change neither its set nor its capped answers
+    graphs = [with_pendants(random_multigraph(6 + s % 20, 8 + s % 20 + s % 5, s, loops=s % 3 == 0,
+                                              multi=s % 2 == 0), s)[0] for s in range(120)]
+    graphs += [planted_ifvs(30 + 10 * (s % 8), 3 + s % 5, s).graph for s in range(20)]
+    hung = 0
+    for i, g in enumerate(graphs):
+        core = peel_by_rounds(g)
+        hung += len(core) < len(g)
+        z = min_fvs(core)
+        assert min_fvs(g) == z, i
+        for cap in range(len(z) - 1, len(z) + 2):
+            assert min_fvs(g, cap) == min_fvs(core, cap), (i, cap)
+    assert hung >= 130
+
+
 def _deepening_fvs(g: MultiGraph) -> set[int]:
     """Reference: the earlier min_fvs, which restarted a budgeted search
     for every budget from a lower bound up, and also pruned by a greedy
-    packing of vertex-disjoint shortest cycles."""
+    packing of vertex-disjoint shortest cycles; on the 2-core, as min_fvs
+    searches it."""
 
     def pack(h, dirty=None):
         count = 0
@@ -160,7 +178,7 @@ def _deepening_fvs(g: MultiGraph) -> set[int]:
                 return res
         return None
 
-    h = g.copy()
+    h = g.peeled()
     _reduce(h, forced := [])
     start = max(cover_count(*_rank_and_degrees(h)), pack(h.copy()))
     for k in range(start, len(h) + 1):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from ifvs.multigraph import MultiGraph
 
-from helpers import complete, cycle, layout, path
+from helpers import complete, cycle, layout, path, peel_by_rounds
 
 
 def test_loop_counts_twice_in_degree():
@@ -246,3 +246,28 @@ def test_copy_without_builds_what_copy_and_remove_vertex_build(case, gone):
     assert layout(g) == before
     _assert_degrees_match_adjacency(got)
     assert got.new_vertex() == n == want.new_vertex()
+
+
+@given(_EDGE_LISTS, st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
+@example((5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), set(), set())  # a path hung on a triangle
+@example((4, [(0, 1), (1, 2), (2, 3)]), set(), {0})  # a path peels up to its spared end
+@example((3, [(0, 0), (0, 1), (1, 2)]), set(), set())  # a loop keeps its vertex
+@example((4, [(0, 0), (0, 1), (1, 2), (2, 3), (3, 1)]), {0}, set())  # gone first, then nothing
+@example((4, [(0, 0), (0, 1), (0, 2), (1, 2), (2, 3)]), {0}, set())  # gone first, then all
+def test_peeled_is_what_removing_gone_then_peeling_in_rounds_leaves(case, gone, spare):
+    n, edges = case
+    g = MultiGraph.from_edges(n, edges)
+    gone = {v for v in gone if v < n}
+    spare = {v for v in spare if v < n}
+    before = layout(g)
+    want = g.copy()
+    for v in gone:
+        want.remove_vertex(v)
+    want = peel_by_rounds(want, spare)
+    got = g.peeled(gone, spare)
+    # one end, key orders included, whatever order the vertices went in,
+    # and g as it was
+    assert layout(got) == layout(want)
+    assert layout(g) == before
+    assert all(got.deg(v) >= 2 for v in got.vertices - spare)
+    _assert_degrees_match_adjacency(got)

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import random
 from itertools import combinations
 
 import pytest
@@ -32,7 +31,7 @@ from ifvs.pipeline import (
     subdivide_once,
 )
 
-from helpers import complete, cycle, layout, petersen
+from helpers import complete, cycle, layout, petersen, with_pendants
 
 
 def test_constants_are_what_they_claim():
@@ -234,10 +233,14 @@ def test_a_minimize_scan_at_z_ends_at_its_only_hit():
     # and the only "yes". The graphs have no loops, so Z is the solver's
     # own; an override with it bounds nothing, so its scan runs every guess
     # at |Z| - 1 after the same records up to the hit, finds no smaller set
-    # and returns the same witness
+    # and returns the same witness. On the graphs with hung trees the
+    # solver's own run peels them all before it finds Z, and the override
+    # run peels around the given Z; both must reach the same root
     graphs = [subdivide_once(random_multigraph(8 + seed % 9, 12 + seed % 9, seed))
               for seed in range(40)]
     graphs += [_sparse(seed, 20, 1.6) for seed in range(20)]
+    graphs += [with_pendants(random_multigraph(10 + seed % 8, 16 + seed % 8, seed, loops=False),
+                             seed)[0] for seed in range(20)]
     stopped = unrun = 0
     for g in graphs:
         res = solve_ifvs(g, len(g), minimize=True)
@@ -315,23 +318,10 @@ def test_guesses_that_cannot_be_built_are_skipped():
     assert status[(2,)] == "yes" and res.solution == {0, 2}
 
 
-def _with_pendants(g: MultiGraph, seed: int) -> tuple[MultiGraph, int]:
-    """g plus 1-8 pendant vertices on fresh ids, and the last one added.
-
-    A pendant may hang off an earlier one, so whole trees grow on g.
-    """
-    rng = random.Random(seed)
-    h = g.copy()
-    for _ in range(rng.randint(1, 8)):
-        t = h.new_vertex()
-        h.add_edge(rng.choice(sorted(h.vertices - {t})), t)
-    return h, t
-
-
 def _pendant_case(seed: int) -> tuple[MultiGraph, MultiGraph, int, set[int]]:
     n = 10 + seed % 20
     g = random_multigraph(n, int(1.4 * n), seed, loops=seed % 3 == 0, multi=seed % 2 == 0)
-    h, t = _with_pendants(g, seed)
+    h, t = with_pendants(g, seed)
     return g, h, t, min_fvs(g)
 
 
@@ -525,13 +515,52 @@ def test_each_guess_is_built_as_take_protect_and_rule_1_would_leave_it(monkeypat
         n = 6 + seed % 9
         multi = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
         sub = subdivide_once(random_multigraph(6 + seed % 5, 9 + seed % 5, seed))
-        h, t = _with_pendants(random_multigraph(n, int(1.5 * n), seed, loops=False), seed)
+        h, t = with_pendants(random_multigraph(n, int(1.5 * n), seed, loops=False), seed)
         z = min_fvs(h) | {t}  # t has degree one
         for g, k, over in ((multi, len(multi), None), (sub, len(sub), None), (h, len(h), z)):
             opt = solve_ifvs(g, k, minimize=True, fvs_override=over).solution
             if opt:  # a "no" at opt - 1 runs every guess
                 solve_ifvs(g, len(opt) - 1, fvs_override=over)
     assert seen["built"] >= 500 and seen["peeled"] >= 400 and seen["pendant"] >= 100, seen
+
+
+def test_the_whole_z_guess_is_built_as_its_refutation_would_build_it(monkeypatch):
+    # Z is an FVS, so G - Z is a forest with an empty 2-core: at Z' = Z no
+    # cut of _refuted can fire and its peel takes every vertex outside Z.
+    # The guess skips _refuted, and its record must be the one built
+    # through it, also where an override names a Z-vertex of degree one
+    run_guess = pipeline._run_guess
+    seen = {"whole": 0, "pendant": 0}
+
+    def recording(root, facts, z_prime, keep_trace):
+        rec = run_guess(root, facts, z_prime, keep_trace)
+        if len(z_prime) < len(facts.z) or pipeline._skipped(facts, z_prime):
+            return rec
+        g = root.graph
+        blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
+        peeled = pipeline._refuted(g, facts, z_prime, blocked, root.k)
+        assert peeled == g.vertices - set(z_prime), z_prime
+        gone = peeled.union(z_prime)
+        inst = DisInstance(g.copy_without(gone), facts.z - gone, blocked - facts.z - gone,
+                           root.k - len(z_prime), validate=False)
+        res = search_disjoint(inst, keep_trace)
+        status = "yes" if res.feasible else "no"
+        assert rec == GuessRecord(z_prime, status, res.stats, res.trace, res.solution), z_prime
+        seen["whole"] += 1
+        seen["pendant"] += any(g.deg(v) < 2 for v in facts.z)
+        return rec
+
+    monkeypatch.setattr(pipeline, "_run_guess", recording)
+    for seed in range(60):
+        n = 6 + seed % 9
+        multi = random_multigraph(n, int(1.5 * n), seed)  # loops and parallel edges
+        sub = subdivide_once(random_multigraph(6 + seed % 5, 9 + seed % 5, seed))
+        h, t = with_pendants(random_multigraph(n, int(1.5 * n), seed, loops=False), seed)
+        z = min_fvs(h) | {t}  # t has degree one
+        for g, over in ((multi, None), (sub, None), (h, z)):
+            solve_ifvs(g, len(g), minimize=True, fvs_override=over, keep_traces=True)
+            solve_ifvs(g, len(g), fvs_override=over, keep_traces=True)
+    assert seen["whole"] >= 200 and seen["pendant"] >= 50, seen
 
 
 def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
@@ -667,7 +696,7 @@ def test_an_fvs_override_with_a_pendant_vertex_answers_as_the_oracle():
     for seed in range(40):
         n = 8 + seed % 5
         g = random_multigraph(n, int(1.5 * n), seed, loops=False, multi=seed % 2 == 0)
-        h, t = _with_pendants(g, seed)
+        h, t = with_pendants(g, seed)
         if len(h) > 16:
             continue
         z = min_fvs(g) | {t}
