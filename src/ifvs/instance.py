@@ -322,6 +322,8 @@ def pivot_degrees(inst: DisInstance, targets: Iterable[int]) -> dict[int, tuple[
                 facts[v] = (g.deg(v), wdeg[v], g.neighbors(v) - w)
 
     targets = list(targets)
+    if not targets:  # as at every base leaf
+        return {}
     learn(targets)
     near = {u for v in targets for u in facts[v][2]}
     near.update(targets)

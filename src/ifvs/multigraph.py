@@ -107,8 +107,11 @@ class MultiGraph:
     def peeled(self, gone: set[int] = frozenset(), spare: set[int] = frozenset()) -> MultiGraph:
         """A copy minus gone and then, until none is left, every vertex
         outside spare of degree at most one (the 2-core if nothing is
-        spared), as copy and remove_vertex leave it in any order."""
+        spared), as copy and remove_vertex leave it in any order; a plain
+        copy when nothing goes."""
         out = set(gone).union(self._low.difference(spare))
+        if not out:
+            return self.copy()
         walk, deg = list(out), {}  # deg: the degrees that fell
         for v in walk:  # walk grows while it is walked
             for u, m in self._adj[v].items():
@@ -189,7 +192,8 @@ class MultiGraph:
         return self._m
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._adj.get(u, {}).get(v, 0)
+        nbrs = self._adj.get(u)
+        return 0 if nbrs is None else nbrs.get(v, 0)
 
     def neighbors(self, v: int) -> set[int]:
         """Distinct adjacent vertices, excluding v itself."""

@@ -9,7 +9,8 @@ the budget left: any independent solution is an FVS, so when none fits the
 answer is "no" with no Z. The root DisInstance is built on the peeled graph.
 
 Every guess Z' of the solution part inside Z is read off that root. What
-the guesses read of Z is found once per solve (_GuessFacts). A guess is
+every guess reads of Z is found once per solve, what only the refutation
+reads of the root on its first use (_GuessFacts). A guess is
 skipped when Z' meets R or is not independent, or the edges inside Z
 minus Z' close a cycle. A guess that passes these tests is refuted before
 its instance is built when a cycle of its undeletable part, the vertices
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations, islice
 
 from .branching import BranchNode, DisjointStats, fib, search_disjoint
@@ -95,37 +97,33 @@ def _forced(g: MultiGraph, keep: set[int], free: set[int]) -> set[int] | None:
     return forced
 
 
-@dataclass(frozen=True, slots=True)
 class _GuessFacts:
-    """What every guess's tests read of Z and the root, found once per solve.
+    """What the guesses' tests read of Z and the root.
 
     The root's graph and R stay as they are while its guesses run, so these
-    hold for all of them: Z, the root's cycle rank m - n + c, the label of
-    each vertex's component, each Z-vertex's neighbours, the Z-vertices in
-    R, the edges inside Z as (u, v, mult) with u < v, and (degree, vertex)
-    for every vertex outside Z, largest first.
+    hold for all of them. Every guess reads Z, each Z-vertex's neighbours,
+    the Z-vertices in R and the edges inside Z as (u, v, mult) with u < v.
+    Only _refuted reads the rest, built on its first read: the root's cycle
+    rank m - n + c, the label of each vertex's component, and (degree,
+    vertex) for every vertex outside Z, largest first.
     """
 
-    z: set[int]
-    rank: int
-    comp: dict[int, int]
-    nbrs: dict[int, set[int]]
-    z_in_r: set[int]
-    z_edges: list[tuple[int, int, int]]
-    order: list[tuple[int, int]]
+    def __init__(self, g: MultiGraph, z: set[int], r: set[int]) -> None:
+        self.g, self.z, self.z_in_r = g, z, z & r
+        self.nbrs = {v: g.neighbors(v) for v in z}
+        self.z_edges = [(u, v, m) for u in z for v, m in g.incident(u) if v in z and u < v]
 
+    @cached_property
+    def comp(self) -> dict[int, int]:
+        return self.g.component_labels()
 
-def _guess_facts(g: MultiGraph, z: set[int], r: set[int]) -> _GuessFacts:
-    comp = g.component_labels()
-    return _GuessFacts(
-        z,
-        g.num_edges - len(g) + len(set(comp.values())),
-        comp,
-        {v: g.neighbors(v) for v in z},
-        z & r,
-        [(u, v, m) for u in z for v, m in g.incident(u) if v in z and u < v],
-        sorted(((g.deg(v), v) for v in g.vertices - z), reverse=True),
-    )
+    @cached_property
+    def rank(self) -> int:
+        return self.g.num_edges - len(self.g) + len(set(self.comp.values()))
+
+    @cached_property
+    def order(self) -> list[tuple[int, int]]:
+        return sorted(((self.g.deg(v), v) for v in self.g.vertices - self.z), reverse=True)
 
 
 def _skipped(facts: _GuessFacts, z_prime: tuple[int, ...]) -> bool:
@@ -260,7 +258,8 @@ def _run_guess(
     deletable. Taking a vertex of degree d lowers m - n + c by at most
     d - 1, and degrees only fall as vertices go. At Z' = Z, G - Z is a
     forest that holds U and the free vertices: the rank bound is at most 0,
-    nothing is forced and the peel takes it all, so _refuted is skipped.
+    nothing is forced and the peel takes it all, so _refuted is skipped
+    and the guess is built on a new empty graph.
 
     Any other guess is built on that 2-core: the root minus Z' and the
     peel, W the rest of Z, R the rest of R ∪ N(Z'). Taking Z', protecting
@@ -270,15 +269,18 @@ def _run_guess(
     """
     if _skipped(facts, z_prime):
         return GuessRecord(z_prime, "skipped", DisjointStats())
-    blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
-    peeled = (root.graph.vertices - facts.z if len(z_prime) == len(facts.z)
-              else _refuted(root.graph, facts, z_prime, blocked, root.k))
-    if peeled is None:
-        trace = BranchNode("reject", answer="no") if keep_trace else None
-        return GuessRecord(z_prime, "no", DisjointStats(1), trace)
-    gone = peeled.union(z_prime)
-    inst = DisInstance(root.graph.copy_without(gone), facts.z - gone,
-                       blocked - facts.z - gone, root.k - len(z_prime), validate=False)
+    k = root.k - len(z_prime)
+    if len(z_prime) == len(facts.z):  # the peel takes every vertex outside Z
+        inst = DisInstance(MultiGraph(), set(), set(), k, validate=False)
+    else:
+        blocked = root.r.union(*(facts.nbrs[v] for v in z_prime))
+        peeled = _refuted(root.graph, facts, z_prime, blocked, root.k)
+        if peeled is None:
+            trace = BranchNode("reject", answer="no") if keep_trace else None
+            return GuessRecord(z_prime, "no", DisjointStats(1), trace)
+        gone = peeled.union(z_prime)
+        inst = DisInstance(root.graph.copy_without(gone), facts.z - gone,
+                           blocked - facts.z - gone, k, validate=False)
     res = search_disjoint(inst, keep_trace)
     return GuessRecord(z_prime, "yes" if res.feasible else "no", res.stats, res.trace, res.solution)
 
@@ -326,7 +328,7 @@ def solve_ifvs(
     # second one among them means two adjacent loops
     r: set[int] = set()
     taken: set[int] = set()
-    for v in sorted(v for v in g.vertices if g.multiplicity(v, v) > 0):
+    for v in sorted(v for v, nbrs in g._adj.items() if v in nbrs):
         if v in r or len(taken) == k:
             # two loop vertices are adjacent, or there are more than k
             return SolveResult("no", None, _stats(None, []))
@@ -346,7 +348,7 @@ def solve_ifvs(
     elif not h.is_forest(h.vertices - z):
         raise ValueError("supplied vertex set is not an FVS of the loop-free graph")
     root = DisInstance(h, set(), r, k - len(taken), validate=False)
-    facts = _guess_facts(h, z, r)
+    facts = _GuessFacts(h, z, r)
 
     z_sorted = sorted(z)
     sizes = range(min(root.k, len(z)), -1, -1)

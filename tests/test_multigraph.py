@@ -271,3 +271,26 @@ def test_peeled_is_what_removing_gone_then_peeling_in_rounds_leaves(case, gone, 
     assert layout(g) == before
     assert all(got.deg(v) >= 2 for v in got.vertices - spare)
     _assert_degrees_match_adjacency(got)
+
+
+@given(_EDGE_LISTS, st.sets(st.integers(0, 7)))
+@example((3, [(0, 1), (1, 2), (2, 0)]), set())  # a cycle is its own 2-core
+@example((3, [(0, 0), (1, 1)]), set())  # loops keep their vertices; 2 is spared
+@example((4, [(0, 1), (1, 2), (2, 3)]), {1})  # both ends of a path are spared
+def test_peeled_with_nothing_to_remove_is_a_copy(case, extra):
+    n, edges = case
+    g = MultiGraph.from_edges(n, edges)
+    # the 2-core of g, and g itself with every vertex of degree at most
+    # one spared, have nothing to peel
+    spare = g.low_degree_vertices() | {v for v in extra if v < n}
+    for src, keep in ((g.peeled(), set()), (g, spare)):
+        before = layout(src)
+        got, want = src.peeled(set(), keep), src.copy()
+        assert got is not src
+        assert layout(got) == layout(want)
+        assert got._next_id == want._next_id
+        # an edit of the result leaves the source as it was
+        got.add_edge(n, n)
+        for v in sorted(src.vertices)[:1]:
+            got.remove_vertex(v)
+        assert layout(src) == before

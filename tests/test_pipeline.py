@@ -17,6 +17,7 @@ from ifvs.branching import (
     search_disjoint,
     solve_disjoint,
 )
+from ifvs.formats import emit_graph, parse_graph
 from ifvs.fvs import min_fvs
 from ifvs.generators import planted_ifvs, random_dis_instance, random_multigraph
 from ifvs.instance import DisInstance, check_solution
@@ -426,6 +427,59 @@ def test_a_decision_with_an_independent_z_answers_at_its_first_guess():
     assert checked >= 40
 
 
+def _facts_built(monkeypatch) -> list:
+    """Every _GuessFacts a solve builds from here on."""
+    built = []
+    init = pipeline._GuessFacts.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(pipeline._GuessFacts, "__init__", recording)
+    return built
+
+
+def test_a_solve_that_answers_at_z_builds_no_refutation_facts(monkeypatch):
+    # Z' = Z skips _refuted, so a solve that answers there never builds
+    # the component labels, cycle rank or degree order that only it reads:
+    # the subdivided minimize runs of CI, and a planted decision whose Z is
+    # independent (at seed 1, CI's, two pairs of Z are adjacent)
+    cases = [(parse_graph(emit_graph(subdivide_once(random_multigraph(n, m, 1)))), 60, True)
+             for n, m in ((20, 30), (14, 21))]
+    cases.append((planted_ifvs(800, 15, 0).graph, 15, False))
+    built = _facts_built(monkeypatch)
+
+    def refuse(self):
+        raise AssertionError("component labels built")
+
+    monkeypatch.setattr(MultiGraph, "component_labels", refuse)
+    for g, k, minimize in cases:
+        res = solve_ifvs(g, k, minimize=minimize)
+        assert res.status == "yes" and check_solution(g, res.solution, k)
+        assert len(res.guesses) == 1 and res.stats["branch_nodes"] == 1
+        assert not {"comp", "rank", "order"} & vars(built.pop()).keys()
+
+
+def test_the_refutation_facts_are_built_once_per_solve(monkeypatch):
+    # every guess of the k = 15 decision is refuted, and the minimize run
+    # scans at |Z| = 10 and then at k; each solve builds its facts once
+    g = random_multigraph(60, 96, 1)
+    built = _facts_built(monkeypatch)
+    labels, refuted = [], []
+    component_labels, refute = MultiGraph.component_labels, pipeline._refuted
+    monkeypatch.setattr(MultiGraph, "component_labels",
+                        lambda self: labels.append(1) or component_labels(self))
+    monkeypatch.setattr(pipeline, "_refuted", lambda *args: refuted.append(1) or refute(*args))
+    for k, minimize in ((15, False), (60, True)):
+        labels.clear()
+        refuted.clear()
+        res = solve_ifvs(g, k, minimize=minimize)
+        assert res.status == ("yes" if minimize else "no")
+        assert len(built) == 1 and len(labels) == 1 and len(refuted) > 100, (k, len(refuted))
+        assert {"comp", "rank", "order"} <= vars(built.pop()).keys()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=9))
@@ -626,7 +680,7 @@ def _refutation_case(edges, z: set[int], z_prime: tuple[int, ...], k: int):
     for u, v in edges:
         g.add_edge(u, v)
     root = DisInstance(g, set(), set(), k, validate=False)
-    rec = pipeline._run_guess(root, pipeline._guess_facts(g, z, set()), z_prime, True)
+    rec = pipeline._run_guess(root, pipeline._GuessFacts(g, z, set()), z_prime, True)
     return rec, _built(root, z, z_prime)
 
 
