@@ -34,8 +34,8 @@ def corpus():
     # sparse graphs whose set changes when the cycle search walks neighbour
     # sets built by set(adjacency map), whose hash table is presized, so
     # they iterate in another order than sets built one vertex at a time
-    for n, m, seed, multi in ((33, 56, 152848, True), (34, 68, 82, False), (38, 71, 113193, False),
-                              (43, 68, 475, False), (47, 94, 143, False)):
+    for n, m, seed, multi in ((31, 60, 86008, True), (34, 68, 82, False), (34, 65, 113917, False),
+                              (38, 59, 86993, False), (44, 83, 20462, False)):
         yield random_multigraph(n, m, seed, loops=False, multi=multi)
     for seed in range(4):
         yield planted_ifvs(30 + 10 * seed, 4 + seed, seed).graph

@@ -1,19 +1,24 @@
 """Exact feedback vertex set provider for the compression pipeline.
 
 Plain FVS, no independence requirement. One depth-first branch and bound
-over the vertices of a shortest cycle, on the 2-core, after the standard
-degree reductions, which run off a worklist: only the neighbours of a
-removed or bypassed vertex are looked at again. The shortest cycle comes
-from a BFS per root that stops once no deeper cycle can beat the best one
-found, so the minimum over all roots is still the girth. The search keeps
-the best set found so far and prunes a node when its forced vertices plus
-the cycle-rank bound (deleting a vertex of degree d lowers m - n + c by at
-most d - 1) cannot beat it, and a child already before its graph is
-copied, by the same count over its parent's degrees. It returns the
-first minimum set in DFS order: every node above that set has
-forced + bound <= opt, which no incumbent prunes until a set of size opt
-is in hand. Which one depends on the order the BFS walks neighbour sets
-in, so edits keep the key orders add_edge and remove_vertex would leave.
+over the vertices of a shortest cycle, highest degree first, on the
+2-core, after the standard degree reductions, which run off a worklist:
+only the neighbours of a removed or bypassed vertex are looked at again.
+The shortest cycle comes from a BFS per root that stops once no deeper
+cycle can beat the best one found, so the minimum over all roots is still
+the girth. The search keeps the best set found so far and prunes a node
+when its forced vertices plus the cycle-rank bound (deleting a vertex of
+degree d lowers m - n + c by at most d - 1) cannot beat it, and a child
+already before its graph is copied, by the same count over the exact
+degrees of the parent minus the child's vertex. It returns the first
+minimum set in DFS order: every node above that set has
+forced + bound <= opt for any valid bound, which no incumbent prunes until
+a set of size opt is in hand. High-degree children come first, so that
+set is met sooner and is made of high-degree vertices, which leaves the
+low-degree ones to the compression's guesses, whose rank cuts then bite
+sooner. Which set it is depends also on the order the BFS walks
+neighbour sets in, so edits keep the key orders add_edge and
+remove_vertex would leave.
 """
 from __future__ import annotations
 
@@ -161,8 +166,11 @@ def _bnb(
     """The smallest FVS of g plus acc with fewer than cap vertices, or None.
 
     Consumes g and extends acc. Depth first over the vertices of a shortest
-    cycle; each set a child finds lowers cap to its size, so later children
-    must beat it. The last child takes g itself, the others a copy.
+    cycle, in descending degree, ties by id; each set a child finds lowers
+    cap to its size, so later children must beat it. A high-degree vertex
+    breaks the most cycles, so the first child is the likeliest to reach a
+    minimum set, and its set prunes its siblings. The last child takes g
+    itself, the others a copy.
     """
     _reduce(g, acc, dirty)
     need, degs = _rank_and_degrees(g)
@@ -172,14 +180,19 @@ def _bnb(
     if not len(g):
         return acc  # a reduced graph is empty exactly when it was a forest
     best = None
-    cycle = sorted(_shortest_cycle(g))
+    adj, deg = g._adj, g._deg
+    cycle = sorted(_shortest_cycle(g), key=lambda v: (-deg[v], v))
     for v in cycle:
         # bound the child before copying it: g - v has cycle rank at least
-        # need - (deg(v) - 1) and no degree above g's
-        d = g.deg(v)
+        # need - (deg(v) - 1), and exactly g's degrees with v dropped and
+        # each neighbour lowered by its edges to v
+        nbrs = adj[v]
         rest = list(degs)
-        rest.remove(d)
-        if len(acc) + 1 + cover_count(need - d + 1, rest) >= cap:
+        for d in [deg[v], *map(deg.get, nbrs)]:
+            rest.remove(d)
+        rest += [deg[u] - m for u, m in nbrs.items()]
+        rest.sort(reverse=True)
+        if len(acc) + 1 + cover_count(need - deg[v] + 1, rest) >= cap:
             continue
         child = g if v == cycle[-1] else g.copy()
         res = _bnb(child, cap, acc + [v], _delete(child, [v]))
@@ -194,7 +207,11 @@ def min_fvs(g: MultiGraph, cap: int | None = None) -> set[int] | None:
     It peels its copy to the 2-core first, so trees hung on g change no
     set. With a cap, None when the minimum has more than cap vertices. A
     cap at or above the optimum returns the same set as no cap, since no
-    node above the first minimum set in DFS order is pruned by either.
+    node above the first minimum set in DFS order is pruned by either. The
+    search tries each cycle's vertices highest degree first, so the set is
+    of high-degree vertices where there is a choice: the pipeline guesses
+    over it, and the vertices left outside it, of lower degree, make the
+    guesses' rank cuts and engine trees cheaper.
     """
     res = _bnb(g.peeled(), (len(g) if cap is None else cap) + 1, [])
     return set(res) if res is not None else None

@@ -8,7 +8,7 @@ import pytest
 
 from ifvs import branching, reductions
 from ifvs.basecase import ParityInstance, _forest_union
-from ifvs.fvs import min_fvs
+from ifvs.fvs import _delete, _rank_and_degrees, _reduce, _shortest_cycle, cover_count, min_fvs
 from ifvs.instance import DisInstance, measure, pivot_degrees
 from ifvs.multigraph import MultiGraph
 from ifvs.reductions import DRAINED, RULE_IDS, ReductionEvent
@@ -368,6 +368,55 @@ def reference_fixpoint(inst) -> tuple[list, bool]:
         mu = mu_after
         if status == "reject":
             return events, True
+
+
+def deepening_fvs(g: MultiGraph, by_id: bool = False) -> set[int]:
+    """Reference: the earlier min_fvs, which restarted a budgeted search
+    for every budget from a lower bound up, and also pruned by a greedy
+    packing of vertex-disjoint shortest cycles; on the 2-core, as min_fvs
+    searches it, and over each cycle's vertices in min_fvs's order, highest
+    degree first, or by id, the order of an earlier min_fvs."""
+
+    def pack(h, dirty=None):
+        count = 0
+        while True:
+            _reduce(h, acc := [], dirty)
+            count += len(acc)
+            cyc = _shortest_cycle(h)
+            if cyc is None:
+                return count
+            dirty = _delete(h, cyc)
+            count += 1
+
+    def search(h, budget, acc, dirty=None):
+        forced_before = len(acc)
+        _reduce(h, acc, dirty)
+        budget -= len(acc) - forced_before
+        if budget < 0:
+            return None
+        if not len(h):
+            return acc
+        if cover_count(*_rank_and_degrees(h)) > budget:
+            return None
+        cyc = _shortest_cycle(h)
+        rest = h.copy()
+        if 1 + pack(rest, _delete(rest, cyc)) > budget:
+            return None
+        for v in sorted(cyc, key=lambda v: (0 if by_id else -h.deg(v), v)):
+            child = h.copy()
+            res = search(child, budget - 1, acc + [v], _delete(child, [v]))
+            if res is not None:
+                return res
+        return None
+
+    h = g.peeled()
+    _reduce(h, forced := [])
+    start = max(cover_count(*_rank_and_degrees(h)), pack(h.copy()))
+    for k in range(start, len(h) + 1):
+        res = search(h.copy(), k, list(forced), ())
+        if res is not None:
+            return set(res)
+    raise AssertionError("the whole vertex set is an FVS")
 
 
 def pipeline_guesses(g: MultiGraph, k: int):

@@ -285,10 +285,12 @@ def deep_trees():
     The random disjoint instances and rule sites hardly branch, so this is
     the family that reaches deep trees. The cycle-rank cut keeps almost
     every tree that says no below 20 nodes, so the budgets run from
-    |Z| + 1 to |Z| + 3, where the deep trees search for a solution.
+    |Z| + 1 to |Z| + 3, where the deep trees search for a solution. Seeds
+    0-9 give 56 such trees, the deepest of 193 nodes; seed 118 adds 23,
+    one of 215 nodes.
     """
     out = []
-    for seed in range(10):
+    for seed in (*range(10), 118):
         n = 40 + seed % 11
         g = random_multigraph(n, int(1.6 * n), seed, loops=False, multi=False)
         z_size = len(min_fvs(g))

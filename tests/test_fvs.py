@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifvs.fvs import (
-    _delete,
     _rank_and_degrees,
     _reduce,
     _shortest_cycle,
@@ -18,7 +17,16 @@ from ifvs.multigraph import MultiGraph
 from ifvs.oracle import brute_min_fvs
 from ifvs.pipeline import solve_ifvs
 
-from helpers import complete, cycle, layout, path, peel_by_rounds, petersen, with_pendants
+from helpers import (
+    complete,
+    cycle,
+    deepening_fvs,
+    layout,
+    path,
+    peel_by_rounds,
+    petersen,
+    with_pendants,
+)
 
 
 def test_forest_needs_nothing():
@@ -140,60 +148,12 @@ def test_min_fvs_ignores_the_trees_hung_on_a_graph():
     assert hung >= 130
 
 
-def _deepening_fvs(g: MultiGraph) -> set[int]:
-    """Reference: the earlier min_fvs, which restarted a budgeted search
-    for every budget from a lower bound up, and also pruned by a greedy
-    packing of vertex-disjoint shortest cycles; on the 2-core, as min_fvs
-    searches it."""
-
-    def pack(h, dirty=None):
-        count = 0
-        while True:
-            _reduce(h, acc := [], dirty)
-            count += len(acc)
-            cyc = _shortest_cycle(h)
-            if cyc is None:
-                return count
-            dirty = _delete(h, cyc)
-            count += 1
-
-    def search(h, budget, acc, dirty=None):
-        forced_before = len(acc)
-        _reduce(h, acc, dirty)
-        budget -= len(acc) - forced_before
-        if budget < 0:
-            return None
-        if not len(h):
-            return acc
-        if cover_count(*_rank_and_degrees(h)) > budget:
-            return None
-        cyc = _shortest_cycle(h)
-        rest = h.copy()
-        if 1 + pack(rest, _delete(rest, cyc)) > budget:
-            return None
-        for v in sorted(cyc):
-            child = h.copy()
-            res = search(child, budget - 1, acc + [v], _delete(child, [v]))
-            if res is not None:
-                return res
-        return None
-
-    h = g.peeled()
-    _reduce(h, forced := [])
-    start = max(cover_count(*_rank_and_degrees(h)), pack(h.copy()))
-    for k in range(start, len(h) + 1):
-        res = search(h.copy(), k, list(forced), ())
-        if res is not None:
-            return set(res)
-    raise AssertionError("the whole vertex set is an FVS")
-
-
 def test_min_fvs_returns_the_deepening_set():
     # one search with an incumbent finds the same set as the restarts did
     for seed in range(200):
         n = 8 + seed % 9
         g = random_multigraph(n, n + 6 + seed % 11, seed)
-        assert min_fvs(g) == _deepening_fvs(g), seed
+        assert min_fvs(g) == deepening_fvs(g), seed
 
 
 def _sweep_reduce(g: MultiGraph, acc: list[int]) -> None:

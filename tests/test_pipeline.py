@@ -32,7 +32,7 @@ from ifvs.pipeline import (
     subdivide_once,
 )
 
-from helpers import complete, cycle, layout, petersen, with_pendants
+from helpers import complete, cycle, deepening_fvs, layout, petersen, with_pendants
 
 
 def test_constants_are_what_they_claim():
@@ -306,6 +306,53 @@ def test_fvs_override_is_honoured_and_clamped():
     assert res2.status == "yes" and 1 in res2.solution
 
 
+def _reversed_ids(g: MultiGraph) -> tuple[MultiGraph, int]:
+    """g with each id v renamed top - v, and top."""
+    top = max(g.vertices, default=0)
+    h = MultiGraph(top - v for v in g.vertices)
+    for u, v, mult in g.edge_items():
+        h.add_edge(top - u, top - v, mult)
+    return h, top
+
+
+def test_the_answer_does_not_depend_on_which_minimum_fvs_is_used():
+    # the pipeline compresses over one minimum FVS Z, and which one min_fvs
+    # returns depends on its child order; any other minimum FVS, handed in
+    # as fvs_override, must give the same statuses and sizes. The other
+    # sets are the reference search's with children in id order, which is
+    # the set min_fvs returned before it went highest degree first, and
+    # min_fvs's on the graph with its ids reversed
+    graphs = []
+    for seed in range(70):
+        n = 20 + seed % 41
+        graphs.append(random_multigraph(n, int(1.5 * n), seed, loops=seed % 3 == 0,
+                                        multi=seed % 2 == 0))
+    graphs += [subdivide_once(random_multigraph(12 + seed % 9, 20 + seed % 13, seed, loops=False))
+               for seed in range(30)]
+    other = 0
+    for i, g in enumerate(graphs):
+        z = frozenset(min_fvs(g))
+        h, top = _reversed_ids(g)
+        overrides = {frozenset(deepening_fvs(g, by_id=True)), frozenset(top - v for v in min_fvs(h))}
+        overrides.discard(z)
+        other += len(overrides)
+        best = solve_ifvs(g, len(g), minimize=True)
+        opt = len(best.solution) if best.status == "yes" else None
+        budgets = [len(g)] if opt is None else [opt, opt - 1] if opt else [opt]
+        want = {k: solve_ifvs(g, k).status for k in budgets}
+        for over in overrides:
+            assert len(over) == len(z) and g.is_forest(g.vertices - over), i
+            res = solve_ifvs(g, len(g), minimize=True, fvs_override=set(over))
+            assert res.status == best.status, i
+            if opt is not None:
+                assert len(res.solution) == opt and check_solution(g, res.solution, opt), i
+            for k in budgets:
+                res = solve_ifvs(g, k, fvs_override=set(over))
+                assert res.status == want[k], (i, k)
+                assert res.solution is None or check_solution(g, res.solution, k), (i, k)
+    assert other >= 100
+
+
 def test_guesses_that_cannot_be_built_are_skipped():
     # loop vertex 0 hangs off the triangle 1-2-3, and Z is pinned to it
     g = MultiGraph(range(4))
@@ -462,8 +509,9 @@ def test_a_solve_that_answers_at_z_builds_no_refutation_facts(monkeypatch):
 
 
 def test_the_refutation_facts_are_built_once_per_solve(monkeypatch):
-    # every guess of the k = 15 decision is refuted, and the minimize run
-    # scans at |Z| = 10 and then at k; each solve builds its facts once
+    # the k = 15 decision refutes 246 of its 256 tried guesses, and the
+    # minimize run scans at |Z| = 10 and then at k; each solve builds its
+    # facts once
     g = random_multigraph(60, 96, 1)
     built = _facts_built(monkeypatch)
     labels, refuted = [], []
@@ -623,44 +671,45 @@ def test_the_guess_check_cuts_only_where_the_engine_root_would(monkeypatch):
     # A cut by the first rank check alone is one the engine root's
     # cycle-rank cut makes too; a cut on the 2-core of G - Z', by a cycle
     # through the undeletable part or by forced takes is one of a guess
-    # with no solution at all
+    # with no solution at all. The first check is the first _cut call,
+    # which calls no rank_cut where its need is not positive. Each cut
+    # guess is built as it runs, at its own budget, since a hit lowers
+    # root.k for the guesses after it
     reached = []
     runs = []
-    ranks = []
-    run_guess, cut_rank = pipeline._run_guess, pipeline.rank_cut
+    cuts = []
+    run_guess, real_cut = pipeline._run_guess, pipeline._cut
 
     def stub(inst, trace=True):
         reached.append(inst)
         return DisjointResult(None, BranchNode("reject", answer="no"), DisjointStats(1))
 
     def spy(need, degs, k):
-        ranks.append(cut_rank(need, degs, k))
-        return ranks[-1]
+        cuts.append(real_cut(need, degs, k))
+        return cuts[-1]
 
     def recording(root, facts, z_prime, keep_trace):
         before = len(reached)
-        ranks.clear()
+        cuts.clear()
         rec = run_guess(root, facts, z_prime, keep_trace)
-        runs.append((root, rec, len(reached) > before, ranks == [True]))
+        if rec.status != "skipped" and len(reached) == before:
+            runs.append((rec, _built(root, facts.z, z_prime), cuts == [True]))
         return rec
 
     monkeypatch.setattr(pipeline, "search_disjoint", stub)
-    monkeypatch.setattr(pipeline, "rank_cut", spy)
+    monkeypatch.setattr(pipeline, "_cut", spy)
     monkeypatch.setattr(pipeline, "_run_guess", recording)
     cut = refuted = 0
     for seed in range(30):
         g = _sparse(seed, 30, 1.6)
         z = min_fvs(g)
         solve_ifvs(g, len(z), fvs_override=z, keep_traces=True)
-        for root, rec, engine, by_rank in runs:
-            if rec.status == "skipped" or engine:
-                continue
+        for rec, inst, by_first in runs:
             cut += 1
             # the record of a guess whose engine root was cut
             trace = BranchNode("reject", answer="no")
             assert rec == GuessRecord(rec.z_prime, "no", DisjointStats(1), trace)
-            inst = _built(root, z, rec.z_prime)
-            if by_rank:
+            if by_first:
                 assert cycle_rank_cut(inst), (seed, rec.z_prime)
                 continue
             refuted += 1
